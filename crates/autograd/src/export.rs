@@ -25,6 +25,7 @@ use std::rc::Rc;
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
+use crate::eval::{row_deps, Operand, RowDep};
 use crate::tape::{NodeId, Op, Tape};
 use crate::ParamStore;
 
@@ -131,35 +132,23 @@ pub enum ProgramOp {
 }
 
 impl ProgramOp {
-    /// Indices of the instructions this op reads.
+    /// Is this a leaf (`Constant` or `Param`), whose value lives in the
+    /// program or the weight table rather than being computed?
+    pub fn is_leaf(&self) -> bool {
+        matches!(self, ProgramOp::Constant { .. } | ProgramOp::Param { .. })
+    }
+
+    /// Indices of the instructions this op reads, in operand order: the
+    /// instruction operands of its [`row_deps`] (a `MatMul` left operand's
+    /// `Probe` rows are the same operand again).
     pub fn inputs(&self) -> Vec<usize> {
-        use ProgramOp::*;
-        match self {
-            Constant { .. } | Param { .. } => Vec::new(),
-            MatMul { a, b } | Add { a, b } | Sub { a, b } | Mul { a, b } | Div { a, b } => {
-                vec![*a, *b]
-            }
-            SpMM { x, .. }
-            | Scale { x, .. }
-            | AddConst { x, .. }
-            | Pow { x, .. }
-            | Exp { x }
-            | Relu { x }
-            | LeakyRelu { x, .. }
-            | Sigmoid { x }
-            | Tanh { x }
-            | LogSoftmax { x }
-            | SliceCols { x, .. }
-            | GatherRows { x, .. }
-            | SumAll { x }
-            | SumRows { x }
-            | SumCols { x } => vec![*x],
-            AddRowBroadcast { x, b } => vec![*x, *b],
-            AddColBroadcast { x, c } | MulColBroadcast { x, c } => vec![*x, *c],
-            MulScalarNode { x, s } => vec![*x, *s],
-            ConcatCols { parts } | MaxStack { parts } => parts.clone(),
-            GatAggregate { z, ssrc, sdst, .. } => vec![*z, *ssrc, *sdst],
-        }
+        row_deps(self)
+            .into_iter()
+            .filter_map(|dep| match dep {
+                (Operand::Op(j), d) if d != RowDep::Probe => Some(j),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -201,15 +190,16 @@ impl Program {
         seen
     }
 
-    /// Names of parameters consumed **exclusively** as the right operand of
-    /// `MatMul` ops (and not as the program output). These are the weights a
-    /// quantized serve path may store compressed and dequantize on the fly
-    /// inside the matmul panel loop: every use site goes through the packed
-    /// micro-kernel, so materializing vs fusing is bitwise-neutral. A weight
+    /// Per op slot: is it a `Param` leaf read **only** as the right operand
+    /// of `MatMul` ops (and not the program output)? Those are the slots a
+    /// quantized serve path may keep compressed and dequantize on the fly
+    /// inside the matmul panel loop: every use goes through the packed
+    /// micro-kernel, so materializing vs fusing is bitwise-neutral. A slot
     /// that also feeds any other op (bias adds, attention scores, …) — or
-    /// the `a` side of a matmul — stays exact.
-    pub fn matmul_only_params(&self) -> Vec<&str> {
-        let mut ok = vec![true; self.ops.len()];
+    /// the `a` side of a matmul — must stay exact.
+    pub fn matmul_right_only(&self) -> Vec<bool> {
+        let mut ok: Vec<bool> =
+            self.ops.iter().map(|op| matches!(op, ProgramOp::Param { .. })).collect();
         for op in &self.ops {
             match op {
                 // The `b` slot is the one fusable position; `a` is not.
@@ -224,20 +214,18 @@ impl Program {
         if let Some(slot) = ok.get_mut(self.output) {
             *slot = false;
         }
-        let mut names: Vec<&str> = Vec::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            if let ProgramOp::Param { name } = op {
-                if ok[i] && !names.contains(&name.as_str()) {
-                    names.push(name);
-                }
-            }
-        }
-        // A name can bind several Param slots (shared weights); it is
-        // matmul-only only if *every* slot is.
-        names.retain(|n| {
-            self.ops.iter().enumerate().all(|(i, op)| match op {
-                ProgramOp::Param { name } if name == n => ok[i],
-                _ => true,
+        ok
+    }
+
+    /// Names of parameters whose **every** slot is
+    /// [`Program::matmul_right_only`] (a name can bind several slots when
+    /// weights are shared), in first-use order.
+    pub fn matmul_only_params(&self) -> Vec<&str> {
+        let ok = self.matmul_right_only();
+        let mut names = self.param_names();
+        names.retain(|&n| {
+            self.ops.iter().zip(&ok).all(|(op, &ok)| {
+                ok || !matches!(op, ProgramOp::Param { name } if name == n)
             })
         });
         names

@@ -41,6 +41,7 @@
 //! ```
 
 mod backward;
+mod eval;
 mod export;
 mod gradcheck;
 mod ops_basic;
@@ -52,8 +53,12 @@ mod peval;
 mod schedule;
 mod tape;
 
+pub use eval::{
+    dirty_rows, eval_all, eval_dirty, leaf_value, op_rows, row_deps, Operand, Operands,
+    PackedOperand, Resident, RowDep,
+};
 pub use export::{ExportError, Program, ProgramOp};
-pub use peval::{eval_partitions, evaluate_program_partitioned, PevalError, RowPlan};
+pub use peval::{evaluate_program_partitioned, PevalError, RowPlan};
 pub use gradcheck::{grad_check, grad_check_owner, GradCheckReport};
 pub use ops_graph::{gat_attention, GatForward};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};

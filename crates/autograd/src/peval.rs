@@ -1,47 +1,35 @@
-//! Partitioned (out-of-core) evaluation of a frozen [`Program`].
+//! Partitioned (out-of-core) evaluation of a frozen [`Program`]: the
+//! **demand schedule** of the one evaluator (DESIGN.md §10, "One
+//! evaluator"; §14).
 //!
-//! The resident evaluator (`lasagne-serve`) materializes **every**
-//! intermediate of the program over all `N` graph nodes — O(graph) memory.
-//! [`RowPlan`] evaluates any subset of output rows while materializing only
-//! the rows each instruction actually contributes to them, so a partition
-//! sweep peaks at O(partition + halo), and the answer is **bitwise** equal
-//! to the corresponding rows of the resident evaluation. Three facts make
-//! that possible:
+//! The resident schedule materializes **every** intermediate of the program
+//! over all `N` graph nodes — O(graph) memory. [`RowPlan`] evaluates any
+//! subset of output rows while materializing only the rows each
+//! instruction actually contributes to them, so a partition sweep peaks at
+//! O(partition + halo), and the answer is **bitwise** equal to the
+//! corresponding rows of the resident evaluation. A backward walk of
+//! [`row_deps`] from the requested rows assigns each instruction its
+//! demanded rows — row `r` itself, the SpMM halo, the gathered index, the
+//! probe-sample rows of a `MatMul` left operand, or the whole operand —
+//! and a forward pass runs the shared op kernel [`op_rows`] on exactly
+//! those rows. The subset bitwise rules (probe verdict of the whole left
+//! operand, monotone SpMM column slices, strict-`>` `MaxStack`) live in
+//! that kernel.
 //!
-//! * **Row-local kernels.** Almost every inference op computes output row
-//!   `r` from row `r` of its dense inputs (element-wise ops, broadcasts,
-//!   activations, row-wise log-softmax) or from an explicit row set:
-//!   `MatMul` reads row `r` of the left operand (and the whole right
-//!   operand — a weight matrix, small), `SpMM` reads the rows of `x` named
-//!   by the sparse row's column indices — the halo exchange. A backward
-//!   *demand pass* over the program assigns each instruction the exact
-//!   sorted row set the requested output rows need.
-//! * **Order-preserving slices.** The SpMM block for demanded rows `R` is
-//!   `m.slice(R, C)` with `C` the sorted union of those rows' columns: a
-//!   monotone column remap that preserves each row's stored-nonzero order,
-//!   which with the ascending-from-+0.0 accumulation contract (DESIGN.md
-//!   §8) makes the block product bit-identical to rows `R` of the full
-//!   product. Dense row gathers are pure copies.
-//! * **The density probe.** `Tensor::matmul` picks its zero-skip branch by
-//!   probing ≤ 64 strided samples of the **full** left operand, and the
-//!   branch changes bits (the skip path never touches `0.0 * b` terms). A
-//!   row subset cannot run that probe as-is, so the demand pass always
-//!   pulls in the probe-sample rows, the forward pass re-runs the probe on
-//!   the reconstructed samples, and the product goes through
-//!   [`Tensor::matmul_with_skip`] with the resident verdict.
-//!
-//! `SumAll`/`SumRows` reductions and `GatAggregate` are not row-local: they
-//! need a full non-leaf operand. Plans over programs where such an operand
-//! spans the whole graph fail up front with [`PevalError::NotRowLocal`] —
-//! callers fall back to resident evaluation (the GAT baseline does; GCN and
-//! all four Lasagne aggregators plan cleanly, which the partition
-//! equivalence suites assert).
+//! A whole-operand dependency on a graph-sized non-leaf — `SumAll`/`SumRows`
+//! over activations, GAT's attention — is not row-local: plans over such
+//! programs fail up front with [`PevalError::NotRowLocal`], and callers
+//! evaluate resident instead (the GAT baseline does; GCN and all four
+//! Lasagne aggregators plan cleanly, which the partition equivalence
+//! suites assert).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
+use crate::eval::{leaf_value, neighbors, op_rows, row_deps, Operand, Operands, RowDep};
 use crate::export::{Program, ProgramOp};
 
 /// Why a program cannot be row-locally evaluated, or an evaluation failed.
@@ -113,46 +101,8 @@ fn op_name(op: &ProgramOp) -> &'static str {
     }
 }
 
-/// The rows of the full left operand `Tensor::matmul`'s density probe
-/// samples: flat indices `0, step, 2·step, …` with `step = ceil(len/64)`,
-/// mapped to row ids. Mirrors `looks_sparse` exactly (including the
-/// ceil-rounded stride).
-fn probe_rows(rows: usize, cols: usize) -> Vec<usize> {
-    const SAMPLES: usize = 64;
-    let len = rows * cols;
-    if len == 0 {
-        return Vec::new();
-    }
-    let step = len.div_ceil(SAMPLES).max(1);
-    let mut out: Vec<usize> = (0..len).step_by(step).map(|f| f / cols).collect();
-    out.dedup(); // flat indices ascend, so rows are already sorted
-    out
-}
-
-/// Re-run the resident density probe from sampled values: `get(f)` must
-/// return the full left operand's flat element `f`. Same stride, same
-/// `== 0.0` test, same ≥¼-zeros verdict as `Tensor::looks_sparse`.
-fn probe_skip(rows: usize, cols: usize, get: impl Fn(usize) -> f32) -> bool {
-    const SAMPLES: usize = 64;
-    let len = rows * cols;
-    if len == 0 {
-        return false;
-    }
-    let step = len.div_ceil(SAMPLES).max(1);
-    let (mut zeros, mut total) = (0usize, 0usize);
-    let mut f = 0;
-    while f < len {
-        if get(f) == 0.0 {
-            zeros += 1;
-        }
-        total += 1;
-        f += step;
-    }
-    zeros * 4 >= total
-}
-
 /// Positions of each `wanted` row inside the sorted `union` row list.
-/// Demand-pass invariant: every row a consumer asks for was propagated into
+/// Demand-walk invariant: every row a consumer asks for was propagated into
 /// the producer's union, so the lookup cannot miss.
 fn positions(union: &[usize], wanted: &[usize]) -> Vec<usize> {
     wanted
@@ -161,8 +111,13 @@ fn positions(union: &[usize], wanted: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-fn merge_into(demand: &mut Option<Vec<usize>>, rows: impl IntoIterator<Item = usize>) {
-    demand.get_or_insert_with(Vec::new).extend(rows);
+/// The rows of one instruction the demand schedule computes.
+#[derive(Debug, Clone)]
+enum Demand {
+    /// These rows (sorted and deduplicated once all consumers merged in).
+    Rows(Vec<usize>),
+    /// Every row (a consumer reads the instruction whole).
+    All,
 }
 
 /// A validated row-local evaluation plan for one program against one weight
@@ -173,9 +128,9 @@ fn merge_into(demand: &mut Option<Vec<usize>>, rows: impl IntoIterator<Item = us
 /// construction (`eval_rows` takes `&self`), so callers can cache one plan
 /// and sweep partitions — or threads — over it.
 pub struct RowPlan<'a> {
-    ops: &'a [ProgramOp],
-    sparse: Vec<&'a Csr>,
-    weights: &'a [(String, Tensor)],
+    ops: Cow<'a, [ProgramOp]>,
+    sparse: Vec<Cow<'a, Csr>>,
+    weights: Cow<'a, [(String, Tensor)]>,
     output: usize,
     shapes: Vec<(usize, usize)>,
 }
@@ -198,20 +153,36 @@ impl<'a> RowPlan<'a> {
         weights: &'a [(String, Tensor)],
         output: usize,
     ) -> Result<RowPlan<'a>, PevalError> {
-        let lookup = |name: &str| -> Result<&Tensor, PevalError> {
-            weights
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, t)| t)
-                .ok_or_else(|| PevalError::MissingParam(name.to_string()))
-        };
+        let sparse = sparse.into_iter().map(Cow::Borrowed).collect();
+        RowPlan::plan(Cow::Borrowed(ops), sparse, Cow::Borrowed(weights), output)
+    }
+
+    /// Plan an op list the plan owns, so a server can build it once at load
+    /// and keep it for every later evaluation.
+    pub fn owned(
+        ops: Vec<ProgramOp>,
+        sparse: Vec<Csr>,
+        weights: Vec<(String, Tensor)>,
+        output: usize,
+    ) -> Result<RowPlan<'static>, PevalError> {
+        let sparse = sparse.into_iter().map(Cow::Owned).collect();
+        RowPlan::plan(Cow::Owned(ops), sparse, Cow::Owned(weights), output)
+    }
+
+    fn plan(
+        ops: Cow<'a, [ProgramOp]>,
+        sparse: Vec<Cow<'a, Csr>>,
+        weights: Cow<'a, [(String, Tensor)]>,
+        output: usize,
+    ) -> Result<RowPlan<'a>, PevalError> {
         // Shape inference (exact: mirrors each kernel's output shape).
         let mut shapes: Vec<(usize, usize)> = Vec::with_capacity(ops.len());
-        for op in ops {
+        for op in ops.iter() {
             let s = |i: &usize| shapes[*i];
             let shape = match op {
-                ProgramOp::Constant { value } => value.shape(),
-                ProgramOp::Param { name } => lookup(name)?.shape(),
+                ProgramOp::Constant { .. } | ProgramOp::Param { .. } => {
+                    leaf_value(op, &weights)?.expect("leaf").shape()
+                }
                 ProgramOp::MatMul { a, b } => (s(a).0, s(b).1),
                 ProgramOp::SpMM { m, x } => (sparse[*m].shape().0, s(x).1),
                 ProgramOp::Add { a, .. }
@@ -252,38 +223,25 @@ impl<'a> RowPlan<'a> {
         // materializable themselves.
         let mut full_ok = vec![false; ops.len()];
         for (i, op) in ops.iter().enumerate() {
-            full_ok[i] = match op {
-                ProgramOp::Constant { .. } | ProgramOp::Param { .. } => true,
-                _ => shapes[i].0 != n && op.inputs().iter().all(|&j| full_ok[j]),
-            };
+            full_ok[i] = op.is_leaf()
+                || (shapes[i].0 != n && op.inputs().iter().all(|&j| full_ok[j]));
         }
 
-        // Validate: every reachable instruction's full-demand operands must
+        // Validate: every operand a reachable instruction reads whole must
         // be materializable.
         let mut reachable = vec![false; ops.len()];
         let mut stack = vec![output];
         while let Some(i) = stack.pop() {
-            if std::mem::replace(&mut reachable[i], true) {
-                continue;
+            if !std::mem::replace(&mut reachable[i], true) {
+                stack.extend(ops[i].inputs());
             }
-            stack.extend(ops[i].inputs());
         }
-        for (i, op) in ops.iter().enumerate() {
-            if !reachable[i] {
-                continue;
-            }
-            let full_operands: Vec<usize> = match op {
-                ProgramOp::MatMul { b, .. } => vec![*b],
-                ProgramOp::AddRowBroadcast { b, .. } => vec![*b],
-                ProgramOp::MulScalarNode { s, .. } => vec![*s],
-                // Reductions and attention read their operands whole.
-                ProgramOp::SumAll { x } | ProgramOp::SumRows { x } => vec![*x],
-                ProgramOp::GatAggregate { z, ssrc, sdst, .. } => vec![*z, *ssrc, *sdst],
-                _ => Vec::new(),
-            };
-            for j in full_operands {
-                if !full_ok[j] {
-                    return Err(PevalError::NotRowLocal { node: i, op: op_name(op) });
+        for (i, op) in ops.iter().enumerate().filter(|&(i, _)| reachable[i]) {
+            for (operand, dep) in row_deps(op) {
+                if let (Operand::Op(j), RowDep::Whole) = (operand, dep) {
+                    if !full_ok[j] {
+                        return Err(PevalError::NotRowLocal { node: i, op: op_name(op) });
+                    }
                 }
             }
         }
@@ -295,332 +253,141 @@ impl<'a> RowPlan<'a> {
         self.shapes[self.output]
     }
 
-    fn lookup(&self, name: &str) -> Result<&Tensor, PevalError> {
-        self.weights
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t)
-            .ok_or_else(|| PevalError::MissingParam(name.to_string()))
-    }
-
-    /// Fully materialize instruction `i` (plan-validated small) and its
-    /// non-leaf dependencies into `full_vals`, with the exact resident
-    /// kernels — same ops, same internal probes, same bits.
-    fn eval_full(&self, i: usize, full_vals: &mut [Option<Tensor>]) -> Result<(), PevalError> {
-        if full_vals[i].is_some() {
-            return Ok(());
-        }
-        for j in self.ops[i].inputs() {
-            if !matches!(self.ops[j], ProgramOp::Constant { .. } | ProgramOp::Param { .. }) {
-                self.eval_full(j, full_vals)?;
-            }
-        }
-        // Leaves resolve straight from the program/weight table; everything
-        // else from the memo just filled.
-        macro_rules! v {
-            ($j:expr) => {
-                match &self.ops[$j] {
-                    ProgramOp::Constant { value } => value,
-                    ProgramOp::Param { name } => self.lookup(name)?,
-                    _ => full_vals[$j].as_ref().expect("eval_full: input ready"),
+    /// The demand closure of output rows `rows`: walking [`row_deps`]
+    /// backwards, the rows of each non-leaf instruction the forward pass
+    /// must compute (leaves are served from the plan whole), and the halo
+    /// each subset SpMM reads.
+    fn demand(&self, rows: &[usize]) -> (Vec<Option<Demand>>, Vec<Option<Vec<usize>>>) {
+        let mut demand: Vec<Option<Demand>> = vec![None; self.ops.len()];
+        let mut halos: Vec<Option<Vec<usize>>> = vec![None; self.ops.len()];
+        demand[self.output] = Some(Demand::Rows(rows.to_vec()));
+        for i in (0..self.ops.len()).rev() {
+            let d = match demand[i].take() {
+                Some(Demand::Rows(mut r)) => {
+                    r.sort_unstable();
+                    r.dedup();
+                    Demand::Rows(r)
                 }
+                Some(Demand::All) => Demand::All,
+                None => continue,
             };
-        }
-        let out = match &self.ops[i] {
-            ProgramOp::Constant { value } => value.clone(),
-            ProgramOp::Param { name } => self.lookup(name)?.clone(),
-            ProgramOp::MatMul { a, b } => v!(*a).matmul(v!(*b)),
-            ProgramOp::SpMM { m, x } => self.sparse[*m].spmm(v!(*x)),
-            ProgramOp::Add { a, b } => v!(*a).add(v!(*b)),
-            ProgramOp::Sub { a, b } => v!(*a).sub(v!(*b)),
-            ProgramOp::Mul { a, b } => v!(*a).mul(v!(*b)),
-            ProgramOp::Div { a, b } => v!(*a).div(v!(*b)),
-            ProgramOp::Scale { x, alpha } => v!(*x).scale(*alpha),
-            ProgramOp::AddConst { x, c } => v!(*x).add_scalar(*c),
-            ProgramOp::Pow { x, p, eps } => {
-                let (p, eps) = (*p, *eps);
-                v!(*x).map(|t| (t + eps).powf(p))
-            }
-            ProgramOp::Exp { x } => v!(*x).map(f32::exp),
-            ProgramOp::Relu { x } => v!(*x).relu(),
-            ProgramOp::LeakyRelu { x, slope } => v!(*x).leaky_relu(*slope),
-            ProgramOp::Sigmoid { x } => v!(*x).sigmoid(),
-            ProgramOp::Tanh { x } => v!(*x).tanh(),
-            ProgramOp::AddRowBroadcast { x, b } => v!(*x).add_row_broadcast(v!(*b)),
-            ProgramOp::AddColBroadcast { x, c } => v!(*x).add_col_broadcast(v!(*c)),
-            ProgramOp::MulColBroadcast { x, c } => v!(*x).mul_col_broadcast(v!(*c)),
-            ProgramOp::MulScalarNode { x, s } => v!(*x).scale(v!(*s).get(0, 0)),
-            ProgramOp::LogSoftmax { x } => v!(*x).log_softmax_rows(),
-            ProgramOp::ConcatCols { parts } => {
-                let mut tensors: Vec<&Tensor> = Vec::with_capacity(parts.len());
-                for &p in parts {
-                    tensors.push(v!(p));
+            for (operand, dep) in row_deps(&self.ops[i]) {
+                let Operand::Op(j) = operand else { continue };
+                if self.ops[j].is_leaf() {
+                    continue;
                 }
-                Tensor::concat_cols(&tensors)
-            }
-            ProgramOp::SliceCols { x, lo, hi } => v!(*x).slice_cols(*lo, *hi),
-            ProgramOp::GatherRows { x, idx } => v!(*x).gather_rows(idx),
-            ProgramOp::SumAll { x } => Tensor::full(1, 1, v!(*x).sum()),
-            ProgramOp::SumRows { x } => v!(*x).sum_rows(),
-            ProgramOp::SumCols { x } => v!(*x).sum_cols(),
-            ProgramOp::MaxStack { parts } => {
-                let mut acc = v!(parts[0]).clone();
-                for &p in &parts[1..] {
-                    let pv = v!(p);
-                    for (best, cand) in acc.as_mut_slice().iter_mut().zip(pv.as_slice()) {
-                        if *cand > *best {
-                            *best = *cand;
-                        }
+                let wanted = match (&d, dep) {
+                    (Demand::All, _) | (_, RowDep::Whole) => {
+                        demand[j] = Some(Demand::All);
+                        continue;
                     }
+                    (Demand::Rows(r), RowDep::Same) => r.clone(),
+                    (Demand::Rows(r), RowDep::Neighbors(m)) => {
+                        halos[i].insert(neighbors(&self.sparse[m], r)).clone()
+                    }
+                    (Demand::Rows(r), RowDep::Gathered(idx)) => r.iter().map(|&p| idx[p]).collect(),
+                    (Demand::Rows(_), RowDep::Probe) => {
+                        let (rows, cols) = self.shapes[j];
+                        let mut p: Vec<usize> =
+                            Tensor::probe_positions(rows * cols).map(|f| f / cols).collect();
+                        p.dedup(); // flat positions ascend, so rows are sorted
+                        p
+                    }
+                };
+                match &mut demand[j] {
+                    Some(Demand::Rows(have)) => have.extend(wanted),
+                    Some(Demand::All) => {}
+                    slot @ None => *slot = Some(Demand::Rows(wanted)),
                 }
-                acc
             }
-            // Plan validation rejects GatAggregate with graph-sized inputs,
-            // and a small one never occurs (attention spans the graph); if a
-            // program ever carries one, the plan already errored.
-            ProgramOp::GatAggregate { .. } => {
-                return Err(PevalError::NotRowLocal { node: i, op: "gat_aggregate" })
-            }
-        };
-        full_vals[i] = Some(out);
-        Ok(())
+            demand[i] = Some(d);
+        }
+        (demand, halos)
     }
 
     /// Evaluate the program restricted to output rows `rows` (any order,
     /// repeats allowed). Returns a `rows.len() × cols` tensor whose row `r`
     /// is bitwise equal to row `rows[r]` of the resident evaluation.
     pub fn eval_rows(&self, rows: &[usize]) -> Result<Tensor, PevalError> {
-        let (out_rows, out_cols) = self.shapes[self.output];
-        for &r in rows {
-            if r >= out_rows {
-                return Err(PevalError::RowOutOfRange { row: r, rows: out_rows });
-            }
+        let (out_rows, out_cols) = self.output_shape();
+        if let Some(&row) = rows.iter().find(|&&r| r >= out_rows) {
+            return Err(PevalError::RowOutOfRange { row, rows: out_rows });
         }
         if rows.is_empty() {
             return Ok(Tensor::zeros(0, out_cols));
         }
-
-        // ---- backward demand pass -------------------------------------
-        // demand[i]: sorted union of the rows of instruction i any consumer
-        // needs; need_full[i]: some consumer reads i whole (weights, biases,
-        // 1×1 scalars — plan-validated small).
-        let mut demand: Vec<Option<Vec<usize>>> = vec![None; self.ops.len()];
-        let mut need_full = vec![false; self.ops.len()];
-        // spmm_cols[i]: for an SpMM, the sorted ghost-column set its demanded
-        // rows touch — recorded here so the forward pass slices identically.
-        let mut spmm_cols: Vec<Option<Vec<usize>>> = vec![None; self.ops.len()];
-        {
-            let mut sorted = rows.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            demand[self.output] = Some(sorted);
-        }
-        let mark_full = |need_full: &mut Vec<bool>, j: usize, ops: &[ProgramOp]| {
-            // Leaves are served straight from the program/weight table.
-            if !matches!(ops[j], ProgramOp::Constant { .. } | ProgramOp::Param { .. }) {
-                need_full[j] = true;
+        let (demand, halos) = self.demand(rows);
+        let mut vals: Vec<Option<Tensor>> = vec![None; self.ops.len()];
+        for (i, d) in demand.iter().enumerate() {
+            if let (Some(d), false) = (d, self.ops[i].is_leaf()) {
+                let only = match d {
+                    Demand::Rows(r) => Some(r.as_slice()),
+                    Demand::All => None,
+                };
+                let src = Demanded { plan: self, demand: &demand, halos: &halos, vals: &vals };
+                let value = op_rows(&self.ops, i, only, &src);
+                vals[i] = Some(value);
             }
-        };
-        for i in (0..self.ops.len()).rev() {
-            let Some(d) = demand[i].take() else { continue };
-            let mut d = d;
-            d.sort_unstable();
-            d.dedup();
-            match &self.ops[i] {
-                ProgramOp::Constant { .. } | ProgramOp::Param { .. } => {}
-                ProgramOp::MatMul { a, b } => {
-                    let (ar, ac) = self.shapes[*a];
-                    merge_into(&mut demand[*a], d.iter().copied());
-                    merge_into(&mut demand[*a], probe_rows(ar, ac));
-                    mark_full(&mut need_full, *b, self.ops);
-                }
-                ProgramOp::SpMM { m, x } => {
-                    let mut cols: Vec<usize> = Vec::new();
-                    for &r in &d {
-                        cols.extend(self.sparse[*m].row_indices(r).iter().map(|&c| c as usize));
-                    }
-                    cols.sort_unstable();
-                    cols.dedup();
-                    merge_into(&mut demand[*x], cols.iter().copied());
-                    spmm_cols[i] = Some(cols);
-                }
-                ProgramOp::Add { a, b }
-                | ProgramOp::Sub { a, b }
-                | ProgramOp::Mul { a, b }
-                | ProgramOp::Div { a, b } => {
-                    merge_into(&mut demand[*a], d.iter().copied());
-                    merge_into(&mut demand[*b], d.iter().copied());
-                }
-                ProgramOp::Scale { x, .. }
-                | ProgramOp::AddConst { x, .. }
-                | ProgramOp::Pow { x, .. }
-                | ProgramOp::Exp { x }
-                | ProgramOp::Relu { x }
-                | ProgramOp::LeakyRelu { x, .. }
-                | ProgramOp::Sigmoid { x }
-                | ProgramOp::Tanh { x }
-                | ProgramOp::LogSoftmax { x }
-                | ProgramOp::SliceCols { x, .. }
-                | ProgramOp::SumCols { x } => {
-                    merge_into(&mut demand[*x], d.iter().copied());
-                }
-                ProgramOp::AddRowBroadcast { x, b } => {
-                    merge_into(&mut demand[*x], d.iter().copied());
-                    mark_full(&mut need_full, *b, self.ops);
-                }
-                ProgramOp::AddColBroadcast { x, c } | ProgramOp::MulColBroadcast { x, c } => {
-                    merge_into(&mut demand[*x], d.iter().copied());
-                    merge_into(&mut demand[*c], d.iter().copied());
-                }
-                ProgramOp::MulScalarNode { x, s } => {
-                    merge_into(&mut demand[*x], d.iter().copied());
-                    mark_full(&mut need_full, *s, self.ops);
-                }
-                ProgramOp::ConcatCols { parts } | ProgramOp::MaxStack { parts } => {
-                    for &p in parts {
-                        merge_into(&mut demand[p], d.iter().copied());
-                    }
-                }
-                ProgramOp::GatherRows { x, idx } => {
-                    merge_into(&mut demand[*x], d.iter().map(|&r| idx[r]));
-                }
-                // Served whole from the (plan-validated small) full value.
-                ProgramOp::SumAll { .. } | ProgramOp::SumRows { .. } => {
-                    need_full[i] = true;
-                }
-                ProgramOp::GatAggregate { .. } => {
-                    return Err(PevalError::NotRowLocal { node: i, op: "gat_aggregate" })
-                }
-            }
-            demand[i] = Some(d);
         }
-        // Full-demand closure: the SumAll/SumRows arms above mark their own
-        // op, whose *inputs* eval_full materializes recursively.
+        let src = Demanded { plan: self, demand: &demand, halos: &halos, vals: &vals };
+        Ok(src.rows(self.output, Some(rows)).into_owned())
+    }
+}
 
-        // ---- forward pass ---------------------------------------------
-        let mut full_vals: Vec<Option<Tensor>> = vec![None; self.ops.len()];
-        let mut row_vals: Vec<Option<Tensor>> = vec![None; self.ops.len()];
-        for i in 0..self.ops.len() {
-            if need_full[i] {
-                self.eval_full(i, &mut full_vals)?;
-            }
-            let Some(d) = demand[i].clone() else { continue };
-            // Rows `wanted` of instruction `j`, gathered (a pure bitwise
-            // copy) from wherever they live: the leaf itself, the row-subset
-            // value, or the full value.
-            let take = |j: usize, wanted: &[usize]| -> Result<Tensor, PevalError> {
-                match &self.ops[j] {
-                    ProgramOp::Constant { value } => Ok(value.gather_rows(wanted)),
-                    ProgramOp::Param { name } => Ok(self.lookup(name)?.gather_rows(wanted)),
-                    _ => {
-                        if let Some(rv) = &row_vals[j] {
-                            let union = demand[j].as_ref().expect("row value has a demand set");
-                            Ok(rv.gather_rows(&positions(union, wanted)))
-                        } else {
-                            let fv = full_vals[j].as_ref().expect("peval: operand unevaluated");
-                            Ok(fv.gather_rows(wanted))
-                        }
-                    }
-                }
-            };
-            let full = |j: usize| -> Result<&Tensor, PevalError> {
-                match &self.ops[j] {
-                    ProgramOp::Constant { value } => Ok(value),
-                    ProgramOp::Param { name } => self.lookup(name),
-                    _ => Ok(full_vals[j].as_ref().expect("peval: full operand unevaluated")),
-                }
-            };
-            let out = match &self.ops[i] {
-                // Leaf rows are gathered lazily by consumers; no value to
-                // store (and nothing to compute).
-                ProgramOp::Constant { .. } | ProgramOp::Param { .. } => continue,
-                ProgramOp::MatMul { a, b } => {
-                    let (ar, ac) = self.shapes[*a];
-                    // Reconstruct the resident probe from the sampled rows
-                    // (always part of a's demand), then take the demanded
-                    // rows through the explicit-skip seed kernel.
-                    let prows = probe_rows(ar, ac);
-                    let samples = take(*a, &prows)?;
-                    let skip = probe_skip(ar, ac, |f| {
-                        let (r, c) = (f / ac, f % ac);
-                        let local = prows.binary_search(&r).expect("probe row sampled");
-                        samples.get(local, c)
-                    });
-                    take(*a, &d)?.matmul_with_skip(full(*b)?, skip)
-                }
-                ProgramOp::SpMM { m, x } => {
-                    let cols = spmm_cols[i].as_ref().expect("spmm demand recorded");
-                    let block = self.sparse[*m].slice(&d, cols);
-                    block.spmm(&take(*x, cols)?)
-                }
-                ProgramOp::Add { a, b } => take(*a, &d)?.add(&take(*b, &d)?),
-                ProgramOp::Sub { a, b } => take(*a, &d)?.sub(&take(*b, &d)?),
-                ProgramOp::Mul { a, b } => take(*a, &d)?.mul(&take(*b, &d)?),
-                ProgramOp::Div { a, b } => take(*a, &d)?.div(&take(*b, &d)?),
-                ProgramOp::Scale { x, alpha } => take(*x, &d)?.scale(*alpha),
-                ProgramOp::AddConst { x, c } => take(*x, &d)?.add_scalar(*c),
-                ProgramOp::Pow { x, p, eps } => {
-                    let (p, eps) = (*p, *eps);
-                    take(*x, &d)?.map(|t| (t + eps).powf(p))
-                }
-                ProgramOp::Exp { x } => take(*x, &d)?.map(f32::exp),
-                ProgramOp::Relu { x } => take(*x, &d)?.relu(),
-                ProgramOp::LeakyRelu { x, slope } => take(*x, &d)?.leaky_relu(*slope),
-                ProgramOp::Sigmoid { x } => take(*x, &d)?.sigmoid(),
-                ProgramOp::Tanh { x } => take(*x, &d)?.tanh(),
-                ProgramOp::AddRowBroadcast { x, b } => {
-                    take(*x, &d)?.add_row_broadcast(full(*b)?)
-                }
-                ProgramOp::AddColBroadcast { x, c } => {
-                    take(*x, &d)?.add_col_broadcast(&take(*c, &d)?)
-                }
-                ProgramOp::MulColBroadcast { x, c } => {
-                    take(*x, &d)?.mul_col_broadcast(&take(*c, &d)?)
-                }
-                ProgramOp::MulScalarNode { x, s } => take(*x, &d)?.scale(full(*s)?.get(0, 0)),
-                ProgramOp::LogSoftmax { x } => take(*x, &d)?.log_softmax_rows(),
-                ProgramOp::ConcatCols { parts } => {
-                    let mut tensors = Vec::with_capacity(parts.len());
-                    for &p in parts {
-                        tensors.push(take(p, &d)?);
-                    }
-                    let refs: Vec<&Tensor> = tensors.iter().collect();
-                    Tensor::concat_cols(&refs)
-                }
-                ProgramOp::SliceCols { x, lo, hi } => take(*x, &d)?.slice_cols(*lo, *hi),
-                ProgramOp::GatherRows { x, idx } => {
-                    let wanted: Vec<usize> = d.iter().map(|&r| idx[r]).collect();
-                    take(*x, &wanted)?
-                }
-                ProgramOp::SumCols { x } => take(*x, &d)?.sum_cols(),
-                // Whole value materialized above; its demanded rows are a
-                // gather from it.
-                ProgramOp::SumAll { .. } | ProgramOp::SumRows { .. } => {
-                    full_vals[i].as_ref().expect("reduction evaluated full").gather_rows(&d)
-                }
-                ProgramOp::MaxStack { parts } => {
-                    let mut acc = take(parts[0], &d)?;
-                    for &p in &parts[1..] {
-                        let pv = take(p, &d)?;
-                        for (best, cand) in acc.as_mut_slice().iter_mut().zip(pv.as_slice()) {
-                            if *cand > *best {
-                                *best = *cand;
-                            }
-                        }
-                    }
-                    acc
-                }
-                ProgramOp::GatAggregate { .. } => {
-                    return Err(PevalError::NotRowLocal { node: i, op: "gat_aggregate" })
-                }
-            };
-            row_vals[i] = Some(out);
+/// The demand schedule's operands: leaves from the plan, every other
+/// instruction from the rows (or whole value) its demand computed.
+struct Demanded<'p> {
+    plan: &'p RowPlan<'p>,
+    demand: &'p [Option<Demand>],
+    halos: &'p [Option<Vec<usize>>],
+    vals: &'p [Option<Tensor>],
+}
+
+impl Demanded<'_> {
+    /// The sorted rows instruction `j` holds, if it holds a row subset.
+    fn subset(&self, j: usize) -> Option<(&[usize], &Tensor)> {
+        match (&self.demand[j], &self.vals[j]) {
+            (Some(Demand::Rows(union)), Some(v)) => Some((union, v)),
+            _ => None,
         }
+    }
+}
 
-        // Map the caller's row order onto the sorted union.
-        let union = demand[self.output].as_ref().expect("output demanded");
-        let value = row_vals[self.output].as_ref().expect("output evaluated");
-        Ok(value.gather_rows(&positions(union, rows)))
+impl Operands for Demanded<'_> {
+    fn whole(&self, j: usize) -> &Tensor {
+        leaf_value(&self.plan.ops[j], &self.plan.weights)
+            .expect("weights are checked at plan time")
+            .unwrap_or_else(|| self.vals[j].as_ref().expect("peval: whole operand evaluated"))
+    }
+
+    fn sparse(&self, m: usize) -> &Csr {
+        &self.plan.sparse[m]
+    }
+
+    fn halo(&self, i: usize, m: usize, rows: &[usize]) -> Cow<'_, [usize]> {
+        match &self.halos[i] {
+            Some(cols) => Cow::Borrowed(cols),
+            None => Cow::Owned(neighbors(&self.plan.sparse[m], rows)),
+        }
+    }
+
+    fn rows(&self, j: usize, rows: Option<&[usize]>) -> Cow<'_, Tensor> {
+        match (rows, self.subset(j)) {
+            (Some(wanted), Some((union, v))) => {
+                Cow::Owned(v.gather_rows(&positions(union, wanted)))
+            }
+            (Some(wanted), None) => Cow::Owned(self.whole(j).gather_rows(wanted)),
+            (None, _) => Cow::Borrowed(self.whole(j)),
+        }
+    }
+
+    fn skip(&self, j: usize) -> bool {
+        // A row subset always holds the probe's sampled rows (`RowDep::Probe`).
+        let (rows, cols) = self.plan.shapes[j];
+        Tensor::probe_verdict(rows * cols, |f| match self.subset(j) {
+            Some((union, v)) => v.get(positions(union, &[f / cols])[0], f % cols),
+            None => self.whole(j).as_slice()[f],
+        })
     }
 }
 
@@ -635,12 +402,6 @@ pub fn evaluate_program_partitioned(
     parts: &[Vec<usize>],
 ) -> Result<Tensor, PevalError> {
     let plan = RowPlan::new(program, weights)?;
-    eval_partitions(&plan, parts)
-}
-
-/// The sweep behind [`evaluate_program_partitioned`], reusable with a
-/// caller-built [`RowPlan`].
-pub fn eval_partitions(plan: &RowPlan<'_>, parts: &[Vec<usize>]) -> Result<Tensor, PevalError> {
     let (n, cols) = plan.output_shape();
     let mut covered = vec![false; n];
     for part in parts {

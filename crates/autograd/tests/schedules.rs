@@ -1,0 +1,368 @@
+//! Property suite for the one program evaluator (DESIGN.md §10, "One
+//! evaluator"): random exported tape programs, run through its three
+//! schedules at 1 and 4 pool threads.
+//!
+//! The generator draws from every row-local `ProgramOp` variant — element-wise
+//! ops, broadcasts, `GatherRows` with repeated indices, `MaxStack` with forced
+//! ties, reductions over resident leaves — on a random symmetric graph, and
+//! feeds `MatMul` left operands on both sides of the ¼-zeros density-probe
+//! threshold. The properties:
+//!
+//! * **demand**: the all-rows (resident) schedule equals the value the tape
+//!   computed, and `RowPlan::eval_rows` on random row subsets (unsorted,
+//!   with repeats) equals its matching rows, bitwise — with an infinite
+//!   matmul weight in half the programs, so a subset that picked its own
+//!   zero-skip verdict instead of the whole operand's would show;
+//! * **dirty**: after random rows of the input features change, the dirty
+//!   schedule's patched cache equals a cold all-rows evaluation, bitwise —
+//!   every instruction, not just the output (finite weights: the dirty walk
+//!   does not follow the probe, see `lasagne_autograd::dirty_rows`);
+//! * **refusal**: a whole-graph reduction over a non-leaf is refused with the
+//!   typed `PevalError::NotRowLocal`, naming the reduction.
+
+use std::collections::BTreeSet;
+use std::rc::Rc;
+
+use lasagne_autograd::{
+    dirty_rows, eval_all, eval_dirty, NodeId, Operand, Operands, ParamId, ParamStore, PevalError,
+    Program, ProgramOp, Resident, RowPlan, Tape,
+};
+use lasagne_sparse::Csr;
+use lasagne_tensor::Tensor;
+use lasagne_testkit::Rng;
+
+/// Programs per property and thread count.
+const CASES: u64 = 48;
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `rows × cols` values in ±1.5 with roughly a `zeros` share of exact zeros.
+fn tensor(rng: &mut Rng, rows: usize, cols: usize, zeros: f32) -> Tensor {
+    Tensor::from_fn(
+        rows,
+        cols,
+        |_, _| {
+            if rng.next_f32() < zeros {
+                0.0
+            } else {
+                rng.range_f32(-1.5, 1.5)
+            }
+        },
+    )
+}
+
+/// A random weighted graph with self-loops and symmetric structure — the
+/// invariant the dirty walk reads SpMM halos through.
+fn graph(rng: &mut Rng, n: usize) -> Csr {
+    let mut coo: Vec<(u32, u32, f32)> =
+        (0..n as u32).map(|i| (i, i, rng.range_f32(0.2, 1.0))).collect();
+    for _ in 0..n {
+        let (u, v) = (rng.index(n) as u32, rng.index(n) as u32);
+        if u != v {
+            let w = rng.range_f32(0.1, 0.9);
+            coo.push((u, v, w));
+            coo.push((v, u, w));
+        }
+    }
+    Csr::from_coo(n, n, &coo)
+}
+
+/// A random eval-mode program over an `n`-node graph, exported, with its
+/// weight table and the output value the tape computed while recording it.
+/// Every pool node is `n × h`. `reduce` (`"sum_all"` or `"sum_rows"`)
+/// additionally folds a whole-graph reduction of the last computed node
+/// into the output. `infinite` puts one `+∞` into a matmul weight, which
+/// makes the zero-skip verdict visible in the bits (`0 · ∞` is NaN, a
+/// skipped zero is not).
+fn random_program(
+    seed: u64,
+    reduce: Option<&str>,
+    infinite: bool,
+) -> (Program, Vec<(String, Tensor)>, Tensor) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let n = rng.range_usize(10, 28);
+    let (d, h) = (rng.range_usize(2, 6), rng.range_usize(2, 5));
+    // Feature sparsity on both sides of the probe's ¼-zeros threshold.
+    let sparsity = [0.0, 0.15, 0.45, 0.85][rng.index(4)];
+    let x = tensor(&mut rng, n, d, sparsity);
+    let adj = Rc::new(graph(&mut rng, n));
+    let mut store = ParamStore::new();
+    let w1 = store.add("w1", tensor(&mut rng, d, h, 0.0));
+    let w2 = store.add("w2", tensor(&mut rng, h, h, 0.3));
+    let b = store.add("b", tensor(&mut rng, 1, h, 0.0));
+    let s = store.add("s", tensor(&mut rng, 1, 1, 0.0));
+    let mut w3 = tensor(&mut rng, h, h, 0.0);
+    if infinite {
+        w3.row_mut(rng.index(h))[rng.index(h)] = f32::INFINITY;
+    }
+    let w3 = store.add("w3", w3);
+
+    let mut tape = Tape::new();
+    let xn = tape.constant(x);
+    let w1n = tape.param(w1, &store);
+    let mut pool: Vec<NodeId> = vec![tape.matmul(xn, w1n)];
+    for _ in 0..rng.range_usize(6, 16) {
+        let p = pool[rng.index(pool.len())];
+        let q = pool[rng.index(pool.len())];
+        let out = match rng.index(22) {
+            0 => {
+                let w = tape.param(w2, &store);
+                tape.matmul(p, w)
+            }
+            1 => {
+                // Roughly half zeros: the skip side of the probe.
+                let r = tape.relu(p);
+                let w = tape.param(w3, &store);
+                tape.matmul(r, w)
+            }
+            2 => tape.spmm(Rc::clone(&adj), p),
+            3 => tape.add(p, q),
+            4 => tape.sub(p, q),
+            5 => tape.mul(p, q),
+            6 => {
+                let den = tape.sigmoid(q);
+                let den = tape.add_const(den, 0.5);
+                tape.div(p, den)
+            }
+            7 => tape.scale(p, rng.range_f32(-2.0, 2.0)),
+            8 => tape.add_const(p, rng.range_f32(-1.0, 1.0)),
+            9 => {
+                let base = tape.sigmoid(p);
+                tape.pow(base, [0.5, 2.0, -1.0][rng.index(3)], 1e-3)
+            }
+            10 => {
+                let t = tape.tanh(p);
+                tape.exp(t)
+            }
+            11 => tape.leaky_relu(p, 0.1),
+            12 => tape.sigmoid(p),
+            13 => tape.tanh(p),
+            14 => {
+                let bn = tape.param(b, &store);
+                tape.add_row_broadcast(p, bn)
+            }
+            15 => {
+                let c = tape.sum_cols(q);
+                tape.add_col_broadcast(p, c)
+            }
+            16 => {
+                let c = tape.sum_cols(q);
+                let c = tape.tanh(c);
+                tape.mul_col_broadcast(p, c)
+            }
+            17 => {
+                let sn = tape.param(s, &store);
+                tape.mul_scalar_node(p, sn)
+            }
+            18 => tape.log_softmax(p),
+            19 => {
+                let cat = tape.concat_cols(&[p, q]);
+                let lo = rng.index(h + 1);
+                tape.slice_cols(cat, lo, lo + h)
+            }
+            20 => {
+                let idx: Vec<usize> = (0..n).map(|_| rng.index(n)).collect();
+                tape.gather_rows(p, Rc::new(idx))
+            }
+            _ => {
+                // Forced ties: `-0.0` against `+0.0` wherever p ≤ 0 (strict
+                // `>` keeps the first), `relu(p) == p` wherever p > 0, and
+                // `p` twice.
+                let r = tape.relu(p);
+                let neg = tape.scale(r, -1.0);
+                tape.max_stack(&[neg, r, q, p, p])
+            }
+        };
+        pool.push(out);
+    }
+    // Reductions over resident leaves are row-local: a weight's column sums
+    // as a row bias, a bias's total as a scalar.
+    let last = *pool.last().expect("pool is never empty");
+    let wn = tape.param(w2, &store);
+    let col_sums = tape.sum_rows(wn);
+    let biased = tape.add_row_broadcast(last, col_sums);
+    let bn = tape.param(b, &store);
+    let total = tape.sum_all(bn);
+    let mut scaled = tape.mul_scalar_node(biased, total);
+    match reduce {
+        Some("sum_all") => {
+            let t = tape.sum_all(last);
+            scaled = tape.mul_scalar_node(scaled, t);
+        }
+        Some(_) => {
+            let c = tape.sum_rows(last);
+            scaled = tape.add_row_broadcast(scaled, c);
+        }
+        None => {}
+    }
+    // A tie the output shows: `-0.0` vs `+0.0` wherever `last` ≤ 0, which
+    // strict `>` resolves to the first part.
+    let r = tape.relu(last);
+    let neg = tape.scale(r, -1.0);
+    let ties = tape.max_stack(&[neg, r]);
+    let out = tape.concat_cols(&[scaled, ties]);
+    let program = tape.export_program(&store, out).expect("eval-mode programs export");
+    let weights = (0..store.len())
+        .map(|i| {
+            let id = ParamId::from_index(i);
+            (store.name(id).to_string(), store.value(id).clone())
+        })
+        .collect();
+    (program, weights, tape.value(out).clone())
+}
+
+fn variant(op: &ProgramOp) -> String {
+    format!("{op:?}").split([' ', '{']).next().unwrap_or_default().to_string()
+}
+
+#[test]
+fn demand_subsets_match_the_all_rows_schedule_bitwise() {
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut verdicts: BTreeSet<bool> = BTreeSet::new();
+    for threads in [1, 4] {
+        lasagne_par::set_threads(threads);
+        for seed in 0..CASES {
+            let (program, weights, taped) = random_program(seed, None, seed % 2 == 0);
+            let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
+            let values = eval_all(&program.ops, &sparse, &weights, &[]).expect("weights bound");
+            let src = Resident {
+                ops: &program.ops,
+                sparse: &sparse,
+                weights: &weights,
+                packed: &[],
+                values: &values,
+            };
+            for op in &program.ops {
+                seen.insert(variant(op));
+                if let ProgramOp::MatMul { a, .. } = op {
+                    verdicts.insert(src.skip(*a));
+                }
+            }
+            let all = src.whole(program.output);
+            assert_eq!(bits(all), bits(&taped), "seed {seed}: all rows differ from the tape");
+            let plan = RowPlan::new(&program, &weights).expect("row-local program plans");
+            let mut rng = Rng::seed_from_u64(seed ^ 0x5EED);
+            for _ in 0..4 {
+                let len = rng.range_usize(1, all.rows() + 3);
+                let rows: Vec<usize> = (0..len).map(|_| rng.index(all.rows())).collect();
+                let got = plan.eval_rows(&rows).expect("rows in range");
+                for (local, &r) in rows.iter().enumerate() {
+                    assert_eq!(
+                        bits(&got.gather_rows(&[local])),
+                        bits(&all.gather_rows(&[r])),
+                        "seed {seed}, threads {threads}: row {r} of subset {rows:?}"
+                    );
+                }
+            }
+        }
+    }
+    lasagne_par::set_threads(1);
+    let row_local = [
+        "Constant",
+        "Param",
+        "MatMul",
+        "SpMM",
+        "Add",
+        "Sub",
+        "Mul",
+        "Div",
+        "Scale",
+        "AddConst",
+        "Pow",
+        "Exp",
+        "Relu",
+        "LeakyRelu",
+        "Sigmoid",
+        "Tanh",
+        "AddRowBroadcast",
+        "AddColBroadcast",
+        "MulColBroadcast",
+        "MulScalarNode",
+        "LogSoftmax",
+        "ConcatCols",
+        "SliceCols",
+        "GatherRows",
+        "SumAll",
+        "SumRows",
+        "SumCols",
+        "MaxStack",
+    ];
+    for v in row_local {
+        assert!(seen.contains(v), "no generated program used {v}");
+    }
+    assert_eq!(verdicts.len(), 2, "MatMul left operands must hit both probe verdicts");
+}
+
+#[test]
+fn dirty_schedule_matches_a_cold_evaluation_bitwise() {
+    let mut incremental = 0;
+    for threads in [1, 4] {
+        lasagne_par::set_threads(threads);
+        for seed in 0..CASES {
+            let (mut program, weights, _) = random_program(seed, None, false);
+            let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
+            let mut values = eval_all(&program.ops, &sparse, &weights, &[]).expect("weights bound");
+            let features = program
+                .ops
+                .iter()
+                .position(|op| matches!(op, ProgramOp::Constant { .. }))
+                .expect("features constant");
+            let mut rng = Rng::seed_from_u64(seed ^ 0xD1E7);
+            let ProgramOp::Constant { value } = &mut program.ops[features] else { unreachable!() };
+            let rows: Vec<usize> =
+                (0..rng.range_usize(1, 3)).map(|_| rng.index(value.rows())).collect();
+            for &r in &rows {
+                for v in value.row_mut(r) {
+                    *v = if rng.next_f32() < 0.3 { 0.0 } else { rng.range_f32(-1.5, 1.5) };
+                }
+            }
+            let src = Resident {
+                ops: &program.ops,
+                sparse: &sparse,
+                weights: &weights,
+                packed: &[],
+                values: &values,
+            };
+            match dirty_rows(&src, &[(Operand::Op(features), rows)]) {
+                Some(dirty) => {
+                    eval_dirty(&program.ops, &sparse, &weights, &mut values, &dirty);
+                    incremental += 1;
+                }
+                None => {
+                    values = eval_all(&program.ops, &sparse, &weights, &[]).expect("weights bound")
+                }
+            }
+            let cold = eval_all(&program.ops, &sparse, &weights, &[]).expect("weights bound");
+            for (i, op) in program.ops.iter().enumerate() {
+                assert_eq!(
+                    bits(&values[i]),
+                    bits(&cold[i]),
+                    "seed {seed}, threads {threads}: instruction {i} ({})",
+                    variant(op)
+                );
+            }
+        }
+    }
+    lasagne_par::set_threads(1);
+    assert!(
+        incremental * 4 >= 2 * CASES as usize,
+        "only {incremental} of {} mutations stayed incremental",
+        2 * CASES
+    );
+}
+
+#[test]
+fn whole_graph_reductions_over_non_leaves_are_refused_typed() {
+    for seed in 0..CASES {
+        for name in ["sum_all", "sum_rows"] {
+            let (program, weights, _) = random_program(seed, Some(name), false);
+            match RowPlan::new(&program, &weights) {
+                Err(PevalError::NotRowLocal { op, .. }) => assert_eq!(op, name, "seed {seed}"),
+                Err(e) => panic!("seed {seed}: wrong refusal {e}"),
+                Ok(_) => panic!("seed {seed}: {name} over a non-leaf must be refused"),
+            }
+        }
+    }
+}

@@ -1,11 +1,13 @@
 //! The tape-free forward engine.
 //!
-//! [`evaluate_program`] interprets an exported [`Program`] by calling the
-//! exact same `lasagne-tensor` / `lasagne-sparse` kernels the autograd tape
-//! constructors call, in the same topological order — which is what makes a
-//! frozen forward bitwise-identical to the training-path eval forward, at
-//! any `lasagne-par` thread count (the parallel runtime's determinism
-//! contract says threads change wall-clock, never bits).
+//! [`evaluate_program`] runs an exported [`Program`] through the resident
+//! schedule of the one evaluator ([`lasagne_autograd::eval_all`], DESIGN.md
+//! §10): every op's kernel is the exact `lasagne-tensor` /
+//! `lasagne-sparse` call the autograd tape constructor makes, in the same
+//! topological order — which is what makes a frozen forward
+//! bitwise-identical to the training-path eval forward, at any
+//! `lasagne-par` thread count (the parallel runtime's determinism contract
+//! says threads change wall-clock, never bits).
 //!
 //! [`Engine`] adds the **propagation cache**: for a transductive model the
 //! graph, features, and weights are all frozen, so the full-graph program is
@@ -15,128 +17,33 @@
 //! consumed at construction; what survives is the cache — plus, for models
 //! frozen with a graph binding, the streaming state that can patch it.
 
-use lasagne_autograd::{gat_attention, Program, ProgramOp};
+use lasagne_autograd::{eval_all, Operands, PackedOperand, Program, ProgramOp, Resident};
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
 use crate::error::{ServeError, ServeResult};
 use crate::frozen::{FrozenMeta, FrozenModel, FrozenRec, FrozenWeight};
-use crate::quant::QuantMatrix;
 use crate::streaming::StreamingState;
 
 /// Evaluate `program`, binding `Param` leaves against `weights` by name.
 /// Returns the output tensor (for a classifier: `N×F` logits).
 pub fn evaluate_program(program: &Program, weights: &[(String, Tensor)]) -> ServeResult<Tensor> {
-    let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
-    let mut values = evaluate_ops(&program.ops, &sparse, weights)?;
-    Ok(values.swap_remove(program.output))
+    Ok(resident(program, weights, &[])?.1)
 }
 
-/// Evaluate an op list against a sparse table and named weights, keeping
-/// **every** intermediate tensor. `evaluate_program` discards all but the
-/// output; the streaming engine keeps the whole vector as its per-op cache
-/// so mutations can re-derive only dirty rows (DESIGN.md §11).
-pub(crate) fn evaluate_ops(
-    ops: &[ProgramOp],
-    sparse: &[&Csr],
+/// The resident schedule over `program`: every instruction's value (the
+/// streaming cache) and a copy of the output.
+fn resident(
+    program: &Program,
     weights: &[(String, Tensor)],
-) -> ServeResult<Vec<Tensor>> {
-    evaluate_ops_with_quant(ops, sparse, weights, &[])
-}
-
-/// [`evaluate_ops`] plus a fused-quantization table: `quant` lists Param op
-/// indices whose weight stays compressed — those slots get a placeholder
-/// value (never read, guaranteed by the fusion analysis in
-/// [`Engine::new`]), and every `MatMul` whose right operand is such a slot
-/// runs [`Tensor::matmul_packed_b`] with the dequantizing panel kernel
-/// instead of materializing the weight. Bitwise-identical to dequantizing
-/// up front and calling `matmul` (same values, same per-element
-/// accumulation order, same left-operand density probe).
-pub(crate) fn evaluate_ops_with_quant(
-    ops: &[ProgramOp],
-    sparse: &[&Csr],
-    weights: &[(String, Tensor)],
-    quant: &[(usize, &QuantMatrix)],
-) -> ServeResult<Vec<Tensor>> {
+    packed: &[(usize, &dyn PackedOperand)],
+) -> ServeResult<(Vec<Tensor>, Tensor)> {
     lasagne_obs::span!("serve.evaluate");
-    let lookup = |name: &str| -> ServeResult<&Tensor> {
-        weights
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t)
-            .ok_or_else(|| ServeError::MissingParam(name.to_string()))
-    };
-    let fused = |i: usize| quant.iter().find(|(qi, _)| *qi == i).map(|(_, q)| *q);
-    let mut values: Vec<Tensor> = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let v = |i: usize| -> &Tensor { &values[i] };
-        let out = match op {
-            ProgramOp::Constant { value } => value.clone(),
-            ProgramOp::Param { name } => match fused(i) {
-                // Slot stays compressed; consumers go through the panel
-                // kernel below and never read this placeholder.
-                Some(_) => Tensor::zeros(0, 0),
-                None => lookup(name)?.clone(),
-            },
-            ProgramOp::MatMul { a, b } => match fused(*b) {
-                Some(q) => {
-                    let (qr, qc) = q.shape();
-                    v(*a).matmul_packed_b(qr, qc, |p0, p1, buf| q.dequant_rows_into(p0, p1, buf))
-                }
-                None => v(*a).matmul(v(*b)),
-            },
-            ProgramOp::SpMM { m, x } => sparse[*m].spmm(v(*x)),
-            ProgramOp::Add { a, b } => v(*a).add(v(*b)),
-            ProgramOp::Sub { a, b } => v(*a).sub(v(*b)),
-            ProgramOp::Mul { a, b } => v(*a).mul(v(*b)),
-            ProgramOp::Div { a, b } => v(*a).div(v(*b)),
-            ProgramOp::Scale { x, alpha } => v(*x).scale(*alpha),
-            ProgramOp::AddConst { x, c } => v(*x).add_scalar(*c),
-            ProgramOp::Pow { x, p, eps } => {
-                let (p, eps) = (*p, *eps);
-                v(*x).map(|t| (t + eps).powf(p))
-            }
-            ProgramOp::Exp { x } => v(*x).map(f32::exp),
-            ProgramOp::Relu { x } => v(*x).relu(),
-            ProgramOp::LeakyRelu { x, slope } => v(*x).leaky_relu(*slope),
-            ProgramOp::Sigmoid { x } => v(*x).sigmoid(),
-            ProgramOp::Tanh { x } => v(*x).tanh(),
-            ProgramOp::AddRowBroadcast { x, b } => v(*x).add_row_broadcast(v(*b)),
-            ProgramOp::AddColBroadcast { x, c } => v(*x).add_col_broadcast(v(*c)),
-            ProgramOp::MulColBroadcast { x, c } => v(*x).mul_col_broadcast(v(*c)),
-            ProgramOp::MulScalarNode { x, s } => v(*x).scale(v(*s).get(0, 0)),
-            ProgramOp::LogSoftmax { x } => v(*x).log_softmax_rows(),
-            ProgramOp::ConcatCols { parts } => {
-                let tensors: Vec<&Tensor> = parts.iter().map(|&p| v(p)).collect();
-                Tensor::concat_cols(&tensors)
-            }
-            ProgramOp::SliceCols { x, lo, hi } => v(*x).slice_cols(*lo, *hi),
-            ProgramOp::GatherRows { x, idx } => v(*x).gather_rows(idx),
-            ProgramOp::SumAll { x } => Tensor::full(1, 1, v(*x).sum()),
-            ProgramOp::SumRows { x } => v(*x).sum_rows(),
-            ProgramOp::SumCols { x } => v(*x).sum_cols(),
-            ProgramOp::MaxStack { parts } => {
-                // Mirror of `Tape::max_stack`: clone the first part, then
-                // fold element-wise max with strict `>` so ties keep the
-                // earliest layer — same comparison, same bits.
-                let mut acc = v(parts[0]).clone();
-                for &p in &parts[1..] {
-                    let pv = v(p);
-                    for (best, cand) in acc.as_mut_slice().iter_mut().zip(pv.as_slice()) {
-                        if *cand > *best {
-                            *best = *cand;
-                        }
-                    }
-                }
-                acc
-            }
-            ProgramOp::GatAggregate { adj, z, ssrc, sdst, slope } => {
-                gat_attention(sparse[*adj], v(*z), v(*ssrc), v(*sdst), *slope).out
-            }
-        };
-        values.push(out);
-    }
-    Ok(values)
+    let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
+    let values = eval_all(&program.ops, &sparse, weights, packed)?;
+    let src = Resident { ops: &program.ops, sparse: &sparse, weights, packed, values: &values };
+    let output = src.whole(program.output).clone();
+    Ok((values, output))
 }
 
 /// One node's answer: the argmax class and the full softmax distribution.
@@ -148,6 +55,41 @@ pub struct Prediction {
     pub class: usize,
     /// Softmax probabilities, one per class.
     pub probs: Vec<f32>,
+}
+
+impl Prediction {
+    /// The answer for `node` from its logits and softmax rows: the class
+    /// is the first maximum of the logits row — the class
+    /// `Tensor::argmax_rows` picks and [`ranked`] puts first.
+    pub(crate) fn new(node: usize, logits: &[f32], probs: &[f32]) -> Prediction {
+        let (mut class, mut best) = (0, f32::NEG_INFINITY);
+        for c in 0..logits.len() {
+            let key = rank_key(logits, c);
+            if key > best {
+                (class, best) = (c, key);
+            }
+        }
+        Prediction { node, class, probs: probs.to_vec() }
+    }
+}
+
+/// Class `c`'s ranking key: its logit, with `-0.0` tying `+0.0` and NaN
+/// ranking last.
+fn rank_key(logits: &[f32], c: usize) -> f32 {
+    if logits[c].is_nan() {
+        f32::NEG_INFINITY
+    } else {
+        logits[c] + 0.0
+    }
+}
+
+/// The `k` best classes of one node with their probabilities: descending
+/// [`rank_key`], ties to the lower class id — so the first entry is the
+/// class [`Prediction::new`] picks.
+pub(crate) fn ranked(logits: &[f32], probs: &[f32], k: usize) -> Vec<(usize, f32)> {
+    let mut order: Vec<usize> = (0..logits.len()).collect();
+    order.sort_by(|&a, &b| rank_key(logits, b).total_cmp(&rank_key(logits, a)).then(a.cmp(&b)));
+    order.into_iter().take(k).map(|c| (c, probs[c])).collect()
 }
 
 /// A loaded model ready to answer node queries out of its propagation
@@ -173,63 +115,45 @@ pub struct Engine {
     pub(crate) rec: Option<FrozenRec>,
 }
 
-/// Decide which quantized weights stay compressed (fused into the matmul
-/// panel kernel) versus materialized: a Param slot is fusable iff every
-/// consumer uses it as a matmul right operand and it is not the program
-/// output. Returns the materialized weight table (placeholders for
-/// fully-fused names, so a fused weight never exists as a full f32 matrix)
-/// and the `(op index, matrix)` fusion table.
+/// `(Param slot, packed weight)` bindings of the resident schedule.
+type PackedSlots<'w> = Vec<(usize, &'w dyn PackedOperand)>;
+
+/// Decide which quantized weights stay packed (fused into the matmul
+/// panel kernel) versus materialized: a `Param` slot is fusable iff
+/// [`Program::matmul_right_only`] says so. Returns the materialized weight
+/// table (placeholders for fully-fused names, so a fused weight never
+/// exists as a full f32 matrix) and the `(op index, matrix)` packed
+/// bindings of the resident schedule.
 fn quant_binding<'w>(
-    ops: &[ProgramOp],
-    output: usize,
+    program: &Program,
     weights: &'w [(String, FrozenWeight)],
-) -> (Vec<(String, Tensor)>, Vec<(usize, &'w QuantMatrix)>) {
-    let mut fused: Vec<Option<&QuantMatrix>> = vec![None; ops.len()];
-    for (i, op) in ops.iter().enumerate() {
-        if let ProgramOp::Param { name } = op {
-            if let Some((_, FrozenWeight::Quant(q))) = weights.iter().find(|(n, _)| n == name) {
-                fused[i] = Some(q);
-            }
-        }
-    }
-    for op in ops {
-        match op {
-            // The right operand is the one fusable position.
-            ProgramOp::MatMul { a, .. } => fused[*a] = None,
-            _ => {
-                for inp in op.inputs() {
-                    fused[inp] = None;
-                }
-            }
-        }
-    }
-    if let Some(slot) = fused.get_mut(output) {
-        *slot = None;
-    }
-    let quant: Vec<(usize, &QuantMatrix)> =
-        fused.iter().enumerate().filter_map(|(i, q)| q.map(|q| (i, q))).collect();
-    let mats: Vec<(String, Tensor)> = weights
-        .iter()
-        .map(|(n, w)| {
-            let t = match w {
-                FrozenWeight::Exact(t) => t.clone(),
-                FrozenWeight::Quant(q) => {
-                    // Materialize only if some slot of this name escaped
-                    // fusion (e.g. a hand-built program also adds it).
-                    let needed = ops.iter().enumerate().any(|(i, op)| {
-                        matches!(op, ProgramOp::Param { name } if name == n) && fused[i].is_none()
-                    });
-                    if needed {
-                        q.dequantize()
-                    } else {
-                        Tensor::zeros(0, 0)
-                    }
-                }
-            };
-            (n.clone(), t)
+) -> (Vec<(String, Tensor)>, PackedSlots<'w>) {
+    let fusable = program.matmul_right_only();
+    let slots = || {
+        program.ops.iter().enumerate().filter_map(|(i, op)| match op {
+            ProgramOp::Param { name } => Some((i, name.as_str())),
+            _ => None,
+        })
+    };
+    let packed = slots()
+        .filter(|&(i, _)| fusable[i])
+        .filter_map(|(i, name)| match weights.iter().find(|(n, _)| n == name) {
+            Some((_, FrozenWeight::Quant(q))) => Some((i, q as &dyn PackedOperand)),
+            _ => None,
         })
         .collect();
-    (mats, quant)
+    // A weight with a slot that escaped fusion (e.g. a hand-built program
+    // also adds it) is materialized.
+    let mats = weights
+        .iter()
+        .map(|(n, w)| match w {
+            FrozenWeight::Quant(_) if slots().all(|(i, s)| s != n || fusable[i]) => {
+                (n.clone(), Tensor::zeros(0, 0))
+            }
+            w => (n.clone(), w.to_tensor()),
+        })
+        .collect();
+    (mats, packed)
 }
 
 impl Engine {
@@ -259,11 +183,9 @@ impl Engine {
             ));
         }
         let rec = frozen.rec;
-        let sparse: Vec<&Csr> = frozen.program.sparse.iter().map(|m| &**m).collect();
-        let (weights, quant) =
-            quant_binding(&frozen.program.ops, frozen.program.output, &frozen.weights);
-        let values = evaluate_ops_with_quant(&frozen.program.ops, &sparse, &weights, &quant)?;
-        let logits = values[frozen.program.output].clone();
+        let program = frozen.program;
+        let (weights, packed) = quant_binding(&program, &frozen.weights);
+        let (values, logits) = resident(&program, &weights, &packed)?;
         if logits.shape() != (frozen.meta.num_nodes, frozen.meta.num_classes) {
             return Err(ServeError::Mismatch(format!(
                 "program output is {:?} but metadata says {} nodes × {} classes",
@@ -274,7 +196,7 @@ impl Engine {
         }
         let probs = logits.softmax_rows();
         let streaming = match frozen.graph {
-            Some(g) => Some(StreamingState::new(frozen.program, g, weights, values)?),
+            Some(g) => Some(StreamingState::new(program, g, weights, values)?),
             None => None,
         };
         Ok(Engine { meta: frozen.meta, logits, probs, streaming, quantized, rec })
@@ -308,44 +230,24 @@ impl Engine {
         self.meta.num_classes
     }
 
-    fn check_node(&self, node: usize) -> ServeResult<()> {
-        if node >= self.meta.num_nodes {
-            return Err(ServeError::UnknownNode { node, num_nodes: self.meta.num_nodes });
-        }
-        Ok(())
-    }
-
     /// Raw logits row for a node (bitwise-comparable against the training
     /// path's eval forward).
     pub fn logits_row(&self, node: usize) -> ServeResult<&[f32]> {
-        self.check_node(node)?;
+        self.meta.check_node(node)?;
         Ok(self.logits.row(node))
     }
 
     /// Argmax class + softmax distribution for a node.
     pub fn predict(&self, node: usize) -> ServeResult<Prediction> {
-        self.check_node(node)?;
-        let probs = self.probs.row(node);
-        let class = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        Ok(Prediction { node, class, probs: probs.to_vec() })
+        self.meta.check_node(node)?;
+        Ok(Prediction::new(node, self.logits.row(node), self.probs.row(node)))
     }
 
     /// The `k` most probable classes for a node, most probable first
     /// (ties broken by lower class id; `k` is clamped to the class count).
     pub fn top_k(&self, node: usize, k: usize) -> ServeResult<Vec<(usize, f32)>> {
-        self.check_node(node)?;
-        let probs = self.probs.row(node);
-        let mut ranked: Vec<(usize, f32)> = probs.iter().copied().enumerate().collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        ranked.truncate(k.min(self.meta.num_classes));
-        Ok(ranked)
+        self.meta.check_node(node)?;
+        Ok(ranked(self.logits.row(node), self.probs.row(node), k))
     }
 
     /// Whether the loaded file carried a recommendation binding (bipartite

@@ -5,7 +5,7 @@
 
 use std::fmt;
 
-use lasagne_autograd::{ExportError, ModelError};
+use lasagne_autograd::{ExportError, ModelError, PevalError};
 use lasagne_train::TrainError;
 
 /// `Result` alias for the serving subsystem.
@@ -192,5 +192,18 @@ impl From<ModelError> for ServeError {
 impl From<ExportError> for ServeError {
     fn from(e: ExportError) -> ServeError {
         ServeError::Export(e.to_string())
+    }
+}
+
+impl From<PevalError> for ServeError {
+    fn from(e: PevalError) -> ServeError {
+        match e {
+            PevalError::MissingParam(name) => ServeError::MissingParam(name),
+            PevalError::NotRowLocal { .. } => ServeError::Mismatch(format!(
+                "program is not row-local, cannot serve it partition-lazily: {e} \
+                 (serve the resident engine instead)"
+            )),
+            other => ServeError::Internal(format!("partitioned evaluation: {other}")),
+        }
     }
 }

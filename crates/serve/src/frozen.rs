@@ -40,6 +40,16 @@ pub struct FrozenMeta {
     pub num_classes: usize,
 }
 
+impl FrozenMeta {
+    /// Refuse, typed, a node id outside the frozen graph.
+    pub(crate) fn check_node(&self, node: usize) -> ServeResult<()> {
+        if node >= self.num_nodes {
+            return Err(ServeError::UnknownNode { node, num_nodes: self.num_nodes });
+        }
+        Ok(())
+    }
+}
+
 /// How a sparse-table entry derives from the raw adjacency. Recorded at
 /// freeze time (by `Rc` identity against the exporting `GraphContext`) so
 /// the streaming engine knows which normalization to re-run after a graph

@@ -2,9 +2,9 @@
 //!
 //! [`crate::Engine`] evaluates the whole frozen program at load time — the
 //! right trade when most nodes will be queried. [`LazyEngine`] instead
-//! plans the program through the row-demand evaluator
-//! ([`lasagne_autograd::RowPlan`]) at load time and materializes logits
-//! **one partition at a time**, on first query of any node in that
+//! plans the program once at load time for the one evaluator's demand
+//! schedule ([`lasagne_autograd::RowPlan`], DESIGN.md §10) and materializes
+//! logits **one partition at a time**, on first query of any node in that
 //! partition. Peak memory is O(partition + halo) per fault instead of
 //! O(graph), and partitions never touched stay unmaterialized.
 //!
@@ -18,30 +18,19 @@
 
 use std::sync::OnceLock;
 
-use lasagne_autograd::{PevalError, ProgramOp, RowPlan};
+use lasagne_autograd::RowPlan;
 use lasagne_graph::{Graph, Partitioning};
 use lasagne_sparse::Csr;
 use lasagne_tensor::{Tensor, TensorRng};
 
-use crate::engine::Prediction;
+use crate::engine::{ranked, Prediction};
 use crate::error::{ServeError, ServeResult};
 use crate::frozen::{FrozenMeta, FrozenModel};
-use crate::streaming::Mutation;
+use crate::streaming::{Mutation, MutationReport};
 
 /// Deterministic seed for the load-time BFS partitioning: partition layout
 /// is a pure function of the frozen artifact and `k`.
 const PARTITION_SEED: u64 = 0;
-
-fn peval_err(e: PevalError) -> ServeError {
-    match e {
-        PevalError::MissingParam(name) => ServeError::MissingParam(name),
-        PevalError::NotRowLocal { .. } => ServeError::Mismatch(format!(
-            "program is not row-local, cannot serve it partition-lazily: {e} \
-             (serve the resident engine instead)"
-        )),
-        other => ServeError::Internal(format!("partitioned evaluation: {other}")),
-    }
-}
 
 /// One materialized partition: logits and softmax rows for the partition's
 /// nodes, in partition order.
@@ -53,13 +42,9 @@ struct PartCache {
 /// A frozen model serving out of lazily materialized per-partition caches.
 pub struct LazyEngine {
     meta: FrozenMeta,
-    // The plan inputs, held without `Rc` so the engine stays `Send + Sync`
-    // (a `RowPlan` is rebuilt per materialization; planning is shape
-    // inference only, evaluation dominates).
-    ops: Vec<ProgramOp>,
-    sparse: Vec<Csr>,
-    weights: Vec<(String, Tensor)>,
-    output: usize,
+    /// The demand plan, built once at load; it owns its program (no `Rc`),
+    /// so the engine stays `Send + Sync`.
+    plan: RowPlan<'static>,
     /// Sorted node lists forming an exact cover of `0..num_nodes`, in
     /// deterministic order.
     parts: Vec<Vec<usize>>,
@@ -114,40 +99,25 @@ impl LazyEngine {
         }
         let weights: Vec<(String, Tensor)> =
             frozen.weights.iter().map(|(name, w)| (name.clone(), w.to_tensor())).collect();
-        let ops = frozen.program.ops;
         let sparse: Vec<Csr> = frozen
             .program
             .sparse
             .into_iter()
             .map(|m| std::rc::Rc::try_unwrap(m).unwrap_or_else(|rc| (*rc).clone()))
             .collect();
-        let output = frozen.program.output;
-        // Plan once up front: row-locality and missing weights surface as
-        // typed load errors, not first-query surprises.
-        {
-            let plan = RowPlan::from_parts(&ops, sparse.iter().collect(), &weights, output)
-                .map_err(peval_err)?;
-            if plan.output_shape() != (n, frozen.meta.num_classes) {
-                return Err(ServeError::Mismatch(format!(
-                    "program output is {:?} but metadata says {} nodes × {} classes",
-                    plan.output_shape(),
-                    n,
-                    frozen.meta.num_classes
-                )));
-            }
+        // Row-locality and missing weights surface as typed load errors,
+        // not first-query surprises.
+        let plan = RowPlan::owned(frozen.program.ops, sparse, weights, frozen.program.output)?;
+        if plan.output_shape() != (n, frozen.meta.num_classes) {
+            return Err(ServeError::Mismatch(format!(
+                "program output is {:?} but metadata says {} nodes × {} classes",
+                plan.output_shape(),
+                n,
+                frozen.meta.num_classes
+            )));
         }
         let caches = (0..parts.len()).map(|_| OnceLock::new()).collect();
-        Ok(LazyEngine {
-            meta: frozen.meta,
-            ops,
-            sparse,
-            weights,
-            output,
-            parts,
-            part_of,
-            pos_in_part,
-            caches,
-        })
+        Ok(LazyEngine { meta: frozen.meta, plan, parts, part_of, pos_in_part, caches })
     }
 
     /// Load + checksum the frozen file at `path` and plan it lazily.
@@ -181,26 +151,12 @@ impl LazyEngine {
         self.caches.iter().filter(|c| c.get().is_some()).count()
     }
 
-    fn check_node(&self, node: usize) -> ServeResult<()> {
-        if node >= self.meta.num_nodes {
-            return Err(ServeError::UnknownNode { node, num_nodes: self.meta.num_nodes });
-        }
-        Ok(())
-    }
-
     /// Materialize (once) and return the cache of partition `p`.
     fn part_cache(&self, p: usize) -> ServeResult<&PartCache> {
         self.caches[p]
             .get_or_init(|| {
                 lasagne_obs::span!("serve.engine.lazy_materialize");
-                let plan = RowPlan::from_parts(
-                    &self.ops,
-                    self.sparse.iter().collect(),
-                    &self.weights,
-                    self.output,
-                )
-                .map_err(peval_err)?;
-                let logits = plan.eval_rows(&self.parts[p]).map_err(peval_err)?;
+                let logits = self.plan.eval_rows(&self.parts[p])?;
                 let probs = logits.softmax_rows();
                 Ok(PartCache { logits, probs })
             })
@@ -208,50 +164,39 @@ impl LazyEngine {
             .map_err(|e| e.clone())
     }
 
+    /// The cached `(logits, probs)` rows of a node, materializing its
+    /// partition on first touch.
+    fn rows(&self, node: usize) -> ServeResult<(&[f32], &[f32])> {
+        self.meta.check_node(node)?;
+        let cache = self.part_cache(self.part_of[node] as usize)?;
+        let pos = self.pos_in_part[node] as usize;
+        Ok((cache.logits.row(pos), cache.probs.row(pos)))
+    }
+
     /// Raw logits row for a node — bitwise identical to
     /// [`crate::Engine::logits_row`] on the same artifact.
     pub fn logits_row(&self, node: usize) -> ServeResult<&[f32]> {
-        self.check_node(node)?;
-        let p = self.part_of[node] as usize;
-        let cache = self.part_cache(p)?;
-        Ok(cache.logits.row(self.pos_in_part[node] as usize))
+        Ok(self.rows(node)?.0)
     }
 
     /// Argmax class + softmax distribution for a node.
     pub fn predict(&self, node: usize) -> ServeResult<Prediction> {
-        self.check_node(node)?;
-        let p = self.part_of[node] as usize;
-        let cache = self.part_cache(p)?;
-        let probs = cache.probs.row(self.pos_in_part[node] as usize);
-        let class = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        Ok(Prediction { node, class, probs: probs.to_vec() })
+        let (logits, probs) = self.rows(node)?;
+        Ok(Prediction::new(node, logits, probs))
     }
 
     /// The `k` most probable classes for a node, most probable first
     /// (ties broken by lower class id; `k` is clamped to the class count).
     pub fn top_k(&self, node: usize, k: usize) -> ServeResult<Vec<(usize, f32)>> {
-        self.check_node(node)?;
-        let p = self.part_of[node] as usize;
-        let cache = self.part_cache(p)?;
-        let probs = cache.probs.row(self.pos_in_part[node] as usize);
-        let mut ranked: Vec<(usize, f32)> = probs.iter().copied().enumerate().collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        ranked.truncate(k.min(self.meta.num_classes));
-        Ok(ranked)
+        let (logits, probs) = self.rows(node)?;
+        Ok(ranked(logits, probs, k))
     }
 
     /// Streaming mutations are refused typed: patching a lazily cached
     /// engine would leave unmaterialized partitions reading the old graph
     /// and materialized ones the new — serve the resident [`crate::Engine`]
     /// for mutable graphs.
-    pub fn apply_mutation(&mut self, _mutation: &Mutation) -> ServeResult<()> {
+    pub fn apply_mutation(&mut self, _mutation: &Mutation) -> ServeResult<MutationReport> {
         Err(ServeError::Mismatch(
             "lazy partitioned engines do not support streaming mutations; \
              serve the resident engine for mutable graphs"
@@ -275,11 +220,8 @@ fn graph_from_adjacency(adj: &Csr) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
-/// Contiguous node ranges — the binding-free fallback layout.
+/// Exactly `k` contiguous node ranges whose sizes differ by at most one —
+/// the binding-free fallback layout.
 fn contiguous_parts(n: usize, k: usize) -> Vec<Vec<usize>> {
-    if n == 0 {
-        return vec![Vec::new(); k];
-    }
-    let cap = n.div_ceil(k);
-    (0..n).collect::<Vec<_>>().chunks(cap).map(|c| c.to_vec()).collect()
+    (0..k).map(|p| (p * n / k..(p + 1) * n / k).collect()).collect()
 }

@@ -156,6 +156,18 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
     b.chunks(2).map(|p| Some((nibble(p[0])? << 4) | nibble(p[1])?)).collect()
 }
 
+/// The resident schedule's packed binding: quantized weights feed the
+/// matmul panel loop through [`QuantMatrix::dequant_rows_into`].
+impl lasagne_autograd::PackedOperand for QuantMatrix {
+    fn shape(&self) -> (usize, usize) {
+        QuantMatrix::shape(self)
+    }
+
+    fn pack(&self, r0: usize, r1: usize, buf: &mut [f32]) {
+        self.dequant_rows_into(r0, r1, buf);
+    }
+}
+
 impl QuantMatrix {
     /// Quantize a tensor. Deterministic: the same input always produces the
     /// same scales and bytes.

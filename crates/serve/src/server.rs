@@ -139,12 +139,7 @@ impl ServerEngine {
     fn apply_mutation(&mut self, m: &Mutation) -> ServeResult<MutationReport> {
         match self {
             ServerEngine::Resident(e) => e.apply_mutation(m),
-            ServerEngine::Lazy(e) => match e.apply_mutation(m) {
-                Err(err) => Err(err),
-                Ok(()) => {
-                    Err(ServeError::Internal("lazy mutation unexpectedly succeeded".into()))
-                }
-            },
+            ServerEngine::Lazy(e) => e.apply_mutation(m),
         }
     }
 }

@@ -14,25 +14,27 @@
 //!    O(nnz) and bitwise-equal to a cold reload by construction; what it
 //!    buys is knowing the exact set of operator rows that changed, which is
 //!    tiny for a single edge.
-//! 3. **Dirty-row dataflow** — changed operator rows seed a per-op dirty
-//!    set pushed through the program. Each SpMM expands dirtiness by one
-//!    hop, so a depth-k model dirties exactly the k-hop neighborhood.
-//!    Row-local ops are re-evaluated only on their dirty rows with the same
-//!    kernels full evaluation uses (gather → kernel → scatter is bitwise
-//!    per-row for every op the exporter emits); non-row-local ops
-//!    (`SumAll`, `SumRows`, `GatAggregate`), oversized dirty sets (> half
-//!    an op's rows), compaction, and `add_node` fall back to full
-//!    re-evaluation — which is the cold path itself, so exactness holds on
-//!    every branch.
+//! 3. **Dirty schedule** — the one evaluator's forward closure
+//!    ([`lasagne_autograd::dirty_rows`], DESIGN.md §10): changed operator
+//!    rows seed a per-op dirty set pushed through the program's dependency
+//!    rule. Each SpMM expands dirtiness by one hop, so a depth-k model
+//!    dirties exactly the k-hop neighborhood. Dirty rows are re-evaluated
+//!    with the same op kernel full evaluation uses, which is bitwise per
+//!    row ([`lasagne_autograd::eval_dirty`]); ops that read a dirty operand
+//!    whole (`SumAll`, `SumRows`, `GatAggregate`, a dirty matmul weight),
+//!    oversized dirty sets (> half an op's rows), compaction, and
+//!    `add_node` fall back to full re-evaluation — which is the cold path
+//!    itself, so exactness holds on every branch.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
-use lasagne_autograd::{Program, ProgramOp};
+use lasagne_autograd::{
+    dirty_rows, eval_all, eval_dirty, leaf_value, Operand, Program, ProgramOp, Resident,
+};
 use lasagne_sparse::{Csr, DeltaCsr, DeltaError};
 use lasagne_tensor::Tensor;
 
-use crate::engine::{evaluate_ops, Engine};
+use crate::engine::Engine;
 use crate::error::{ServeError, ServeResult};
 use crate::frozen::{FrozenGraph, SparseKind};
 
@@ -98,7 +100,8 @@ pub(crate) struct StreamingState {
     kinds: Vec<SparseKind>,
     features_ops: Vec<usize>,
     weights: Vec<(String, Tensor)>,
-    /// One cached tensor per op — the full-graph evaluation.
+    /// One cached tensor per op — the full-graph evaluation (leaves hold a
+    /// placeholder; they live in `ops` and `weights`).
     values: Vec<Tensor>,
     raw: DeltaCsr,
     compact_every: usize,
@@ -195,9 +198,17 @@ impl StreamingState {
     /// Re-evaluate every op from scratch against the current operators —
     /// the cold path, and therefore exact by definition.
     fn full_recompute(&mut self) -> ServeResult<()> {
+        lasagne_obs::span!("serve.evaluate");
         let refs: Vec<&Csr> = self.sparse.iter().collect();
-        self.values = evaluate_ops(&self.ops, &refs, &self.weights)?;
+        self.values = eval_all(&self.ops, &refs, &self.weights, &[])?;
         Ok(())
+    }
+
+    /// The cached program output.
+    fn output_value(&self) -> &Tensor {
+        leaf_value(&self.ops[self.output], &self.weights)
+            .expect("weights are checked at load")
+            .unwrap_or(&self.values[self.output])
     }
 
     fn edge_mutation(&mut self, u: usize, v: usize, add: bool) -> ServeResult<Outcome> {
@@ -302,223 +313,38 @@ impl StreamingState {
         // cover both for a single-edge change (on delete, v itself covers
         // u's lost neighbor and vice versa). Rw/Loops/Adj rows only change
         // for u and v: their other rows keep identical entries and degrees.
-        let mut sym_seed = BTreeSet::new();
+        let mut sym_seed: Vec<usize> = Vec::new();
         for &node in &[u, v] {
-            for &j in with_loops.row_indices(node) {
-                sym_seed.insert(j as usize);
-            }
-            sym_seed.insert(node);
+            sym_seed.extend(with_loops.row_indices(node).iter().map(|&j| j as usize));
+            sym_seed.push(node);
         }
-        let mut edge_seed = BTreeSet::new();
-        edge_seed.insert(u);
-        edge_seed.insert(v);
-        let changed: Vec<&BTreeSet<usize>> = self
+        let edge_seed = vec![u, v];
+        let changed: Vec<(Operand, Vec<usize>)> = self
             .kinds
             .iter()
-            .map(|k| if matches!(k, SparseKind::Sym) { &sym_seed } else { &edge_seed })
+            .enumerate()
+            .map(|(m, k)| {
+                let seed = if matches!(k, SparseKind::Sym) { &sym_seed } else { &edge_seed };
+                (Operand::Sparse(m), seed.clone())
+            })
             .collect();
 
-        // Push dirtiness through the program. Each SpMM expands by one hop
-        // (structure is symmetric, so `row_indices(j)` is exactly the set
-        // of output rows reading input row j). Ops whose every output row
-        // depends on a dirty input (MatMul's right operand, broadcast
-        // sources, reductions, GAT's global attention) force the full path.
-        let mut dirty: Vec<BTreeSet<usize>> = Vec::with_capacity(self.ops.len());
-        let mut full = false;
-        for op in &self.ops {
-            let d: BTreeSet<usize> = match op {
-                ProgramOp::Constant { .. } | ProgramOp::Param { .. } => BTreeSet::new(),
-                ProgramOp::SpMM { m, x } => {
-                    let mut d = changed[*m].clone();
-                    let mat = &self.sparse[*m];
-                    for &j in &dirty[*x] {
-                        for &i in mat.row_indices(j) {
-                            d.insert(i as usize);
-                        }
-                    }
-                    d
-                }
-                ProgramOp::MatMul { a, b } => {
-                    if dirty[*b].is_empty() {
-                        dirty[*a].clone()
-                    } else {
-                        full = true;
-                        BTreeSet::new()
-                    }
-                }
-                ProgramOp::Add { a, b }
-                | ProgramOp::Sub { a, b }
-                | ProgramOp::Mul { a, b }
-                | ProgramOp::Div { a, b } => dirty[*a].union(&dirty[*b]).copied().collect(),
-                ProgramOp::Scale { x, .. }
-                | ProgramOp::AddConst { x, .. }
-                | ProgramOp::Pow { x, .. }
-                | ProgramOp::Exp { x }
-                | ProgramOp::Relu { x }
-                | ProgramOp::LeakyRelu { x, .. }
-                | ProgramOp::Sigmoid { x }
-                | ProgramOp::Tanh { x }
-                | ProgramOp::LogSoftmax { x }
-                | ProgramOp::SliceCols { x, .. }
-                | ProgramOp::SumCols { x } => dirty[*x].clone(),
-                ProgramOp::AddRowBroadcast { x, b } => {
-                    if dirty[*b].is_empty() {
-                        dirty[*x].clone()
-                    } else {
-                        full = true;
-                        BTreeSet::new()
-                    }
-                }
-                ProgramOp::AddColBroadcast { x, c } | ProgramOp::MulColBroadcast { x, c } => {
-                    dirty[*x].union(&dirty[*c]).copied().collect()
-                }
-                ProgramOp::MulScalarNode { x, s } => {
-                    if dirty[*s].is_empty() {
-                        dirty[*x].clone()
-                    } else {
-                        full = true;
-                        BTreeSet::new()
-                    }
-                }
-                ProgramOp::ConcatCols { parts } | ProgramOp::MaxStack { parts } => {
-                    let mut d = BTreeSet::new();
-                    for &p in parts {
-                        d.extend(dirty[p].iter().copied());
-                    }
-                    d
-                }
-                ProgramOp::GatherRows { x, idx } => idx
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, src)| dirty[*x].contains(src))
-                    .map(|(p, _)| p)
-                    .collect(),
-                ProgramOp::SumAll { x } | ProgramOp::SumRows { x } => {
-                    if !dirty[*x].is_empty() {
-                        full = true;
-                    }
-                    BTreeSet::new()
-                }
-                ProgramOp::GatAggregate { adj, z, ssrc, sdst, .. } => {
-                    if !changed[*adj].is_empty()
-                        || !dirty[*z].is_empty()
-                        || !dirty[*ssrc].is_empty()
-                        || !dirty[*sdst].is_empty()
-                    {
-                        full = true;
-                    }
-                    BTreeSet::new()
-                }
-            };
-            if full {
-                break;
-            }
-            // Patching the majority of an op's rows costs more than a clean
-            // sweep; fall back before doing strictly more work than cold.
-            if d.len() * 2 > self.values[dirty.len()].rows().max(1) {
-                full = true;
-                break;
-            }
-            dirty.push(d);
-        }
-        if full {
+        let refs: Vec<&Csr> = self.sparse.iter().collect();
+        let src = Resident {
+            ops: &self.ops,
+            sparse: &refs,
+            weights: &self.weights,
+            packed: &[],
+            values: &self.values,
+        };
+        let Some(dirty) = dirty_rows(&src, &changed) else {
+            drop(refs);
             self.full_recompute()?;
             return Ok(Outcome { rows: None, node: None });
-        }
-
-        // Gather → kernel → scatter each dirty op, in topological order so
-        // inputs are already patched when their consumers re-derive.
-        for i in 0..self.ops.len() {
-            if dirty[i].is_empty() {
-                continue;
-            }
-            let rows: Vec<usize> = dirty[i].iter().copied().collect();
-            let patch = compute_rows(&self.ops[i], &self.sparse, &self.values, &rows)?;
-            let target = &mut self.values[i];
-            for (r, &row) in rows.iter().enumerate() {
-                target.row_mut(row).copy_from_slice(patch.row(r));
-            }
-        }
-        Ok(Outcome { rows: Some(dirty[self.output].iter().copied().collect()), node: None })
+        };
+        eval_dirty(&self.ops, &refs, &self.weights, &mut self.values, &dirty);
+        Ok(Outcome { rows: Some(dirty[self.output].clone()), node: None })
     }
-}
-
-/// Re-derive the selected `rows` of one op from its (already patched)
-/// inputs. Every arm calls the same kernel full evaluation uses, restricted
-/// to the gathered rows — bitwise per-row because those kernels are all
-/// row- or element-local (`matmul_rows` and `Csr::gather_rows` exist
-/// precisely to preserve that for the two matrix products).
-fn compute_rows(
-    op: &ProgramOp,
-    sparse: &[Csr],
-    values: &[Tensor],
-    rows: &[usize],
-) -> ServeResult<Tensor> {
-    let v = |i: usize| -> &Tensor { &values[i] };
-    let gather = |i: usize| -> Tensor { values[i].gather_rows(rows) };
-    Ok(match op {
-        ProgramOp::MatMul { a, b } => v(*a).matmul_rows(v(*b), rows),
-        ProgramOp::SpMM { m, x } => sparse[*m].gather_rows(rows).spmm(v(*x)),
-        ProgramOp::Add { a, b } => gather(*a).add(&gather(*b)),
-        ProgramOp::Sub { a, b } => gather(*a).sub(&gather(*b)),
-        ProgramOp::Mul { a, b } => gather(*a).mul(&gather(*b)),
-        ProgramOp::Div { a, b } => gather(*a).div(&gather(*b)),
-        ProgramOp::Scale { x, alpha } => gather(*x).scale(*alpha),
-        ProgramOp::AddConst { x, c } => gather(*x).add_scalar(*c),
-        ProgramOp::Pow { x, p, eps } => {
-            let (p, eps) = (*p, *eps);
-            gather(*x).map(|t| (t + eps).powf(p))
-        }
-        ProgramOp::Exp { x } => gather(*x).map(f32::exp),
-        ProgramOp::Relu { x } => gather(*x).relu(),
-        ProgramOp::LeakyRelu { x, slope } => gather(*x).leaky_relu(*slope),
-        ProgramOp::Sigmoid { x } => gather(*x).sigmoid(),
-        ProgramOp::Tanh { x } => gather(*x).tanh(),
-        ProgramOp::AddRowBroadcast { x, b } => gather(*x).add_row_broadcast(v(*b)),
-        ProgramOp::AddColBroadcast { x, c } => gather(*x).add_col_broadcast(&gather(*c)),
-        ProgramOp::MulColBroadcast { x, c } => gather(*x).mul_col_broadcast(&gather(*c)),
-        ProgramOp::MulScalarNode { x, s } => gather(*x).scale(v(*s).get(0, 0)),
-        ProgramOp::LogSoftmax { x } => gather(*x).log_softmax_rows(),
-        ProgramOp::ConcatCols { parts } => {
-            let gathered: Vec<Tensor> = parts.iter().map(|&p| gather(p)).collect();
-            let refs: Vec<&Tensor> = gathered.iter().collect();
-            Tensor::concat_cols(&refs)
-        }
-        ProgramOp::SliceCols { x, lo, hi } => gather(*x).slice_cols(*lo, *hi),
-        ProgramOp::GatherRows { x, idx } => {
-            let src = v(*x);
-            let mut out = Tensor::zeros(rows.len(), src.cols());
-            for (r, &p) in rows.iter().enumerate() {
-                out.row_mut(r).copy_from_slice(src.row(idx[p]));
-            }
-            out
-        }
-        ProgramOp::SumCols { x } => gather(*x).sum_cols(),
-        ProgramOp::MaxStack { parts } => {
-            // Mirror of the engine's fold: strict `>` so ties keep the
-            // earliest layer — same comparison per element, same bits.
-            let mut acc = gather(parts[0]);
-            for &p in &parts[1..] {
-                let pv = gather(p);
-                for (best, cand) in acc.as_mut_slice().iter_mut().zip(pv.as_slice()) {
-                    if *cand > *best {
-                        *best = *cand;
-                    }
-                }
-            }
-            acc
-        }
-        ProgramOp::Constant { .. }
-        | ProgramOp::Param { .. }
-        | ProgramOp::SumAll { .. }
-        | ProgramOp::SumRows { .. }
-        | ProgramOp::GatAggregate { .. } => {
-            return Err(ServeError::Internal(format!(
-                "op {op:?} has no row-local recompute (dirty dataflow should have \
-                 forced the full path)"
-            )))
-        }
-    })
 }
 
 impl Engine {
@@ -557,11 +383,11 @@ impl Engine {
         };
         match &outcome.rows {
             None => {
-                self.logits = st.values[st.output].clone();
+                self.logits = st.output_value().clone();
                 self.probs = self.logits.softmax_rows();
             }
             Some(rows) => {
-                let out = &st.values[st.output];
+                let out = st.output_value();
                 for &r in rows {
                     self.logits.row_mut(r).copy_from_slice(out.row(r));
                 }

@@ -96,25 +96,6 @@ impl Csr {
         Csr::from_coo(row_ids.len(), col_ids.len(), &coo)
     }
 
-    /// Selected rows × *all* columns, column indices unchanged (unlike
-    /// [`Csr::slice`], which renumbers). The result left-multiplies the same
-    /// dense operands as `self`, so `gather_rows(rows).spmm(x)` computes
-    /// exactly the `rows` of `self.spmm(x)` — the streaming engine's
-    /// row-sliced re-propagation primitive.
-    pub fn gather_rows(&self, rows: &[usize]) -> Csr {
-        let mut indptr = Vec::with_capacity(rows.len() + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for &r in rows {
-            assert!(r < self.rows(), "gather_rows: row {r} out of range");
-            indices.extend_from_slice(self.row_indices(r));
-            values.extend_from_slice(self.row_values(r));
-            indptr.push(indices.len());
-        }
-        Csr::from_parts(rows.len(), self.cols(), indptr, indices, values)
-    }
-
     /// Column-degree vector (in-degrees for a directed adjacency), used by
     /// FastGCN's importance distribution `q(v) ∝ ‖Â[:,v]‖²`.
     pub fn col_sq_norms(&self) -> Vec<f32> {

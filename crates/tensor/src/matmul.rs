@@ -53,7 +53,7 @@ fn round_up_tile(rows: usize) -> usize {
 }
 
 /// `o += a * b` over a contiguous row — the inner loop of the pinned seed
-/// reference kernels and of `matmul_rows`.
+/// reference kernels and of `matmul_with_skip`.
 #[inline]
 fn axpy(o: &mut [f32], a: f32, b: &[f32]) {
     for (o, &b) in o.iter_mut().zip(b) {
@@ -218,32 +218,35 @@ fn tn_panel<const SKIP: bool>(
 }
 
 impl Tensor {
-    /// Deterministic strided sample of up to 64 elements: does this matrix
-    /// hold enough exact zeros (≥ ¼ of the sample) that the zero-skip
-    /// branch in the matmul inner loops pays for itself? One-hot-ish
-    /// feature matrices say yes; dense activations say no.
-    ///
-    /// The stride rounds **up** (`len.div_ceil(64)`), so the probe spans
-    /// the whole buffer: a floor-rounded stride would sample only the head
-    /// for `len` slightly above 64 and misclassify tail-sparse matrices.
-    fn looks_sparse(&self) -> bool {
+    /// Flat element positions the zero-skip density probe samples in a
+    /// `len`-element left operand: `0, step, 2·step, …` with
+    /// `step = ceil(len / 64)`, so at most 64 samples spread over the whole
+    /// buffer (a floor-rounded stride would sample only the head for `len`
+    /// slightly above 64 and misclassify tail-sparse matrices).
+    pub fn probe_positions(len: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
         const SAMPLES: usize = 64;
-        let len = self.data.len();
-        if len == 0 {
-            return false;
-        }
-        let step = len.div_ceil(SAMPLES).max(1);
-        let mut zeros = 0usize;
-        let mut total = 0usize;
-        let mut i = 0;
-        while i < len {
-            if self.data[i] == 0.0 {
-                zeros += 1;
-            }
+        (0..len).step_by(len.div_ceil(SAMPLES).max(1))
+    }
+
+    /// The probe's verdict for a `len`-element left operand whose flat
+    /// element `f` is `sample(f)`: do its [`Tensor::probe_positions`] hold
+    /// enough exact zeros (≥ ¼) that the zero-skip branch in the matmul
+    /// inner loops pays for itself? One-hot-ish feature matrices say yes;
+    /// dense activations say no. The branch changes bits only when the
+    /// right operand is not finite (`0 · ∞` is NaN, a skipped zero adds
+    /// nothing), but a row subset must still reuse the verdict of the whole
+    /// operand (see [`Tensor::matmul_with_skip`]).
+    pub fn probe_verdict(len: usize, sample: impl Fn(usize) -> f32) -> bool {
+        let (mut zeros, mut total) = (0usize, 0usize);
+        for f in Tensor::probe_positions(len) {
+            zeros += usize::from(sample(f) == 0.0);
             total += 1;
-            i += step;
         }
-        zeros * 4 >= total
+        total > 0 && zeros * 4 >= total
+    }
+
+    fn looks_sparse(&self) -> bool {
+        Tensor::probe_verdict(self.data.len(), |f| self.data[f])
     }
 
     /// `self · other`. Panics if `self.cols != other.rows`.
@@ -324,57 +327,14 @@ impl Tensor {
         out
     }
 
-    /// The selected `rows` of `self · other`, bitwise identical to the same
-    /// rows of [`Tensor::matmul`]. The zero-skip density probe runs on the
-    /// **full** left operand, not the gathered rows — the branch choice (and
-    /// therefore the accumulation order and bits) must match what a full
-    /// product would do, which is the contract the streaming engine's
-    /// row-sliced re-evaluation relies on (DESIGN.md §11). Serial: dirty
-    /// row sets are tiny compared to the full product. (Stays on the axpy
-    /// loop — per-element ascending-`k` accumulation is what the blocked
-    /// kernel computes too, so the bits agree.)
-    pub fn matmul_rows(&self, other: &Tensor, rows: &[usize]) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul_rows: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (k, m) = (self.cols, other.cols);
-        let mut out = Tensor::zeros(rows.len(), m);
-        if rows.is_empty() || m == 0 {
-            return out;
-        }
-        let skip = self.looks_sparse();
-        let (a, b) = (&self.data, &other.data);
-        for (r, &i) in rows.iter().enumerate() {
-            assert!(i < self.rows, "matmul_rows: row {i} out of range");
-            let a_row = &a[i * k..(i + 1) * k];
-            let o_row = &mut out.data[r * m..(r + 1) * m];
-            if skip {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
-                }
-            } else {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
-                }
-            }
-        }
-        out
-    }
-
     /// `self · other` on the seed axpy loop with a **caller-supplied**
     /// zero-skip decision in place of the internal density probe. Bitwise
     /// identical to [`Tensor::matmul`] whenever `skip` equals what
-    /// `looks_sparse` would report for the left operand of that product —
-    /// which is how the out-of-core evaluator uses it: holding only a row
-    /// subset of the true left operand, it reconstructs the full-operand
-    /// probe from the (always-demanded) sampled rows and passes the verdict
-    /// here, so partitioned products keep the resident branch choice and
-    /// therefore the resident bits (DESIGN.md §14).
+    /// [`Tensor::probe_verdict`] reports for the left operand of that
+    /// product — so a row subset of a left operand, multiplied with the
+    /// verdict of the whole operand, gives exactly those rows of the whole
+    /// product. This is the row-subset matmul of the program evaluator
+    /// (DESIGN.md §10, "One evaluator").
     pub fn matmul_with_skip(&self, other: &Tensor, skip: bool) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
@@ -503,30 +463,10 @@ impl Tensor {
     /// Not part of the public API contract.
     #[doc(hidden)]
     pub fn matmul_reference(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.rows, "matmul_reference: inner dims");
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(n, m);
-        if n == 0 || m == 0 {
-            return out;
-        }
-        let skip = self.looks_sparse();
-        let (a, b) = (&self.data, &other.data);
-        for (i, o_row) in out.data.chunks_mut(m).enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            if skip {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
-                }
-            } else {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
-                }
-            }
-        }
-        out
+        // The seed loop nest is the axpy loop `matmul_with_skip` runs, with
+        // the verdict of the operand's own probe — so that loop must stay
+        // the unblocked seed loop.
+        self.matmul_with_skip(other, self.looks_sparse())
     }
 
     /// Pinned copy of the seed `matmul_tn` kernel (serial, one chunk per
@@ -739,17 +679,18 @@ mod tests {
     }
 
     #[test]
-    fn matmul_rows_is_bitwise_slice_of_matmul() {
+    fn row_subset_with_whole_verdict_is_bitwise_slice_of_matmul() {
         // Both probe branches: a sparse left operand (skip path) and a dense
-        // one (no-branch path). Selected rows must match the full product
-        // bit for bit, in arbitrary order and with repeats.
+        // one (no-branch path). Selected rows, multiplied with the verdict
+        // of the whole operand, must match the full product bit for bit, in
+        // arbitrary order and with repeats.
         let sparse_a = Tensor::from_fn(6, 5, |i, j| if (i + j) % 3 == 0 { 0.37 * (i + 1) as f32 } else { 0.0 });
         let dense_a = Tensor::from_fn(6, 5, |i, j| 0.11 * (i * 5 + j + 1) as f32);
         let b = Tensor::from_fn(5, 4, |i, j| ((i * 4 + j) as f32).sin());
         for a in [&sparse_a, &dense_a] {
             let full = a.matmul(&b);
             let rows = [4usize, 0, 4, 2];
-            let part = a.matmul_rows(&b, &rows);
+            let part = a.gather_rows(&rows).matmul_with_skip(&b, a.looks_sparse());
             assert_eq!(part.shape(), (4, 4));
             for (r, &i) in rows.iter().enumerate() {
                 let got: Vec<u32> = part.row(r).iter().map(|v| v.to_bits()).collect();
@@ -757,7 +698,7 @@ mod tests {
                 assert_eq!(got, want, "row {i}");
             }
         }
-        assert_eq!(sparse_a.matmul_rows(&b, &[]).shape(), (0, 4));
+        assert_eq!(sparse_a.gather_rows(&[]).matmul_with_skip(&b, true).shape(), (0, 4));
     }
 
     #[test]
@@ -774,16 +715,27 @@ mod tests {
             let want: Vec<u32> = full.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want);
         }
-        // And both flag values agree with matmul_rows under the same flag
-        // semantics (all rows selected).
-        for skip in [false, true] {
-            let via_rows = sparse_a.matmul_rows(&b, &[0, 1, 2, 3, 4, 5]);
-            let _ = skip; // matmul_rows probes internally; only compare on match
-            if skip == sparse_a.looks_sparse() {
-                let ours = sparse_a.matmul_with_skip(&b, skip);
-                assert_eq!(ours.as_slice(), via_rows.as_slice());
-            }
+    }
+
+    #[test]
+    fn probe_verdict_reads_only_the_sampled_positions() {
+        // The verdict from an accessor over the sampled positions is the
+        // verdict of the whole tensor; unsampled elements never matter.
+        for t in [
+            Tensor::from_fn(10, 10, |i, j| if i * 10 + j < 64 { 1.0 } else { 0.0 }),
+            Tensor::from_fn(9, 13, |i, j| if (i * j) % 4 == 0 { 0.0 } else { 2.0 }),
+            Tensor::ones(3, 3),
+        ] {
+            let sampled: Vec<usize> = Tensor::probe_positions(t.len()).collect();
+            assert!(sampled.len() <= 64);
+            let via_samples = Tensor::probe_verdict(t.len(), |f| {
+                assert!(sampled.contains(&f), "position {f} is not a probe sample");
+                t.as_slice()[f]
+            });
+            assert_eq!(via_samples, t.looks_sparse());
         }
+        assert_eq!(Tensor::probe_positions(0).count(), 0);
+        assert!(!Tensor::probe_verdict(0, |_| 0.0));
     }
 
     #[test]

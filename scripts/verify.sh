@@ -39,6 +39,23 @@ LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-tensor --test blocked_equiv
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-sparse --test spmm_blocked
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-sparse --test spmm_blocked
 
+echo "== evaluator: one op kernel + one dependency rule under every schedule, at 1 and 4 threads =="
+# DESIGN.md §10 "One evaluator": autograd's unit tests (peval, export),
+# gradcheck, random_programs and the schedules property suite (random
+# exported programs: demand subsets and dirty patches bitwise vs all rows),
+# plus serve's unit tests (quant.rs, incl. the exhaustive f16 check).
+LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-autograd
+LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-autograd
+LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --lib
+LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --lib
+# Both engines rank classes the same way (first maximum on ties), and a
+# binding-free lazy engine splits into exactly the requested part count.
+LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test query_contract
+LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test query_contract
+# The benchmark compiles against the evaluator's public API; an API change
+# that breaks it fails here rather than only in the benchmark pipeline.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== gradcheck sweeps (13 baselines + Lasagne aggregators + GC-FM) =="
 cargo test -q --offline -p lasagne-gnn --test gradcheck_models
 cargo test -q --offline -p lasagne-core --test gradcheck_lasagne
