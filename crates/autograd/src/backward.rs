@@ -210,9 +210,12 @@ impl Tape {
                 let d = Tensor::zeros(xv.rows(), xv.cols()).add_row_broadcast(g);
                 self.acc(grads, *x, d);
             }
-            Op::SumCols(x) => {
+            Op::SumCols { x, groups } => {
+                // Each gradient column over its group, added to `+0.0` as
+                // a broadcast into zeros does.
                 let xv = self.value(*x);
-                let d = Tensor::zeros(xv.rows(), xv.cols()).add_col_broadcast(g);
+                let w = xv.cols() / groups;
+                let d = Tensor::from_fn(xv.rows(), xv.cols(), |i, j| 0.0 + g.get(i, j / w));
                 self.acc(grads, *x, d);
             }
 

@@ -7,7 +7,7 @@
 //!   its operands, calling the exact kernels the tape constructors call;
 //! * [`row_deps`], the **dependency rule**: which operand rows each output
 //!   row reads — the same row, the sparse operator's neighbours, the
-//!   gathered index, the whole operand, or the density-probe sample rows.
+//!   gathered index, or the whole operand.
 //!
 //! Every evaluation mode is a *schedule* over the two: it decides which rows
 //! of each op to compute and where the operands come from ([`Operands`]).
@@ -17,10 +17,10 @@
 //! forwards from the operator rows a graph mutation changed.
 //!
 //! A subset of rows is bitwise equal to the same rows of a whole
-//! evaluation because of three rules, all kept in [`op_rows`]:
+//! evaluation because every kernel computes each output row from its own
+//! operand rows alone (a subset `MatMul` is the same dense product over the
+//! gathered left rows), plus two rules, both kept in [`op_rows`]:
 //!
-//! * a subset `MatMul` uses the zero-skip probe verdict of the **whole**
-//!   left operand ([`Operands::skip`], [`Tensor::matmul_with_skip`]);
 //! * a subset `SpMM` multiplies the monotone column slice
 //!   `m.slice(rows, cols)` — `cols` the sorted union of those rows'
 //!   neighbours — by exactly those operand rows; with the
@@ -59,9 +59,6 @@ pub enum RowDep<'a> {
     Gathered(&'a [usize]),
     /// Every row.
     Whole,
-    /// The rows holding the operand's density-probe samples
-    /// ([`Tensor::probe_positions`]), whatever `r` is.
-    Probe,
 }
 
 /// The dependency rule: for each operand of `op`, which of its rows an
@@ -72,7 +69,7 @@ pub fn row_deps(op: &ProgramOp) -> Vec<(Operand, RowDep<'_>)> {
     use RowDep::*;
     match op {
         Constant { .. } | Param { .. } => Vec::new(),
-        MatMul { a, b } => vec![(Op(*a), Same), (Op(*a), Probe), (Op(*b), Whole)],
+        MatMul { a, b } => vec![(Op(*a), Same), (Op(*b), Whole)],
         SpMM { m, x } => vec![(Sparse(*m), Same), (Op(*x), Neighbors(*m))],
         Add { a, b }
         | Sub { a, b }
@@ -93,7 +90,7 @@ pub fn row_deps(op: &ProgramOp) -> Vec<(Operand, RowDep<'_>)> {
         | Tanh { x }
         | LogSoftmax { x }
         | SliceCols { x, .. }
-        | SumCols { x } => vec![(Op(*x), Same)],
+        | SumCols { x, .. } => vec![(Op(*x), Same)],
         ConcatCols { parts } | MaxStack { parts } => parts.iter().map(|&p| (Op(p), Same)).collect(),
         GatherRows { x, idx } => vec![(Op(*x), Gathered(idx))],
         SumAll { x } | SumRows { x } => vec![(Op(*x), Whole)],
@@ -127,12 +124,6 @@ pub trait Operands {
             None => Cow::Borrowed(self.whole(j)),
             Some(r) => Cow::Owned(self.whole(j).gather_rows(r)),
         }
-    }
-
-    /// The zero-skip probe verdict of the **whole** operand `j`.
-    fn skip(&self, j: usize) -> bool {
-        let t = self.whole(j);
-        Tensor::probe_verdict(t.len(), |f| t.as_slice()[f])
     }
 
     /// The operand rows a subset of SpMM instruction `i` over sparse
@@ -194,8 +185,7 @@ pub fn op_rows(ops: &[ProgramOp], i: usize, rows: Option<&[usize]>, src: &impl O
                 let (k, m) = q.shape();
                 src.whole(*a).matmul_packed_b(k, m, |r0, r1, buf| q.pack(r0, r1, buf))
             }
-            (None, None) => src.whole(*a).matmul(src.whole(*b)),
-            (Some(_), _) => at(*a).matmul_with_skip(src.whole(*b), src.skip(*a)),
+            _ => at(*a).matmul(src.whole(*b)),
         },
         SpMM { m, x } => match rows {
             None => src.sparse(*m).spmm(src.whole(*x)),
@@ -233,7 +223,7 @@ pub fn op_rows(ops: &[ProgramOp], i: usize, rows: Option<&[usize]>, src: &impl O
         .into_owned(),
         SumAll { x } => pick(Tensor::full(1, 1, src.whole(*x).sum())),
         SumRows { x } => pick(src.whole(*x).sum_rows()),
-        SumCols { x } => at(*x).sum_cols(),
+        SumCols { x, groups } => at(*x).sum_col_groups(*groups),
         MaxStack { parts } => {
             let mut acc = at(parts[0]).into_owned();
             for &p in &parts[1..] {
@@ -315,10 +305,7 @@ pub fn eval_all(
 ///
 /// SpMM reads its halo through the operator's structure, which is
 /// symmetric, so the output rows that read operand row `j` are
-/// `m.row_indices(j)`. `Probe` dependencies are not followed: the verdict
-/// only decides whether exact-zero multipliers are skipped, which changes
-/// no bits for finite weights, and [`eval_dirty`] re-probes the whole
-/// patched operand. `None` means a full recompute: some op reads a changed
+/// `m.row_indices(j)`. `None` means a full recompute: some op reads a changed
 /// operand whole, or more than half of an op's rows are dirty (patching
 /// them would cost more than a clean sweep).
 pub fn dirty_rows(
@@ -352,7 +339,6 @@ pub fn dirty_rows(
                     d.extend((0..idx.len()).filter(|&p| from.binary_search(&idx[p]).is_ok()))
                 }
                 RowDep::Whole => return None,
-                RowDep::Probe => {}
             }
         }
         d.sort_unstable();

@@ -25,7 +25,7 @@ use std::rc::Rc;
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
-use crate::eval::{row_deps, Operand, RowDep};
+use crate::eval::{row_deps, Operand};
 use crate::tape::{NodeId, Op, Tape};
 use crate::ParamStore;
 
@@ -111,8 +111,9 @@ pub enum ProgramOp {
     SumAll { x: usize },
     /// Column sums `N×D → 1×D`.
     SumRows { x: usize },
-    /// Row sums `N×D → N×1`.
-    SumCols { x: usize },
+    /// Row sums of `groups` equal column groups, `N×(g·w) → N×g`
+    /// (`groups = 1`: plain row sums).
+    SumCols { x: usize, groups: usize },
     /// Element-wise max over same-shaped operands.
     MaxStack { parts: Vec<usize> },
     /// GAT neighborhood attention (recomputed from scratch at eval via
@@ -139,14 +140,13 @@ impl ProgramOp {
     }
 
     /// Indices of the instructions this op reads, in operand order: the
-    /// instruction operands of its [`row_deps`] (a `MatMul` left operand's
-    /// `Probe` rows are the same operand again).
+    /// instruction operands of its [`row_deps`].
     pub fn inputs(&self) -> Vec<usize> {
         row_deps(self)
             .into_iter()
             .filter_map(|dep| match dep {
-                (Operand::Op(j), d) if d != RowDep::Probe => Some(j),
-                _ => None,
+                (Operand::Op(j), _) => Some(j),
+                (Operand::Sparse(_), _) => None,
             })
             .collect()
     }
@@ -270,7 +270,7 @@ fn reachable_set(tape: &Tape, output: NodeId) -> Vec<bool> {
             | Op::GatherRows { x, .. }
             | Op::SumAll(x)
             | Op::SumRows(x)
-            | Op::SumCols(x) => stack.push(x.0),
+            | Op::SumCols { x, .. } => stack.push(x.0),
             Op::ConcatCols(parts) => stack.extend(parts.iter().map(|p| p.0)),
             Op::MaxStack { parts, .. } => stack.extend(parts.iter().map(|p| p.0)),
             Op::StMulCol { x, p, .. } => {
@@ -362,7 +362,7 @@ impl Tape {
                 }
                 Op::SumAll(x) => ProgramOp::SumAll { x: r(x) },
                 Op::SumRows(x) => ProgramOp::SumRows { x: r(x) },
-                Op::SumCols(x) => ProgramOp::SumCols { x: r(x) },
+                Op::SumCols { x, groups } => ProgramOp::SumCols { x: r(x), groups: *groups },
                 Op::MaxStack { parts, .. } => {
                     ProgramOp::MaxStack { parts: parts.iter().map(r).collect() }
                 }

@@ -121,8 +121,14 @@ impl Tape {
 
     /// Row sums: `N×D → N×1`.
     pub fn sum_cols(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).sum_cols();
+        self.sum_col_groups(x, 1)
+    }
+
+    /// Row sums of `groups` equal column groups: `N×(g·w) → N×g`
+    /// ([`Tensor::sum_col_groups`]).
+    pub fn sum_col_groups(&mut self, x: NodeId, groups: usize) -> NodeId {
+        let v = self.value(x).sum_col_groups(groups);
         let needs = self.needs_grad(x);
-        self.push(v, Op::SumCols(x), needs)
+        self.push(v, Op::SumCols { x, groups }, needs)
     }
 }

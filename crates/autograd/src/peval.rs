@@ -9,12 +9,10 @@
 //! O(partition + halo), and the answer is **bitwise** equal to the
 //! corresponding rows of the resident evaluation. A backward walk of
 //! [`row_deps`] from the requested rows assigns each instruction its
-//! demanded rows — row `r` itself, the SpMM halo, the gathered index, the
-//! probe-sample rows of a `MatMul` left operand, or the whole operand —
-//! and a forward pass runs the shared op kernel [`op_rows`] on exactly
-//! those rows. The subset bitwise rules (probe verdict of the whole left
-//! operand, monotone SpMM column slices, strict-`>` `MaxStack`) live in
-//! that kernel.
+//! demanded rows — row `r` itself, the SpMM halo, the gathered index, or
+//! the whole operand — and a forward pass runs the shared op kernel
+//! [`op_rows`] on exactly those rows. The subset bitwise rules (monotone
+//! SpMM column slices, strict-`>` `MaxStack`) live in that kernel.
 //!
 //! A whole-operand dependency on a graph-sized non-leaf — `SumAll`/`SumRows`
 //! over activations, GAT's attention — is not row-local: plans over such
@@ -209,7 +207,7 @@ impl<'a> RowPlan<'a> {
                 ProgramOp::GatherRows { x, idx } => (idx.len(), s(x).1),
                 ProgramOp::SumAll { .. } => (1, 1),
                 ProgramOp::SumRows { x } => (1, s(x).1),
-                ProgramOp::SumCols { x } => (s(x).0, 1),
+                ProgramOp::SumCols { x, groups } => (s(x).0, *groups),
                 ProgramOp::MaxStack { parts } => s(&parts[0]),
                 ProgramOp::GatAggregate { z, .. } => s(z),
             };
@@ -286,13 +284,6 @@ impl<'a> RowPlan<'a> {
                         halos[i].insert(neighbors(&self.sparse[m], r)).clone()
                     }
                     (Demand::Rows(r), RowDep::Gathered(idx)) => r.iter().map(|&p| idx[p]).collect(),
-                    (Demand::Rows(_), RowDep::Probe) => {
-                        let (rows, cols) = self.shapes[j];
-                        let mut p: Vec<usize> =
-                            Tensor::probe_positions(rows * cols).map(|f| f / cols).collect();
-                        p.dedup(); // flat positions ascend, so rows are sorted
-                        p
-                    }
                 };
                 match &mut demand[j] {
                     Some(Demand::Rows(have)) => have.extend(wanted),
@@ -343,16 +334,6 @@ struct Demanded<'p> {
     vals: &'p [Option<Tensor>],
 }
 
-impl Demanded<'_> {
-    /// The sorted rows instruction `j` holds, if it holds a row subset.
-    fn subset(&self, j: usize) -> Option<(&[usize], &Tensor)> {
-        match (&self.demand[j], &self.vals[j]) {
-            (Some(Demand::Rows(union)), Some(v)) => Some((union, v)),
-            _ => None,
-        }
-    }
-}
-
 impl Operands for Demanded<'_> {
     fn whole(&self, j: usize) -> &Tensor {
         leaf_value(&self.plan.ops[j], &self.plan.weights)
@@ -372,22 +353,13 @@ impl Operands for Demanded<'_> {
     }
 
     fn rows(&self, j: usize, rows: Option<&[usize]>) -> Cow<'_, Tensor> {
-        match (rows, self.subset(j)) {
-            (Some(wanted), Some((union, v))) => {
+        match (rows, &self.demand[j], &self.vals[j]) {
+            (Some(wanted), Some(Demand::Rows(union)), Some(v)) => {
                 Cow::Owned(v.gather_rows(&positions(union, wanted)))
             }
-            (Some(wanted), None) => Cow::Owned(self.whole(j).gather_rows(wanted)),
-            (None, _) => Cow::Borrowed(self.whole(j)),
+            (Some(wanted), ..) => Cow::Owned(self.whole(j).gather_rows(wanted)),
+            (None, ..) => Cow::Borrowed(self.whole(j)),
         }
-    }
-
-    fn skip(&self, j: usize) -> bool {
-        // A row subset always holds the probe's sampled rows (`RowDep::Probe`).
-        let (rows, cols) = self.plan.shapes[j];
-        Tensor::probe_verdict(rows * cols, |f| match self.subset(j) {
-            Some((union, v)) => v.get(positions(union, &[f / cols])[0], f % cols),
-            None => self.whole(j).as_slice()[f],
-        })
     }
 }
 
@@ -477,8 +449,8 @@ mod tests {
     fn row_subsets_match_resident_bitwise() {
         let (program, weights) = toy_program(30, 1);
         // Resident reference via the plan itself at k=1 plus a tape replay
-        // is circular; instead evaluate all rows in one go (which exercises
-        // the same full-probe path as resident) and compare subsets.
+        // is circular; instead evaluate all rows in one go (the same
+        // whole-operand kernels as resident) and compare subsets.
         let plan = RowPlan::new(&program, &weights).unwrap();
         let all: Vec<usize> = (0..30).collect();
         let resident = plan.eval_rows(&all).unwrap();

@@ -55,8 +55,8 @@ pub(crate) enum Op {
     SumAll(NodeId),
     /// Column sums: `N×D → 1×D`.
     SumRows(NodeId),
-    /// Row sums: `N×D → N×1`.
-    SumCols(NodeId),
+    /// Row sums of `groups` equal column groups: `N×(g·w) → N×g`.
+    SumCols { x: NodeId, groups: usize },
     /// Element-wise max over same-shaped parts; winners recorded for backward
     /// (the Max-Pooling aggregator of §4.1.2).
     MaxStack { parts: Vec<NodeId>, argmax: Vec<u32> },

@@ -4,19 +4,20 @@
 //!
 //! The generator draws from every row-local `ProgramOp` variant — element-wise
 //! ops, broadcasts, `GatherRows` with repeated indices, `MaxStack` with forced
-//! ties, reductions over resident leaves — on a random symmetric graph, and
-//! feeds `MatMul` left operands on both sides of the ¼-zeros density-probe
-//! threshold. The properties:
+//! ties, grouped row sums with one and with several groups, reductions over
+//! resident leaves — on a random symmetric graph, and feeds `MatMul` both
+//! zero-heavy (post-ReLU, sparse features) and dense left operands. The
+//! properties:
 //!
 //! * **demand**: the all-rows (resident) schedule equals the value the tape
 //!   computed, and `RowPlan::eval_rows` on random row subsets (unsorted,
 //!   with repeats) equals its matching rows, bitwise — with an infinite
-//!   matmul weight in half the programs, so a subset that picked its own
-//!   zero-skip verdict instead of the whole operand's would show;
+//!   matmul weight in half the programs, so `0 · ∞` NaNs flow through every
+//!   schedule and a subset that treated a zero multiplier differently from
+//!   the whole product would show;
 //! * **dirty**: after random rows of the input features change, the dirty
 //!   schedule's patched cache equals a cold all-rows evaluation, bitwise —
-//!   every instruction, not just the output (finite weights: the dirty walk
-//!   does not follow the probe, see `lasagne_autograd::dirty_rows`);
+//!   every instruction, not just the output;
 //! * **refusal**: a whole-graph reduction over a non-leaf is refused with the
 //!   typed `PevalError::NotRowLocal`, naming the reduction.
 
@@ -74,7 +75,7 @@ fn graph(rng: &mut Rng, n: usize) -> Csr {
 /// Every pool node is `n × h`. `reduce` (`"sum_all"` or `"sum_rows"`)
 /// additionally folds a whole-graph reduction of the last computed node
 /// into the output. `infinite` puts one `+∞` into a matmul weight, which
-/// makes the zero-skip verdict visible in the bits (`0 · ∞` is NaN, a
+/// makes any skipped zero multiplier visible in the bits (`0 · ∞` is NaN, a
 /// skipped zero is not).
 fn random_program(
     seed: u64,
@@ -84,7 +85,7 @@ fn random_program(
     let mut rng = Rng::seed_from_u64(seed);
     let n = rng.range_usize(10, 28);
     let (d, h) = (rng.range_usize(2, 6), rng.range_usize(2, 5));
-    // Feature sparsity on both sides of the probe's ¼-zeros threshold.
+    // Feature sparsity from dense to mostly zeros.
     let sparsity = [0.0, 0.15, 0.45, 0.85][rng.index(4)];
     let x = tensor(&mut rng, n, d, sparsity);
     let adj = Rc::new(graph(&mut rng, n));
@@ -106,13 +107,13 @@ fn random_program(
     for _ in 0..rng.range_usize(6, 16) {
         let p = pool[rng.index(pool.len())];
         let q = pool[rng.index(pool.len())];
-        let out = match rng.index(22) {
+        let out = match rng.index(23) {
             0 => {
                 let w = tape.param(w2, &store);
                 tape.matmul(p, w)
             }
             1 => {
-                // Roughly half zeros: the skip side of the probe.
+                // Roughly half zeros, as after a ReLU in training.
                 let r = tape.relu(p);
                 let w = tape.param(w3, &store);
                 tape.matmul(r, w)
@@ -165,6 +166,12 @@ fn random_program(
             20 => {
                 let idx: Vec<usize> = (0..n).map(|_| rng.index(n)).collect();
                 tape.gather_rows(p, Rc::new(idx))
+            }
+            21 => {
+                // `h` groups of 2 or 3 columns: back to `n × h`.
+                let parts = [p, q, p];
+                let cat = tape.concat_cols(&parts[..rng.range_usize(2, 4)]);
+                tape.sum_col_groups(cat, h)
             }
             _ => {
                 // Forced ties: `-0.0` against `+0.0` wherever p ≤ 0 (strict
@@ -220,7 +227,9 @@ fn variant(op: &ProgramOp) -> String {
 #[test]
 fn demand_subsets_match_the_all_rows_schedule_bitwise() {
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut verdicts: BTreeSet<bool> = BTreeSet::new();
+    // Zero-heavy (≥ ¼ exact zeros) and dense `MatMul` left operands seen.
+    let mut densities: BTreeSet<bool> = BTreeSet::new();
+    let mut grouped = false;
     for threads in [1, 4] {
         lasagne_par::set_threads(threads);
         for seed in 0..CASES {
@@ -236,8 +245,13 @@ fn demand_subsets_match_the_all_rows_schedule_bitwise() {
             };
             for op in &program.ops {
                 seen.insert(variant(op));
-                if let ProgramOp::MatMul { a, .. } = op {
-                    verdicts.insert(src.skip(*a));
+                match op {
+                    ProgramOp::MatMul { a, .. } => {
+                        let left = src.whole(*a).as_slice();
+                        densities.insert(left.iter().filter(|&&v| v == 0.0).count() * 4 >= left.len());
+                    }
+                    ProgramOp::SumCols { groups, .. } => grouped |= *groups > 1,
+                    _ => {}
                 }
             }
             let all = src.whole(program.output);
@@ -292,7 +306,8 @@ fn demand_subsets_match_the_all_rows_schedule_bitwise() {
     for v in row_local {
         assert!(seen.contains(v), "no generated program used {v}");
     }
-    assert_eq!(verdicts.len(), 2, "MatMul left operands must hit both probe verdicts");
+    assert_eq!(densities.len(), 2, "MatMul left operands must be both zero-heavy and dense");
+    assert!(grouped, "no generated program summed more than one column group");
 }
 
 #[test]

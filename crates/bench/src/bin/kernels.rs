@@ -4,7 +4,8 @@
 //! `benches/kernels` target.
 //!
 //! Each kernel runs on Cora-scale and Pubmed-scale synthetic operators
-//! across hidden widths from 16 to 512, once with the pool pinned to one
+//! across hidden widths from 16 to 512 — the dense products also on a
+//! post-ReLU left operand (≈ 50% zeros) — once with the pool pinned to one
 //! thread and once at the `--threads` count, and the medians land in
 //! `BENCH_kernels.json` at the repo root (testkit JSON codec, so the file
 //! is deterministic byte-wise up to the timings themselves).
@@ -337,6 +338,24 @@ fn main() {
             g.matmul_nt_reference(&b)
         });
     }
+
+    // Post-ReLU left operands (≈ 50% exact zeros): the density training
+    // feeds the forward and weight-gradient products. The seed rows are
+    // the zero-skipping loops the dense kernels replaced.
+    let (k, m) = if cfg.smoke { (8, 8) } else { (32, 32) };
+    let a = rng.uniform_tensor(n, k, -1.0, 1.0).relu();
+    let b = rng.uniform_tensor(k, m, -1.0, 1.0);
+    let g = rng.uniform_tensor(n, m, -1.0, 1.0);
+    let shape = format!("{n}x{k}x{m}_relu");
+    let flops = mm_flops(n, k, m);
+    measure(&cfg, &mut entries, "matmul", shape.clone(), flops, true, || a.matmul(&b));
+    measure_seed(&cfg, &mut entries, "matmul_seed", shape.clone(), flops, || {
+        a.matmul_reference(&b)
+    });
+    measure(&cfg, &mut entries, "matmul_tn", shape.clone(), flops, true, || a.matmul_tn(&g));
+    measure_seed(&cfg, &mut entries, "matmul_tn_seed", shape, flops, || {
+        a.matmul_tn_reference(&g)
+    });
 
     // Overhead contract: one disabled span must be ≤ 2% of the matmul
     // median — i.e. within measurement noise of the cheapest dense kernel

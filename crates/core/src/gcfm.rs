@@ -11,7 +11,11 @@
 //! Σ_{p<q} ⟨s_p, s_q⟩ = ½ ( ‖Σ_p s_p‖² − Σ_p ‖s_p‖² )
 //! ```
 //!
-//! bringing the cost to `O(F·L·D·k)`. [`gcfm_reference`] keeps the
+//! bringing the cost to `O(F·L·D·k)`. All classes share each layer's left
+//! operand, so the latent factors of layer `p` are stored column-stacked,
+//! `V_p = [V_1p | … | V_Fp]` (`D(p) × F·k`), and one GEMM `S_p = h_p·V_p`
+//! yields every class's `s_p` at once; a grouped row sum over the `k`-wide
+//! column blocks finishes the norms. [`gcfm_reference`] keeps the
 //! brute-force quadruple sum for equivalence tests.
 
 use std::rc::Rc;
@@ -26,8 +30,9 @@ pub struct GcFm {
     w: ParamId,
     /// Bias 1×F.
     b: ParamId,
-    /// `v[j][p]`: `D(p) × k` latent factors for class `j`, layer `p`.
-    v: Vec<Vec<ParamId>>,
+    /// `v[p]`: `D(p) × classes·k` latent factors of layer `p`, class `j`
+    /// in columns `j·k..(j+1)·k`.
+    v: Vec<ParamId>,
     k: usize,
     classes: usize,
 }
@@ -48,15 +53,15 @@ impl GcFm {
         let w = store.add("gcfm.w", rng.glorot_uniform(total, classes));
         let b = store.add_with_decay("gcfm.b", Tensor::zeros(1, classes), false);
         // Small init keeps the quadratic term from swamping the linear one
-        // at the start (standard FM practice).
-        let v = (0..classes)
-            .map(|j| {
-                dims.iter()
-                    .enumerate()
-                    .map(|(p, &d)| {
-                        store.add(format!("gcfm.v{j}.{p}"), rng.normal_tensor(d, k, 0.0, 0.02))
-                    })
-                    .collect()
+        // at the start (standard FM practice). Drawn class by class, layer
+        // by layer, then stacked per layer.
+        let draws: Vec<Vec<Tensor>> = (0..classes)
+            .map(|_| dims.iter().map(|&d| rng.normal_tensor(d, k, 0.0, 0.02)).collect())
+            .collect();
+        let v = (0..dims.len())
+            .map(|p| {
+                let blocks: Vec<&Tensor> = draws.iter().map(|class| &class[p]).collect();
+                store.add(format!("gcfm.v{p}"), Tensor::concat_cols(&blocks))
             })
             .collect();
         GcFm { w, b, v, k, classes }
@@ -73,7 +78,7 @@ impl GcFm {
         hs: &[NodeId],
         final_relu: bool,
     ) -> NodeId {
-        assert_eq!(hs.len(), self.v[0].len(), "GcFm: layer count mismatch");
+        assert_eq!(hs.len(), self.v.len(), "GcFm: layer count mismatch");
         // Linear part: concat(h) W + b.
         let cat = tape.concat_cols(hs);
         let w = tape.param(self.w, store);
@@ -81,33 +86,29 @@ impl GcFm {
         let b = tape.param(self.b, store);
         let linear = tape.add_row_broadcast(lin, b);
 
-        // FM part, one N×1 column per class.
-        let mut fm_cols = Vec::with_capacity(self.classes);
-        for j in 0..self.classes {
-            // s_p = h_p · V_jp; T = Σ_p s_p.
-            let mut t_sum: Option<NodeId> = None;
-            let mut sq_sum: Option<NodeId> = None;
-            for (p, &h) in hs.iter().enumerate() {
-                let v = tape.param(self.v[j][p], store);
-                let s = tape.matmul(h, v);
-                t_sum = Some(match t_sum {
-                    Some(t) => tape.add(t, s),
-                    None => s,
-                });
-                let s2 = tape.mul(s, s);
-                let s2r = tape.sum_cols(s2);
-                sq_sum = Some(match sq_sum {
-                    Some(q) => tape.add(q, s2r),
-                    None => s2r,
-                });
-            }
-            let t = t_sum.expect("at least one layer");
-            let t2 = tape.mul(t, t);
-            let t2r = tape.sum_cols(t2);
-            let diff = tape.sub(t2r, sq_sum.expect("at least one layer"));
-            fm_cols.push(tape.scale(diff, 0.5));
+        // FM part, all classes at once: S_p = h_p · V_p (N × classes·k),
+        // T = Σ_p S_p, Q = Σ_p groupsum(S_p ⊙ S_p), fm = ½(groupsum(T ⊙ T) − Q).
+        let mut t_sum: Option<NodeId> = None;
+        let mut sq_sum: Option<NodeId> = None;
+        for (&h, &vp) in hs.iter().zip(&self.v) {
+            let v = tape.param(vp, store);
+            let s = tape.matmul(h, v);
+            t_sum = Some(match t_sum {
+                Some(t) => tape.add(t, s),
+                None => s,
+            });
+            let s2 = tape.mul(s, s);
+            let s2r = tape.sum_col_groups(s2, self.classes);
+            sq_sum = Some(match sq_sum {
+                Some(q) => tape.add(q, s2r),
+                None => s2r,
+            });
         }
-        let fm = tape.concat_cols(&fm_cols);
+        let t = t_sum.expect("at least one layer");
+        let t2 = tape.mul(t, t);
+        let t2r = tape.sum_col_groups(t2, self.classes);
+        let diff = tape.sub(t2r, sq_sum.expect("at least one layer"));
+        let fm = tape.scale(diff, 0.5);
         let o = tape.add(linear, fm);
         let prop = tape.spmm(Rc::clone(a_hat), o);
         if final_relu {
@@ -122,9 +123,10 @@ impl GcFm {
         self.k
     }
 
-    /// Read the latent tensors back (for the reference-path test).
+    /// Read class `class`'s `D(layer) × k` latent block back (for the
+    /// reference-path test).
     pub fn latent(&self, store: &ParamStore, class: usize, layer: usize) -> Tensor {
-        store.value(self.v[class][layer]).clone()
+        store.value(self.v[layer]).slice_cols(class * self.k, (class + 1) * self.k)
     }
 
     /// Read the linear weight back.

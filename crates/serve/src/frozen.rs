@@ -376,9 +376,10 @@ fn op_to_json(op: &ProgramOp) -> Json {
             tag("sum_rows", &mut fields);
             fields.push(("x".into(), num(*x)));
         }
-        SumCols { x } => {
+        SumCols { x, groups } => {
             tag("sum_cols", &mut fields);
             fields.push(("x".into(), num(*x)));
+            fields.push(("groups".into(), num(*groups)));
         }
         MaxStack { parts } => {
             tag("max_stack", &mut fields);
@@ -453,7 +454,14 @@ fn op_from_json(j: &Json, n_ops: usize, n_sparse: usize) -> ServeResult<ProgramO
         "gather_rows" => ProgramOp::GatherRows { x: node("x")?, idx: usize_arr(j, "idx", tag)? },
         "sum_all" => ProgramOp::SumAll { x: node("x")? },
         "sum_rows" => ProgramOp::SumRows { x: node("x")? },
-        "sum_cols" => ProgramOp::SumCols { x: node("x")? },
+        "sum_cols" => {
+            // Artifacts from before grouped sums carry no count: one group.
+            let groups = if j.get("groups").is_some() { usize_field(j, "groups", tag)? } else { 1 };
+            if groups == 0 {
+                return Err(ServeError::Mismatch("sum_cols: zero groups".into()));
+            }
+            ProgramOp::SumCols { x: node("x")?, groups }
+        }
         "max_stack" => ProgramOp::MaxStack { parts: nodes("parts")? },
         "gat_aggregate" => ProgramOp::GatAggregate {
             adj: sparse("adj")?,
@@ -712,5 +720,29 @@ impl FrozenModel {
         // bitwise parity with training eval, so it is exact-only.
         self.rec = None;
         Ok(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(text: &str) -> ServeResult<ProgramOp> {
+        op_from_json(&Json::parse(text).expect("test JSON parses"), 2, 0)
+    }
+
+    #[test]
+    fn grouped_sum_cols_round_trips_and_old_artifacts_read_as_one_group() {
+        let op = ProgramOp::SumCols { x: 1, groups: 7 };
+        assert_eq!(op_from_json(&op_to_json(&op), 2, 0).expect("round trip"), op);
+        // Artifacts written before grouped sums carry no count.
+        assert_eq!(
+            parse(r#"{"op": "sum_cols", "x": 0}"#).expect("old form"),
+            ProgramOp::SumCols { x: 0, groups: 1 }
+        );
+        assert!(matches!(
+            parse(r#"{"op": "sum_cols", "x": 0, "groups": 0}"#),
+            Err(ServeError::Mismatch(_))
+        ));
     }
 }

@@ -193,7 +193,7 @@ fn oversized_request_line_is_typed_then_the_connection_closes() {
 
 #[test]
 fn connection_cap_refuses_the_excess_typed() {
-    let (_server, addr) = start_with(ServerConfig {
+    let (server, addr) = start_with(ServerConfig {
         max_connections: 2,
         debug_ops: false,
         ..tight_config()
@@ -213,9 +213,16 @@ fn connection_cap_refuses_the_excess_typed() {
     line.clear();
     assert_eq!(reader.read_line(&mut line).expect("post-refusal read"), 0);
     // Freeing a slot re-admits: drop c2, its reader notices EOF within a
-    // poll tick, and a fresh connect succeeds.
+    // poll tick and frees the slot, and a fresh connect succeeds. Connect
+    // only once the slot is free: the acceptor refuses with a typed line
+    // after the TCP handshake, which no connect retry can see.
     drop(c2);
-    let mut c4 = Client::connect_with_retry(&addr, 8, 50, 7).expect("slot freed");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().connections > 1 {
+        assert!(Instant::now() < deadline, "c2's slot never freed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut c4 = Client::connect(&addr).expect("slot freed");
     c4.call_ok(&Request::Health).expect("c4 live");
     c1.call_ok(&Request::Health).expect("c1 still live");
 }

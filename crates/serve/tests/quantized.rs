@@ -195,8 +195,7 @@ fn quantized_logit_tolerance_all_models() {
 
 /// The fused path (weights stay compressed, dequantized panel-by-panel
 /// inside the matmul) must be **bitwise** what materialize-then-matmul
-/// computes — same values, same per-element accumulation order, same
-/// left-operand density probe.
+/// computes — same values, same per-element accumulation order.
 #[test]
 fn fused_dequant_matches_materialized_bitwise() {
     let ctx = wide_ctx(11);

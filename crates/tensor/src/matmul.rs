@@ -24,12 +24,14 @@
 //! still partitions *output rows* into chunks whose size is a function of
 //! shape only, rounded to a tile multiple.
 //!
-//! `matmul` and `matmul_tn` skip zero multipliers, which is a large win on
-//! the sparse one-hot-ish feature matrices GNN inputs tend to be — but the
-//! branch costs real time on dense hidden-layer activations where it never
-//! fires, so both kernels gate it on a cheap strided density probe of the
-//! left operand. The skip test happens per element on the same `a == 0.0`
-//! comparison as the seed, so the skip path is order-preserving too.
+//! No kernel skips zero multipliers. The seed loops did (`a == 0.0` →
+//! `continue`), and the references below still do, but for a finite right
+//! operand an added `0·b` is `±0`, and adding `±0` to an accumulator that
+//! started at `+0.0` changes no bits — so dense and skipping loops agree
+//! bit for bit. They differ only on `0·∞` and `0·NaN`, which the dense
+//! kernels turn into NaN as IEEE says. A branch per multiplier made
+//! post-ReLU products about 4× slower (DESIGN.md §13), so every product, row
+//! subsets included, runs the same branch-free micro-kernel.
 
 use crate::{par_row_chunk, Tensor};
 
@@ -53,7 +55,7 @@ fn round_up_tile(rows: usize) -> usize {
 }
 
 /// `o += a * b` over a contiguous row — the inner loop of the pinned seed
-/// reference kernels and of `matmul_with_skip`.
+/// reference kernels.
 #[inline]
 fn axpy(o: &mut [f32], a: f32, b: &[f32]) {
     for (o, &b) in o.iter_mut().zip(b) {
@@ -68,7 +70,7 @@ fn axpy(o: &mut [f32], a: f32, b: &[f32]) {
 /// inlined copy fully unrolls. Accumulates ascending `kk` per element.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_mm<const SKIP: bool>(
+fn tile_mm(
     c: &mut [f32],
     cs: usize,
     i: usize,
@@ -92,9 +94,6 @@ fn tile_mm<const SKIP: bool>(
         let bv = &b[kk * b_stride + j..kk * b_stride + j + nr];
         for r in 0..mr {
             let av = a[(i + r) * a_stride + kk];
-            if SKIP && av == 0.0 {
-                continue;
-            }
             let accr = &mut acc[r];
             for cc in 0..nr {
                 accr[cc] += av * bv[cc];
@@ -116,7 +115,7 @@ fn tile_mm<const SKIP: bool>(
 /// registers. `ci` is the absolute `A`-column of the tile's first row.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_tn<const SKIP: bool>(
+fn tile_tn(
     c: &mut [f32],
     cs: usize,
     ti: usize,
@@ -142,9 +141,6 @@ fn tile_tn<const SKIP: bool>(
         let bv = &b[row * b_stride + j..row * b_stride + j + nr];
         for r in 0..mr {
             let ar = av[r];
-            if SKIP && ar == 0.0 {
-                continue;
-            }
             let accr = &mut acc[r];
             for cc in 0..nr {
                 accr[cc] += ar * bv[cc];
@@ -162,7 +158,7 @@ fn tile_tn<const SKIP: bool>(
 /// Blocked `C[0..rows, :] += A[0..rows, :klen] · B[:klen, :]` over one pool
 /// chunk. `j`-strips outer so the `klen × NR` B strip stays cache-hot
 /// across the row tiles underneath it.
-fn gemm_panel<const SKIP: bool>(
+fn gemm_panel(
     c: &mut [f32],
     m: usize,
     a: &[f32],
@@ -179,9 +175,9 @@ fn gemm_panel<const SKIP: bool>(
         while i < rows {
             let mr = (rows - i).min(MR);
             if mr == MR && nr == NR {
-                tile_mm::<SKIP>(c, m, i, j, MR, NR, a, a_stride, b, b_stride, klen);
+                tile_mm(c, m, i, j, MR, NR, a, a_stride, b, b_stride, klen);
             } else {
-                tile_mm::<SKIP>(c, m, i, j, mr, nr, a, a_stride, b, b_stride, klen);
+                tile_mm(c, m, i, j, mr, nr, a, a_stride, b, b_stride, klen);
             }
             i += MR;
         }
@@ -190,7 +186,7 @@ fn gemm_panel<const SKIP: bool>(
 }
 
 /// Blocked `matmul_tn` body over one pool chunk and one input-row panel.
-fn tn_panel<const SKIP: bool>(
+fn tn_panel(
     c: &mut [f32],
     m: usize,
     cw: usize,
@@ -207,9 +203,9 @@ fn tn_panel<const SKIP: bool>(
         while i < cw {
             let mr = (cw - i).min(MR);
             if mr == MR && nr == NR {
-                tile_tn::<SKIP>(c, m, i, j, MR, NR, a, a_stride, col0 + i, b, m, nrows);
+                tile_tn(c, m, i, j, MR, NR, a, a_stride, col0 + i, b, m, nrows);
             } else {
-                tile_tn::<SKIP>(c, m, i, j, mr, nr, a, a_stride, col0 + i, b, m, nrows);
+                tile_tn(c, m, i, j, mr, nr, a, a_stride, col0 + i, b, m, nrows);
             }
             i += MR;
         }
@@ -218,37 +214,6 @@ fn tn_panel<const SKIP: bool>(
 }
 
 impl Tensor {
-    /// Flat element positions the zero-skip density probe samples in a
-    /// `len`-element left operand: `0, step, 2·step, …` with
-    /// `step = ceil(len / 64)`, so at most 64 samples spread over the whole
-    /// buffer (a floor-rounded stride would sample only the head for `len`
-    /// slightly above 64 and misclassify tail-sparse matrices).
-    pub fn probe_positions(len: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
-        const SAMPLES: usize = 64;
-        (0..len).step_by(len.div_ceil(SAMPLES).max(1))
-    }
-
-    /// The probe's verdict for a `len`-element left operand whose flat
-    /// element `f` is `sample(f)`: do its [`Tensor::probe_positions`] hold
-    /// enough exact zeros (≥ ¼) that the zero-skip branch in the matmul
-    /// inner loops pays for itself? One-hot-ish feature matrices say yes;
-    /// dense activations say no. The branch changes bits only when the
-    /// right operand is not finite (`0 · ∞` is NaN, a skipped zero adds
-    /// nothing), but a row subset must still reuse the verdict of the whole
-    /// operand (see [`Tensor::matmul_with_skip`]).
-    pub fn probe_verdict(len: usize, sample: impl Fn(usize) -> f32) -> bool {
-        let (mut zeros, mut total) = (0usize, 0usize);
-        for f in Tensor::probe_positions(len) {
-            zeros += usize::from(sample(f) == 0.0);
-            total += 1;
-        }
-        total > 0 && zeros * 4 >= total
-    }
-
-    fn looks_sparse(&self) -> bool {
-        Tensor::probe_verdict(self.data.len(), |f| self.data[f])
-    }
-
     /// `self · other`. Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
@@ -263,18 +228,12 @@ impl Tensor {
         }
         lasagne_obs::span!("matmul");
         lasagne_obs::counter_add("matmul.flops", 2 * (n * k * m) as u64);
-        let skip = self.looks_sparse();
         let (a, b) = (&self.data, &other.data);
         // ≥ 32 rows per chunk so each k×NR B strip loaded into cache serves
         // at least 8 row tiles before the next chunk re-streams it.
         let chunk = round_up_tile(par_row_chunk(k * m).max(32));
         lasagne_par::par_row_chunks_mut(&mut out.data, m, chunk, |i0, c| {
-            let rows = c.len() / m;
-            if skip {
-                gemm_panel::<true>(c, m, &a[i0 * k..], k, b, m, rows, k);
-            } else {
-                gemm_panel::<false>(c, m, &a[i0 * k..], k, b, m, rows, k);
-            }
+            gemm_panel(c, m, &a[i0 * k..], k, b, m, c.len() / m, k);
         });
         out
     }
@@ -286,8 +245,7 @@ impl Tensor {
     /// as a full f32 matrix; a pack that plain-copies rows of a resident
     /// `B` makes this bitwise-identical to `matmul` (same per-element
     /// ascending-`k` accumulation; the f32 store/reload of `C` between
-    /// panels is exact, and the zero-skip probe is the same left-operand
-    /// probe either way).
+    /// panels is exact).
     pub fn matmul_packed_b<F>(&self, b_rows: usize, b_cols: usize, mut pack: F) -> Tensor
     where
         F: FnMut(usize, usize, &mut [f32]),
@@ -304,7 +262,6 @@ impl Tensor {
         }
         lasagne_obs::span!("matmul");
         lasagne_obs::counter_add("matmul.flops", 2 * (n * k * m) as u64);
-        let skip = self.looks_sparse();
         let a = &self.data;
         let chunk = round_up_tile(par_row_chunk(k * m).max(32));
         let mut panel = vec![0.0f32; KC.min(k) * m];
@@ -315,53 +272,9 @@ impl Tensor {
             pack(p0, p0 + pl, buf);
             let buf = &*buf;
             lasagne_par::par_row_chunks_mut(&mut out.data, m, chunk, |i0, c| {
-                let rows = c.len() / m;
-                if skip {
-                    gemm_panel::<true>(c, m, &a[i0 * k + p0..], k, buf, m, rows, pl);
-                } else {
-                    gemm_panel::<false>(c, m, &a[i0 * k + p0..], k, buf, m, rows, pl);
-                }
+                gemm_panel(c, m, &a[i0 * k + p0..], k, buf, m, c.len() / m, pl);
             });
             p0 += KC;
-        }
-        out
-    }
-
-    /// `self · other` on the seed axpy loop with a **caller-supplied**
-    /// zero-skip decision in place of the internal density probe. Bitwise
-    /// identical to [`Tensor::matmul`] whenever `skip` equals what
-    /// [`Tensor::probe_verdict`] reports for the left operand of that
-    /// product — so a row subset of a left operand, multiplied with the
-    /// verdict of the whole operand, gives exactly those rows of the whole
-    /// product. This is the row-subset matmul of the program evaluator
-    /// (DESIGN.md §10, "One evaluator").
-    pub fn matmul_with_skip(&self, other: &Tensor, skip: bool) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul_with_skip: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (k, m) = (self.cols, other.cols);
-        let mut out = Tensor::zeros(self.rows, m);
-        if self.rows == 0 || m == 0 {
-            return out;
-        }
-        let (a, b) = (&self.data, &other.data);
-        for i in 0..self.rows {
-            let a_row = &a[i * k..(i + 1) * k];
-            let o_row = &mut out.data[i * m..(i + 1) * m];
-            if skip {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
-                }
-            } else {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
-                }
-            }
         }
         out
     }
@@ -387,7 +300,6 @@ impl Tensor {
         }
         lasagne_obs::span!("matmul_tn");
         lasagne_obs::counter_add("matmul.flops", 2 * (n * k * m) as u64);
-        let skip = self.looks_sparse();
         let (a, b) = (&self.data, &other.data);
         // ≤ 16 column blocks of ≥ 16 columns: bounds the extra streaming of
         // `other` (once per block) while exposing enough chunks to balance.
@@ -397,11 +309,7 @@ impl Tensor {
             let mut pn = 0;
             while pn < n {
                 let pl = (n - pn).min(PC);
-                if skip {
-                    tn_panel::<true>(c, m, cw, &a[pn * k..], k, i0, &b[pn * m..], pl);
-                } else {
-                    tn_panel::<false>(c, m, cw, &a[pn * k..], k, i0, &b[pn * m..], pl);
-                }
+                tn_panel(c, m, cw, &a[pn * k..], k, i0, &b[pn * m..], pl);
                 pn += PC;
             }
         });
@@ -438,11 +346,7 @@ impl Tensor {
         }
         let chunk = round_up_tile(par_row_chunk(k * m).max(32));
         lasagne_par::par_row_chunks_mut(&mut out.data, m, chunk, |i0, c| {
-            let rows = c.len() / m;
-            // No zero-skip: the seed `nt` kernel never had one (gradient
-            // operands are dense), and adding it would change the probe
-            // surface, not the bits.
-            gemm_panel::<false>(c, m, &a[i0 * k..], k, &bt, m, rows, k);
+            gemm_panel(c, m, &a[i0 * k..], k, &bt, m, c.len() / m, k);
         });
         out
     }
@@ -457,21 +361,32 @@ impl Tensor {
             .sum()
     }
 
-    /// Pinned copy of the seed (pre-blocking) `matmul` loop nest, serial.
-    /// Exists so the bitwise-equivalence suites and the kernels bench can
-    /// compare the blocked kernel against the exact code it replaced.
-    /// Not part of the public API contract.
+    /// Pinned copy of the seed (pre-blocking) `matmul` loop nest, serial,
+    /// with the seed's zero skip on every left operand. Exists so the
+    /// bitwise-equivalence suites and the kernels bench can compare the
+    /// blocked kernel against the exact code it replaced — and so they pin
+    /// that the branch-free kernel equals a zero-skipping loop on finite
+    /// operands. Not part of the public API contract.
     #[doc(hidden)]
     pub fn matmul_reference(&self, other: &Tensor) -> Tensor {
-        // The seed loop nest is the axpy loop `matmul_with_skip` runs, with
-        // the verdict of the operand's own probe — so that loop must stay
-        // the unblocked seed loop.
-        self.matmul_with_skip(other, self.looks_sparse())
+        assert_eq!(self.cols, other.rows, "matmul_reference: inner dims");
+        let (k, m) = (self.cols, other.cols);
+        let mut out = Tensor::zeros(self.rows, m);
+        let (a, b) = (&self.data, &other.data);
+        for i in 0..self.rows {
+            let o_row = &mut out.data[i * m..(i + 1) * m];
+            for (kk, &aik) in a[i * k..(i + 1) * k].iter().enumerate() {
+                if aik != 0.0 {
+                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
+                }
+            }
+        }
+        out
     }
 
     /// Pinned copy of the seed `matmul_tn` kernel (serial, one chunk per
-    /// 16th of the output rows like the seed partitioner). See
-    /// [`Tensor::matmul_reference`].
+    /// 16th of the output rows like the seed partitioner, zero skip
+    /// included). See [`Tensor::matmul_reference`].
     #[doc(hidden)]
     pub fn matmul_tn_reference(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "matmul_tn_reference: inner dims");
@@ -480,7 +395,6 @@ impl Tensor {
         if n == 0 || k == 0 || m == 0 {
             return out;
         }
-        let skip = self.looks_sparse();
         let (a, b) = (&self.data, &other.data);
         let chunk_rows = k.div_ceil(16).max(16);
         let mut i0 = 0;
@@ -490,15 +404,8 @@ impl Tensor {
             for row in 0..n {
                 let a_seg = &a[row * k + i0..row * k + i0 + cw];
                 let b_row = &b[row * m..(row + 1) * m];
-                if skip {
-                    for (r, &av) in a_seg.iter().enumerate() {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        axpy(&mut chunk[r * m..(r + 1) * m], av, b_row);
-                    }
-                } else {
-                    for (r, &av) in a_seg.iter().enumerate() {
+                for (r, &av) in a_seg.iter().enumerate() {
+                    if av != 0.0 {
                         axpy(&mut chunk[r * m..(r + 1) * m], av, b_row);
                     }
                 }
@@ -589,13 +496,10 @@ mod tests {
 
     #[test]
     fn zero_skip_does_not_change_result() {
-        // The probe sends ≥-¼-zeros matrices down the skip path and dense
-        // ones down the no-branch path; both must match a naive triple
-        // loop.
+        // A zero-heavy and a dense left operand run the same branch-free
+        // kernel; both must match a naive triple loop.
         let a = Tensor::from_fn(5, 5, |i, j| if (i + j) % 3 == 0 { 1.5 } else { 0.0 });
         let dense_a = Tensor::from_fn(5, 5, |i, j| if (i + j) % 3 == 0 { 1.5 } else { 7.0 });
-        assert!(a.looks_sparse());
-        assert!(!dense_a.looks_sparse());
         let b = Tensor::from_fn(5, 4, |i, j| (i * 4 + j) as f32);
         let reference = |l: &Tensor, r: &Tensor| {
             let mut out = Tensor::zeros(l.rows(), r.cols());
@@ -613,36 +517,10 @@ mod tests {
     }
 
     #[test]
-    fn density_probe_classifies_extremes() {
-        assert!(Tensor::zeros(8, 8).looks_sparse());
-        assert!(!Tensor::ones(8, 8).looks_sparse());
-        assert!(!Tensor::zeros(0, 0).looks_sparse());
-        // One-hot rows: exactly one nonzero in 16 columns.
-        let onehot = Tensor::from_fn(32, 16, |i, j| if i % 16 == j { 1.0 } else { 0.0 });
-        assert!(onehot.looks_sparse());
-    }
-
-    #[test]
-    fn density_probe_covers_the_tail() {
-        // len = 100: the old floor-rounded stride (100/64 = 1) sampled only
-        // elements 0..63 — a dense head hid a sparse tail entirely. The
-        // ceil-rounded stride (2) spans the buffer: 18 of 50 samples land
-        // in the 36-zero tail (36% ≥ 25% → sparse).
-        let tail_sparse = Tensor::from_fn(10, 10, |i, j| if i * 10 + j < 64 { 1.0 } else { 0.0 });
-        assert!(tail_sparse.looks_sparse());
-        // Mirror image: zeros in the head, dense tail — same 36% zero rate,
-        // same verdict, so the probe is position-blind.
-        let head_sparse = Tensor::from_fn(10, 10, |i, j| if i * 10 + j < 36 { 0.0 } else { 1.0 });
-        assert!(head_sparse.looks_sparse());
-        // A 20-zero tail stays under the ¼ threshold → dense.
-        let barely = Tensor::from_fn(10, 10, |i, j| if i * 10 + j < 80 { 1.0 } else { 0.0 });
-        assert!(!barely.looks_sparse());
-    }
-
-    #[test]
     fn blocked_kernels_match_seed_reference_bitwise() {
         // Odd shapes force edge tiles on both axes; the sparse variant
-        // exercises the skip path. `to_bits` equality, not approx.
+        // exercises the references' zero skip. `to_bits` equality, not
+        // approx.
         for (n, k, m, sparse) in
             [(7, 5, 9, false), (13, 11, 17, true), (4, 8, 8, false), (1, 1, 1, true)]
         {
@@ -679,10 +557,9 @@ mod tests {
     }
 
     #[test]
-    fn row_subset_with_whole_verdict_is_bitwise_slice_of_matmul() {
-        // Both probe branches: a sparse left operand (skip path) and a dense
-        // one (no-branch path). Selected rows, multiplied with the verdict
-        // of the whole operand, must match the full product bit for bit, in
+    fn row_subset_is_bitwise_slice_of_matmul() {
+        // A zero-heavy and a dense left operand: selected rows, multiplied
+        // on their own, must match the full product bit for bit, in
         // arbitrary order and with repeats.
         let sparse_a = Tensor::from_fn(6, 5, |i, j| if (i + j) % 3 == 0 { 0.37 * (i + 1) as f32 } else { 0.0 });
         let dense_a = Tensor::from_fn(6, 5, |i, j| 0.11 * (i * 5 + j + 1) as f32);
@@ -690,7 +567,7 @@ mod tests {
         for a in [&sparse_a, &dense_a] {
             let full = a.matmul(&b);
             let rows = [4usize, 0, 4, 2];
-            let part = a.gather_rows(&rows).matmul_with_skip(&b, a.looks_sparse());
+            let part = a.gather_rows(&rows).matmul(&b);
             assert_eq!(part.shape(), (4, 4));
             for (r, &i) in rows.iter().enumerate() {
                 let got: Vec<u32> = part.row(r).iter().map(|v| v.to_bits()).collect();
@@ -698,44 +575,7 @@ mod tests {
                 assert_eq!(got, want, "row {i}");
             }
         }
-        assert_eq!(sparse_a.gather_rows(&[]).matmul_with_skip(&b, true).shape(), (0, 4));
-    }
-
-    #[test]
-    fn matmul_with_skip_matches_matmul_when_skip_matches_probe() {
-        // Same two probe classes as above; the explicit flag with the value
-        // looks_sparse would pick must reproduce the full product bitwise.
-        let sparse_a = Tensor::from_fn(6, 5, |i, j| if (i + j) % 3 == 0 { 0.37 * (i + 1) as f32 } else { 0.0 });
-        let dense_a = Tensor::from_fn(6, 5, |i, j| 0.11 * (i * 5 + j + 1) as f32);
-        let b = Tensor::from_fn(5, 4, |i, j| ((i * 4 + j) as f32).cos());
-        for a in [&sparse_a, &dense_a] {
-            let full = a.matmul(&b);
-            let ours = a.matmul_with_skip(&b, a.looks_sparse());
-            let got: Vec<u32> = ours.as_slice().iter().map(|v| v.to_bits()).collect();
-            let want: Vec<u32> = full.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn probe_verdict_reads_only_the_sampled_positions() {
-        // The verdict from an accessor over the sampled positions is the
-        // verdict of the whole tensor; unsampled elements never matter.
-        for t in [
-            Tensor::from_fn(10, 10, |i, j| if i * 10 + j < 64 { 1.0 } else { 0.0 }),
-            Tensor::from_fn(9, 13, |i, j| if (i * j) % 4 == 0 { 0.0 } else { 2.0 }),
-            Tensor::ones(3, 3),
-        ] {
-            let sampled: Vec<usize> = Tensor::probe_positions(t.len()).collect();
-            assert!(sampled.len() <= 64);
-            let via_samples = Tensor::probe_verdict(t.len(), |f| {
-                assert!(sampled.contains(&f), "position {f} is not a probe sample");
-                t.as_slice()[f]
-            });
-            assert_eq!(via_samples, t.looks_sparse());
-        }
-        assert_eq!(Tensor::probe_positions(0).count(), 0);
-        assert!(!Tensor::probe_verdict(0, |_| 0.0));
+        assert_eq!(sparse_a.gather_rows(&[]).matmul(&b).shape(), (0, 4));
     }
 
     #[test]

@@ -58,14 +58,30 @@ impl Tensor {
         out
     }
 
-    /// Per-row sums as an `N x 1` column vector.
+    /// Per-row sums as an `N x 1` column vector: [`Tensor::sum_col_groups`]
+    /// with one group.
     pub fn sum_cols(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, 1);
-        let cols = self.cols;
+        self.sum_col_groups(1)
+    }
+
+    /// Per-row sums of `groups` equal-width column groups, `N x (g·w) →
+    /// N x g`; each group is summed left to right. Panics unless `groups`
+    /// divides the column count.
+    pub fn sum_col_groups(&self, groups: usize) -> Tensor {
+        assert!(
+            groups > 0 && self.cols.is_multiple_of(groups),
+            "sum_col_groups: {} columns in {groups} groups",
+            self.cols
+        );
+        let mut out = Tensor::zeros(self.rows, groups);
+        let (cols, w) = (self.cols, self.cols / groups);
         let data = &self.data;
-        lasagne_par::par_row_chunks_mut(&mut out.data, 1, par_row_chunk(cols), |i0, chunk| {
-            for (r, o) in chunk.iter_mut().enumerate() {
-                *o = data[(i0 + r) * cols..(i0 + r + 1) * cols].iter().sum();
+        lasagne_par::par_row_chunks_mut(&mut out.data, groups, par_row_chunk(cols), |i0, chunk| {
+            for (r, o_row) in chunk.chunks_mut(groups).enumerate() {
+                let row = &data[(i0 + r) * cols..(i0 + r + 1) * cols];
+                for (gi, o) in o_row.iter_mut().enumerate() {
+                    *o = row[gi * w..(gi + 1) * w].iter().sum();
+                }
             }
         });
         out
@@ -189,6 +205,20 @@ mod tests {
         assert_eq!(sample().sum_cols().col(0), vec![6.0, 15.0]);
         assert_eq!(sample().mean_rows().row(0), &[2.5, 3.5, 4.5]);
         assert_eq!(sample().mean_cols().col(0), vec![2.0, 5.0]);
+    }
+
+    #[test]
+    fn grouped_row_sums() {
+        let t = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]);
+        assert_eq!(t.sum_col_groups(3).row(0), &[3.0, 7.0, 11.0]);
+        assert_eq!(t.sum_col_groups(1).row(0), &[21.0]);
+        assert_eq!(sample().sum_col_groups(3), sample());
+    }
+
+    #[test]
+    #[should_panic(expected = "sum_col_groups")]
+    fn grouped_row_sums_need_equal_groups() {
+        sample().sum_col_groups(2);
     }
 
     #[test]

@@ -58,7 +58,11 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== gradcheck sweeps (13 baselines + Lasagne aggregators + GC-FM) =="
 cargo test -q --offline -p lasagne-gnn --test gradcheck_models
-cargo test -q --offline -p lasagne-core --test gradcheck_lasagne
+# The whole Lasagne crate: its unit tests (GC-FM fast path vs brute-force
+# Eq 7 among them), the gradcheck sweep and the batched-vs-per-class GC-FM
+# suite, at both pool sizes.
+LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-core
+LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-core
 
 echo "== MI golden tests (closed-form histogram + KSG cases) =="
 cargo test -q --offline -p lasagne-mi --test golden
