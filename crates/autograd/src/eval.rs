@@ -1,16 +1,21 @@
 //! One evaluator for exported [`Program`](crate::Program)s (DESIGN.md §10,
 //! "One evaluator").
 //!
-//! Two functions state the semantics of every [`ProgramOp`] once:
+//! Three functions state the semantics of every [`ProgramOp`] once:
 //!
 //! * [`op_rows`], the **op kernel**: any set of an op's output rows from
 //!   its operands, calling the exact kernels the tape constructors call;
 //! * [`row_deps`], the **dependency rule**: which operand rows each output
 //!   row reads — the same row, the sparse operator's neighbours, the
-//!   gathered index, or the whole operand.
+//!   gathered index, or the whole operand;
+//! * [`program_shapes`], the **shape rule**: each op's output shape, and
+//!   whether its operands meet its kernel's preconditions. A program read
+//!   from disk passes it before any kernel runs, so a malformed one is a
+//!   typed error rather than a kernel's shape panic.
 //!
-//! Every evaluation mode is a *schedule* over the two: it decides which rows
-//! of each op to compute and where the operands come from ([`Operands`]).
+//! Every evaluation mode is a *schedule* over the first two: it decides
+//! which rows of each op to compute and where the operands come from
+//! ([`Operands`]).
 //! The resident schedule ([`eval_all`]) computes all rows once; the demand
 //! schedule ([`crate::RowPlan`]) walks `row_deps` backwards from requested
 //! rows; the dirty schedule ([`dirty_rows`] + [`eval_dirty`]) walks it
@@ -36,7 +41,7 @@ use lasagne_tensor::Tensor;
 
 use crate::export::ProgramOp;
 use crate::ops_graph::gat_attention;
-use crate::peval::PevalError;
+use crate::peval::{op_name, PevalError};
 
 /// An operand of a program op: an earlier instruction, or an entry of the
 /// program's sparse table.
@@ -98,6 +103,136 @@ pub fn row_deps(op: &ProgramOp) -> Vec<(Operand, RowDep<'_>)> {
             vec![(Sparse(*adj), Whole), (Op(*z), Whole), (Op(*ssrc), Whole), (Op(*sdst), Whole)]
         }
     }
+}
+
+/// The shape rule: every instruction's output shape, after checking that
+/// its operands meet its kernel's preconditions. Operands must be earlier
+/// instructions and sparse refs must be in the table; `MatMul` inner
+/// dimensions agree; the `SpMM` operator's columns equal the operand's
+/// rows; element-wise pairs and `MaxStack` parts share one shape; broadcast
+/// operands are `1 × D` (row), `N × 1` (column) or `1 × 1` (scalar);
+/// `ConcatCols` parts share their row count; `SliceCols` bounds and
+/// `GatherRows` indices are in range; `SumCols` groups divide the columns;
+/// `GatAggregate` is over a square operator with `N × 1` score halves.
+///
+/// `sparse` holds each sparse operator's shape and `param` a weight's shape
+/// by name. Fails with [`PevalError::Shape`] naming the first offending
+/// instruction, or [`PevalError::MissingParam`].
+pub fn program_shapes(
+    ops: &[ProgramOp],
+    sparse: &[(usize, usize)],
+    param: impl Fn(&str) -> Option<(usize, usize)>,
+) -> Result<Vec<(usize, usize)>, PevalError> {
+    use ProgramOp::*;
+    let mut shapes: Vec<(usize, usize)> = Vec::with_capacity(ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        let bad = |detail: String| PevalError::Shape { node: i, op: op_name(op), detail };
+        let ensure = |ok: bool, detail: &dyn Fn() -> String| match ok {
+            true => Ok(()),
+            false => Err(bad(detail())),
+        };
+        let s = |j: usize| {
+            let detail = || bad(format!("operand {j} is not an earlier instruction"));
+            shapes.get(j).copied().ok_or_else(detail)
+        };
+        let m = |k: usize| {
+            let detail = || bad(format!("sparse operator {k} is not in the table"));
+            sparse.get(k).copied().ok_or_else(detail)
+        };
+        let same = |parts: &[usize]| -> Result<(usize, usize), PevalError> {
+            let first = s(*parts.first().ok_or_else(|| bad("no operands".into()))?)?;
+            for &p in &parts[1..] {
+                let sp = s(p)?;
+                ensure(sp == first, &|| format!("operand {p} is {sp:?}, not {first:?}"))?;
+            }
+            Ok(first)
+        };
+        let shape = match op {
+            Constant { value } => value.shape(),
+            Param { name } => param(name).ok_or_else(|| PevalError::MissingParam(name.clone()))?,
+            MatMul { a, b } => {
+                let (sa, sb) = (s(*a)?, s(*b)?);
+                ensure(sa.1 == sb.0, &|| format!("{sa:?} · {sb:?}: inner dimensions differ"))?;
+                (sa.0, sb.1)
+            }
+            SpMM { m: k, x } => {
+                let (sm, sx) = (m(*k)?, s(*x)?);
+                ensure(sm.1 == sx.0, &|| format!("operator {sm:?} · operand {sx:?}"))?;
+                (sm.0, sx.1)
+            }
+            Add { a, b } | Sub { a, b } | Mul { a, b } | Div { a, b } => same(&[*a, *b])?,
+            Scale { x, .. }
+            | AddConst { x, .. }
+            | Pow { x, .. }
+            | Exp { x }
+            | Relu { x }
+            | LeakyRelu { x, .. }
+            | Sigmoid { x }
+            | Tanh { x }
+            | LogSoftmax { x } => s(*x)?,
+            AddRowBroadcast { x, b } => {
+                let (sx, sb) = (s(*x)?, s(*b)?);
+                ensure(sb == (1, sx.1), &|| format!("row {sb:?} for a {sx:?} operand"))?;
+                sx
+            }
+            AddColBroadcast { x, c } | MulColBroadcast { x, c } => {
+                let (sx, sc) = (s(*x)?, s(*c)?);
+                ensure(sc == (sx.0, 1), &|| format!("column {sc:?} for a {sx:?} operand"))?;
+                sx
+            }
+            MulScalarNode { x, s: k } => {
+                let (sx, sk) = (s(*x)?, s(*k)?);
+                ensure(sk == (1, 1), &|| format!("scalar operand is {sk:?}"))?;
+                sx
+            }
+            ConcatCols { parts } => {
+                let mut cols = 0usize;
+                let rows = s(*parts.first().ok_or_else(|| bad("no operands".into()))?)?.0;
+                for &p in parts {
+                    let sp = s(p)?;
+                    ensure(sp.0 == rows, &|| format!("operand {p} has {} rows, not {rows}", sp.0))?;
+                    cols += sp.1;
+                }
+                (rows, cols)
+            }
+            SliceCols { x, lo, hi } => {
+                let sx = s(*x)?;
+                ensure(lo <= hi && *hi <= sx.1, &|| format!("columns {lo}..{hi} of {sx:?}"))?;
+                (sx.0, hi - lo)
+            }
+            GatherRows { x, idx } => {
+                let sx = s(*x)?;
+                if let Some(&r) = idx.iter().find(|&&r| r >= sx.0) {
+                    return Err(bad(format!("row {r} of {sx:?}")));
+                }
+                (idx.len(), sx.1)
+            }
+            SumAll { x } => {
+                s(*x)?;
+                (1, 1)
+            }
+            SumRows { x } => (1, s(*x)?.1),
+            SumCols { x, groups } => {
+                let sx = s(*x)?;
+                ensure(*groups > 0 && sx.1.is_multiple_of(*groups), &|| {
+                    format!("{} columns in {groups} groups", sx.1)
+                })?;
+                (sx.0, *groups)
+            }
+            MaxStack { parts } => same(parts)?,
+            GatAggregate { adj, z, ssrc, sdst, .. } => {
+                let (sa, sz) = (m(*adj)?, s(*z)?);
+                let (src, dst) = (s(*ssrc)?, s(*sdst)?);
+                let n = sa.0;
+                ensure(sa.1 == n && sz.0 == n && src == (n, 1) && dst == (n, 1), &|| {
+                    format!("operator {sa:?}, z {sz:?}, scores {src:?} and {dst:?}")
+                })?;
+                sz
+            }
+        };
+        shapes.push(shape);
+    }
+    Ok(shapes)
 }
 
 /// A `MatMul` right operand a schedule supplies k-panel by k-panel instead
@@ -371,5 +506,83 @@ pub fn eval_dirty(
         for (r, &row) in rows.iter().enumerate() {
             values[i].row_mut(row).copy_from_slice(patch.row(r));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Run the shape rule over five leaves — `x` 4×3, `w` 3×2 (a weight),
+    /// `b` 1×2, `c` 4×1, `s` 1×1 — then `xw = x · w` (4×2) and `case`.
+    fn check(case: ProgramOp, sparse: &[(usize, usize)]) -> Result<(usize, usize), PevalError> {
+        let ops = vec![
+            ProgramOp::Constant { value: Tensor::zeros(4, 3) },
+            ProgramOp::Param { name: "w".into() },
+            ProgramOp::Constant { value: Tensor::zeros(1, 2) },
+            ProgramOp::Constant { value: Tensor::zeros(4, 1) },
+            ProgramOp::Constant { value: Tensor::zeros(1, 1) },
+            ProgramOp::MatMul { a: 0, b: 1 },
+            case,
+        ];
+        let shapes = program_shapes(&ops, sparse, |n| (n == "w").then_some((3, 2)))?;
+        Ok(shapes[6])
+    }
+
+    #[test]
+    fn the_shape_rule_accepts_fitting_operands() {
+        use ProgramOp::*;
+        for (case, want) in [
+            (MatMul { a: 0, b: 1 }, (4, 2)),
+            (SpMM { m: 0, x: 0 }, (4, 3)),
+            (Add { a: 5, b: 5 }, (4, 2)),
+            (AddRowBroadcast { x: 5, b: 2 }, (4, 2)),
+            (AddColBroadcast { x: 0, c: 3 }, (4, 3)),
+            (MulColBroadcast { x: 5, c: 3 }, (4, 2)),
+            (MulScalarNode { x: 0, s: 4 }, (4, 3)),
+            (ConcatCols { parts: vec![0, 5, 3] }, (4, 6)),
+            (SliceCols { x: 0, lo: 1, hi: 3 }, (4, 2)),
+            (GatherRows { x: 0, idx: vec![3, 0, 3] }, (3, 3)),
+            (SumAll { x: 5 }, (1, 1)),
+            (SumRows { x: 0 }, (1, 3)),
+            (SumCols { x: 5, groups: 2 }, (4, 2)),
+            (MaxStack { parts: vec![5, 5] }, (4, 2)),
+            (GatAggregate { adj: 0, z: 0, ssrc: 3, sdst: 3, slope: 0.2 }, (4, 3)),
+        ] {
+            assert_eq!(check(case.clone(), &[(4, 4)]), Ok(want), "{case:?}");
+        }
+    }
+
+    #[test]
+    fn the_shape_rule_names_the_instruction_that_does_not_fit() {
+        use ProgramOp::*;
+        let sq: &[(usize, usize)] = &[(4, 4)];
+        for (case, sparse) in [
+            (MatMul { a: 1, b: 0 }, sq),
+            (SpMM { m: 0, x: 5 }, &[(4, 3)]),
+            (SpMM { m: 1, x: 0 }, sq),
+            (Sub { a: 0, b: 5 }, sq),
+            (AddRowBroadcast { x: 0, b: 2 }, sq),
+            (AddColBroadcast { x: 0, c: 2 }, sq),
+            (MulScalarNode { x: 0, s: 2 }, sq),
+            (ConcatCols { parts: vec![0, 1] }, sq),
+            (ConcatCols { parts: Vec::new() }, sq),
+            (SliceCols { x: 0, lo: 1, hi: 4 }, sq),
+            (SliceCols { x: 0, lo: 2, hi: 1 }, sq),
+            (GatherRows { x: 0, idx: vec![0, 4] }, sq),
+            (SumCols { x: 0, groups: 2 }, sq),
+            (SumCols { x: 0, groups: 0 }, sq),
+            (MaxStack { parts: vec![0, 5] }, sq),
+            (MaxStack { parts: Vec::new() }, sq),
+            (GatAggregate { adj: 0, z: 0, ssrc: 3, sdst: 4, slope: 0.2 }, sq),
+            (GatAggregate { adj: 0, z: 5, ssrc: 3, sdst: 3, slope: 0.2 }, &[(4, 5)]),
+            (Relu { x: 6 }, sq),
+            (Relu { x: 99 }, sq),
+        ] {
+            let err = check(case.clone(), sparse).expect_err(&format!("{case:?}"));
+            assert!(matches!(err, PevalError::Shape { node: 6, .. }), "{case:?}: {err}");
+        }
+        let missing = check(Param { name: "v".into() }, sq);
+        assert_eq!(missing, Err(PevalError::MissingParam("v".into())));
     }
 }

@@ -54,8 +54,8 @@ mod schedule;
 mod tape;
 
 pub use eval::{
-    dirty_rows, eval_all, eval_dirty, leaf_value, op_rows, row_deps, Operand, Operands,
-    PackedOperand, Resident, RowDep,
+    dirty_rows, eval_all, eval_dirty, leaf_value, op_rows, program_shapes, row_deps, Operand,
+    Operands, PackedOperand, Resident, RowDep,
 };
 pub use export::{ExportError, Program, ProgramOp};
 pub use peval::{evaluate_program_partitioned, PevalError, RowPlan};

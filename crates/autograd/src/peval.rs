@@ -27,7 +27,9 @@ use std::fmt;
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
-use crate::eval::{leaf_value, neighbors, op_rows, row_deps, Operand, Operands, RowDep};
+use crate::eval::{
+    leaf_value, neighbors, op_rows, program_shapes, row_deps, Operand, Operands, RowDep,
+};
 use crate::export::{Program, ProgramOp};
 
 /// Why a program cannot be row-locally evaluated, or an evaluation failed.
@@ -43,6 +45,9 @@ pub enum PevalError {
     /// The partition list passed to [`evaluate_program_partitioned`] does
     /// not cover every output row exactly once.
     BadPartition(String),
+    /// Instruction `node` (`op`) does not fit its operands' shapes (see
+    /// [`crate::program_shapes`]); no kernel has run.
+    Shape { node: usize, op: &'static str, detail: String },
 }
 
 impl fmt::Display for PevalError {
@@ -58,13 +63,16 @@ impl fmt::Display for PevalError {
                 write!(f, "requested output row {row} of {rows}")
             }
             PevalError::BadPartition(msg) => write!(f, "bad partition: {msg}"),
+            PevalError::Shape { node, op, detail } => {
+                write!(f, "instruction {node} ({op}) does not fit its operands: {detail}")
+            }
         }
     }
 }
 
 impl std::error::Error for PevalError {}
 
-fn op_name(op: &ProgramOp) -> &'static str {
+pub(crate) fn op_name(op: &ProgramOp) -> &'static str {
     use ProgramOp::*;
     match op {
         Constant { .. } => "constant",
@@ -173,46 +181,10 @@ impl<'a> RowPlan<'a> {
         weights: Cow<'a, [(String, Tensor)]>,
         output: usize,
     ) -> Result<RowPlan<'a>, PevalError> {
-        // Shape inference (exact: mirrors each kernel's output shape).
-        let mut shapes: Vec<(usize, usize)> = Vec::with_capacity(ops.len());
-        for op in ops.iter() {
-            let s = |i: &usize| shapes[*i];
-            let shape = match op {
-                ProgramOp::Constant { .. } | ProgramOp::Param { .. } => {
-                    leaf_value(op, &weights)?.expect("leaf").shape()
-                }
-                ProgramOp::MatMul { a, b } => (s(a).0, s(b).1),
-                ProgramOp::SpMM { m, x } => (sparse[*m].shape().0, s(x).1),
-                ProgramOp::Add { a, .. }
-                | ProgramOp::Sub { a, .. }
-                | ProgramOp::Mul { a, .. }
-                | ProgramOp::Div { a, .. } => s(a),
-                ProgramOp::Scale { x, .. }
-                | ProgramOp::AddConst { x, .. }
-                | ProgramOp::Pow { x, .. }
-                | ProgramOp::Exp { x }
-                | ProgramOp::Relu { x }
-                | ProgramOp::LeakyRelu { x, .. }
-                | ProgramOp::Sigmoid { x }
-                | ProgramOp::Tanh { x }
-                | ProgramOp::LogSoftmax { x }
-                | ProgramOp::AddRowBroadcast { x, .. }
-                | ProgramOp::AddColBroadcast { x, .. }
-                | ProgramOp::MulColBroadcast { x, .. }
-                | ProgramOp::MulScalarNode { x, .. } => s(x),
-                ProgramOp::ConcatCols { parts } => {
-                    (s(&parts[0]).0, parts.iter().map(|p| s(p).1).sum())
-                }
-                ProgramOp::SliceCols { x, lo, hi } => (s(x).0, hi - lo),
-                ProgramOp::GatherRows { x, idx } => (idx.len(), s(x).1),
-                ProgramOp::SumAll { .. } => (1, 1),
-                ProgramOp::SumRows { x } => (1, s(x).1),
-                ProgramOp::SumCols { x, groups } => (s(x).0, *groups),
-                ProgramOp::MaxStack { parts } => s(&parts[0]),
-                ProgramOp::GatAggregate { z, .. } => s(z),
-            };
-            shapes.push(shape);
-        }
+        let sparse_shapes: Vec<(usize, usize)> = sparse.iter().map(|m| m.shape()).collect();
+        let shapes = program_shapes(&ops, &sparse_shapes, |name| {
+            weights.iter().find(|(n, _)| n == name).map(|(_, t)| t.shape())
+        })?;
         let n = shapes[output].0;
 
         // Which instructions may be fully materialized inside an O(partition)

@@ -11,8 +11,16 @@
 
 use lasagne_obs::TraceReport;
 
-const DEFAULT_REQUIRED: &[&str] =
-    &["spmm", "matmul", "epoch", "forward", "backward", "step", "checkpoint.save"];
+const DEFAULT_REQUIRED: &[&str] = &[
+    "spmm",
+    "matmul",
+    "epoch",
+    "forward",
+    "backward",
+    "step",
+    "checkpoint.save",
+    "envelope.serialize",
+];
 
 fn fail(msg: &str) -> ! {
     eprintln!("tracecheck: {msg}");

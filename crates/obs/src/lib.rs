@@ -225,8 +225,10 @@ pub fn counter_add(name: &'static str, delta: u64) {
 }
 
 /// [`counter_add`] for *time-valued* counters (e.g. per-worker pool busy
-/// time): in deterministic mode the value is recorded as 0 so the counter
-/// key stays present but the artifact stays byte-diffable.
+/// time) and counters that vary with timings (the bytes of a checkpoint
+/// that records epoch durations): in deterministic mode the value is
+/// recorded as 0 so the counter key stays present but the artifact stays
+/// byte-diffable.
 #[inline(always)]
 pub fn counter_add_ns(name: &'static str, ns: u64) {
     if !ENABLED.load(Ordering::Relaxed) {

@@ -17,7 +17,9 @@
 //! consumed at construction; what survives is the cache — plus, for models
 //! frozen with a graph binding, the streaming state that can patch it.
 
-use lasagne_autograd::{eval_all, Operands, PackedOperand, Program, ProgramOp, Resident};
+use lasagne_autograd::{
+    eval_all, program_shapes, Operands, PackedOperand, Program, ProgramOp, Resident,
+};
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
@@ -158,8 +160,10 @@ fn quant_binding<'w>(
 
 impl Engine {
     /// Evaluate `frozen`'s program over the whole graph and cache the
-    /// result. Fails if the program references a weight the file does not
-    /// carry, or if its output shape contradicts the metadata.
+    /// result. Fails before evaluating if the program references a weight
+    /// the file does not carry, if an instruction does not fit its
+    /// operands' shapes ([`program_shapes`]), or if its output shape
+    /// contradicts the metadata.
     pub fn new(frozen: FrozenModel) -> ServeResult<Engine> {
         lasagne_obs::span!("serve.engine.load");
         let quantized = frozen.is_quantized();
@@ -184,16 +188,22 @@ impl Engine {
         }
         let rec = frozen.rec;
         let program = frozen.program;
-        let (weights, packed) = quant_binding(&program, &frozen.weights);
-        let (values, logits) = resident(&program, &weights, &packed)?;
-        if logits.shape() != (frozen.meta.num_nodes, frozen.meta.num_classes) {
+        // No kernel runs on operands that do not fit it: a file's weights
+        // and ops are checked against each other first.
+        let sparse_shapes: Vec<_> = program.sparse.iter().map(|m| m.shape()).collect();
+        let shapes = program_shapes(&program.ops, &sparse_shapes, |name| {
+            frozen.weights.iter().find(|(n, _)| n == name).map(|(_, w)| w.shape())
+        })?;
+        if shapes[program.output] != (frozen.meta.num_nodes, frozen.meta.num_classes) {
             return Err(ServeError::Mismatch(format!(
                 "program output is {:?} but metadata says {} nodes × {} classes",
-                logits.shape(),
+                shapes[program.output],
                 frozen.meta.num_nodes,
                 frozen.meta.num_classes
             )));
         }
+        let (weights, packed) = quant_binding(&program, &frozen.weights);
+        let (values, logits) = resident(&program, &weights, &packed)?;
         let probs = logits.softmax_rows();
         let streaming = match frozen.graph {
             Some(g) => Some(StreamingState::new(program, g, weights, values)?),

@@ -203,6 +203,7 @@ impl From<PevalError> for ServeError {
                 "program is not row-local, cannot serve it partition-lazily: {e} \
                  (serve the resident engine instead)"
             )),
+            PevalError::Shape { .. } => ServeError::Mismatch(format!("frozen program: {e}")),
             other => ServeError::Internal(format!("partitioned evaluation: {other}")),
         }
     }

@@ -280,15 +280,16 @@ impl QuantMatrix {
             .and_then(Json::as_str)
             .and_then(hex_decode)
             .ok_or_else(|| parse("bad 'data' hex payload"))?;
-        let want_bytes = match mode {
-            QuantMode::I8 => rows * cols,
-            QuantMode::F16 => rows * cols * 2,
+        let bytes_per_value = match mode {
+            QuantMode::I8 => 1,
+            QuantMode::F16 => 2,
         };
+        let want_bytes = rows.checked_mul(cols).and_then(|n| n.checked_mul(bytes_per_value));
         let want_scales = match mode {
             QuantMode::I8 => rows,
             QuantMode::F16 => 0,
         };
-        if data.len() != want_bytes || scales.len() != want_scales {
+        if want_bytes != Some(data.len()) || scales.len() != want_scales {
             return Err(ServeError::Mismatch(format!(
                 "quant weight: {} payload bytes / {} scales for a {rows}x{cols} {} matrix",
                 data.len(),
@@ -369,6 +370,22 @@ mod tests {
             let back = QuantMatrix::from_json(&q.to_json()).expect("parse");
             assert_eq!(q, back);
         }
+    }
+
+    #[test]
+    fn a_shape_whose_size_overflows_is_a_mismatch() {
+        let q = QuantMatrix::quantize(&Tensor::from_fn(1, 64, |_, j| j as f32), QuantMode::F16);
+        let Json::Obj(mut fields) = q.to_json() else { panic!("object") };
+        for (k, v) in &mut fields {
+            match k.as_str() {
+                // 2^63 × 1 × 2 bytes wraps to 0 in unchecked arithmetic.
+                "rows" => *v = Json::Num(2f64.powi(63)),
+                "cols" => *v = Json::Num(1.0),
+                "data" => *v = Json::Str(String::new()),
+                _ => {}
+            }
+        }
+        assert!(matches!(QuantMatrix::from_json(&Json::Obj(fields)), Err(ServeError::Mismatch(_))));
     }
 
     #[test]

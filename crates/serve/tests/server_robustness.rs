@@ -10,8 +10,10 @@ use std::net::TcpStream;
 
 use lasagne_gnn::{models, GraphContext, Hyper};
 use lasagne_graph::generators::{dc_sbm, DcSbmConfig};
-use lasagne_serve::{freeze, Client, Engine, FrozenModel, Request, Server, ServerConfig};
-use lasagne_tensor::TensorRng;
+use lasagne_serve::{
+    freeze, Client, Engine, FrozenModel, FrozenWeight, LazyEngine, Request, Server, ServerConfig,
+};
+use lasagne_tensor::{Tensor, TensorRng};
 use lasagne_testkit::Json;
 
 const IN_DIM: usize = 6;
@@ -391,4 +393,74 @@ fn frozen_file_round_trips_through_disk() {
         assert_eq!(a, b, "node {node}: disk round-trip changed the logits");
     }
     let _ = std::fs::remove_file(path);
+}
+
+/// Checksum-valid frozen files whose weights do not fit their program: the
+/// first-layer weight transposed (the right element count in the wrong
+/// shape), and the same weight declared `2^63 × 2` with no data (a size
+/// that wraps to 0 in unchecked arithmetic).
+fn ill_fitting_artifacts(tag: &str) -> Vec<(&'static str, std::path::PathBuf)> {
+    let frozen = tiny_frozen();
+    let slot = frozen
+        .weights
+        .iter()
+        .position(|(_, w)| matches!(w.shape(), (r, c) if r > 1 && c > 1 && r != c))
+        .expect("a non-square weight");
+    let path = |what: &str| {
+        std::env::temp_dir()
+            .join(format!("lasagne-serve-{tag}-{what}-{}.json", std::process::id()))
+    };
+
+    let mut transposed = frozen.clone();
+    let t = transposed.weights[slot].1.to_tensor();
+    let data = t.as_slice().to_vec();
+    transposed.weights[slot].1 =
+        FrozenWeight::Exact(Tensor::from_vec(t.cols(), t.rows(), data).expect("transpose"));
+    transposed.save(&path("transposed")).expect("save transposed");
+
+    let mut body = frozen.to_json();
+    let Json::Obj(fields) = &mut body else { panic!("body is an object") };
+    let Some((_, Json::Arr(weights))) = fields.iter_mut().find(|(k, _)| k == "weights") else {
+        panic!("weights array")
+    };
+    let Json::Obj(weight) = &mut weights[slot] else { panic!("weight is an object") };
+    for (k, v) in weight.iter_mut() {
+        match k.as_str() {
+            "rows" => *v = Json::Num(2f64.powi(63)),
+            "cols" => *v = Json::Num(2.0),
+            "data" => *v = Json::Arr(Vec::new()),
+            _ => {}
+        }
+    }
+    lasagne_train::atomic_write_envelope(&path("overflowing"), body).expect("save overflowing");
+    vec![("transposed", path("transposed")), ("overflowing", path("overflowing"))]
+}
+
+#[test]
+fn ill_fitting_weights_fail_typed_on_both_engines() {
+    for (what, path) in ill_fitting_artifacts("load") {
+        let resident = Engine::load_path(&path).err().unwrap_or_else(|| panic!("{what} loaded"));
+        assert_eq!(resident.kind(), "mismatch", "{what}: {resident}");
+        let lazy = LazyEngine::load_path(&path, 2).err().unwrap_or_else(|| panic!("{what} loaded"));
+        assert_eq!(lazy.kind(), "mismatch", "{what}: {lazy}");
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn swapping_in_ill_fitting_weights_answers_typed_and_keeps_the_old_model() {
+    let (server, addr) = start_server(false);
+    let mut client = Client::connect(&addr).expect("connect");
+    for (what, path) in ill_fitting_artifacts("swap") {
+        let doc = client
+            .call(&Request::SwapModel { path: path.display().to_string() })
+            .unwrap_or_else(|e| panic!("{what}: swap must be answered, got {e}"));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{what}");
+        assert_eq!(error_kind(&doc), "mismatch", "{what}");
+        let pred = client.call_ok(&Request::Predict { node: 0 }).expect("predict after swap");
+        assert_eq!(pred.get("model_version").and_then(Json::as_usize), Some(1), "{what}");
+        let _ = std::fs::remove_file(path);
+    }
+    assert_eq!(server.model_version(), 1);
+    assert_healthy(&addr);
 }

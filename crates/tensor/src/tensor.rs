@@ -86,9 +86,10 @@ impl Tensor {
         t
     }
 
-    /// Build from a row-major buffer. Fails if `data.len() != rows * cols`.
+    /// Build from a row-major buffer. Fails if `data.len() != rows * cols`,
+    /// including when `rows * cols` overflows `usize`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> crate::Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(TensorError::LengthMismatch {
                 rows,
                 cols,
@@ -348,6 +349,15 @@ mod tests {
         assert!(Tensor::from_vec(2, 2, vec![1.0; 4]).is_ok());
         let err = Tensor::from_vec(2, 2, vec![1.0; 3]).unwrap_err();
         assert!(matches!(err, TensorError::LengthMismatch { len: 3, .. }));
+    }
+
+    #[test]
+    fn from_vec_rejects_a_shape_whose_size_overflows() {
+        // 2^63 × 2 wraps to 0 in unchecked arithmetic, which an empty buffer
+        // would then "fill".
+        let err = Tensor::from_vec(1 << 63, 2, Vec::new()).unwrap_err();
+        assert!(matches!(err, TensorError::LengthMismatch { cols: 2, len: 0, .. }));
+        assert!(Tensor::from_vec(usize::MAX, usize::MAX, Vec::new()).is_err());
     }
 
     #[test]

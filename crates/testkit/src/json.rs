@@ -66,10 +66,13 @@ impl Json {
         }
     }
 
-    /// The number as `u64`, if this is a non-negative integral number.
+    /// The number as `u64`, if this is a non-negative integral number below
+    /// 2^64.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64 itself, which must not
+            // saturate to `u64::MAX`.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -530,6 +533,18 @@ mod tests {
         assert_eq!(j.get("a").unwrap().to_f32s().unwrap(), vec![1.5, 2.0]);
         assert!(j.get("missing").is_none());
         assert!(j.get("s").unwrap().as_f64().is_none());
+    }
+
+    #[test]
+    fn as_u64_rejects_values_from_two_to_the_64() {
+        let two_64 = 2f64.powi(64);
+        assert_eq!(Json::Num(two_64).as_u64(), None);
+        assert_eq!(Json::Num(two_64 * 2.0).as_u64(), None);
+        // The largest f64 below 2^64 and 2^63 are exact u64s.
+        let below = f64::from_bits(two_64.to_bits() - 1);
+        assert_eq!(Json::Num(below).as_u64(), Some(below as u64));
+        assert_eq!(Json::Num(2f64.powi(63)).as_u64(), Some(1 << 63));
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
     }
 
     #[test]

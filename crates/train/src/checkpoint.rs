@@ -6,12 +6,14 @@
 //! {"format_version":2,"checksum":"<fnv1a64 hex>","body":{...}}
 //! ```
 //!
-//! where `checksum` is the FNV-1a 64-bit hash of the serialized `body`.
-//! The workspace JSON codec is byte-deterministic and exactly round-trips
-//! every `f64`, so the loader re-serializes the parsed body and compares
-//! hashes: any torn write or bit flip is detected as [`TrainError::Corrupt`]
-//! before a single weight is loaded. Writes go to a temp file first and are
-//! published with an atomic `rename`, and train-state saves rotate the
+//! where `checksum` is the FNV-1a 64-bit hash of the serialized `body`,
+//! written as 16 lowercase hex digits, and the document has exactly this
+//! layout: no whitespace, keys in this order. The writer serializes the
+//! body once and splices it in; the loader hashes the body bytes as
+//! stored, then parses them. A version-2 document in any other layout is
+//! [`TrainError::Corrupt`], so any torn write or changed byte fails typed
+//! before a single weight is loaded. Writes go to a temp file first and
+//! are published with an atomic `rename`, and train-state saves rotate the
 //! previous file to a `.prev` generation so a corrupted latest checkpoint
 //! still leaves a loadable one behind.
 //!
@@ -25,6 +27,7 @@
 //!   [`load_train_state`]), so `fit` can resume bit-identically after a
 //!   kill ([`crate::fit_with_options`]).
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use lasagne_autograd::{AdamState, ParamId, ParamStore};
@@ -35,7 +38,7 @@ use crate::error::{TrainError, TrainResult};
 use crate::trainer::EpochStats;
 
 /// Current on-disk format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u64 = 2;
 
 /// FNV-1a 64-bit hash — the checkpoint content checksum. Not cryptographic;
 /// it detects the accidental corruption (torn writes, bit rot) that kills
@@ -53,21 +56,56 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> TrainError {
     TrainError::Io(format!("{}: {e}", path.display()))
 }
 
+/// A v2 document's bytes up to its checksum digits: the serialization of
+/// `{"format_version": FORMAT_VERSION, "checksum": "…`.
+const V2_HEAD: &[u8] = br#"{"format_version":2,"checksum":""#;
+/// The bytes between the checksum digits and the body.
+const V2_BODY_KEY: &[u8] = br#"","body":"#;
+
 /// Serialize `body` under a checksum envelope and publish it atomically:
 /// write to `<path>.tmp`, then `rename` over `path` (a crash mid-write
 /// leaves the old file intact, never a half-written new one). Public so
 /// other on-disk artifacts (frozen models in `lasagne-serve`) share the
 /// exact same envelope and durability guarantees.
+///
+/// The body is serialized once and written after the head and checksum
+/// digits, followed by a closing `}`: the same bytes as serializing the
+/// whole `{format_version, checksum, body}` object.
 pub fn atomic_write_envelope(path: &Path, body: Json) -> TrainResult<()> {
-    let body_text = body.to_string();
-    let doc = Json::Obj(vec![
-        ("format_version".into(), Json::Num(FORMAT_VERSION as f64)),
-        ("checksum".into(), Json::Str(format!("{:016x}", fnv1a64(body_text.as_bytes())))),
-        ("body".into(), body),
-    ]);
+    let (body_text, checksum) = {
+        lasagne_obs::span!("envelope.serialize");
+        let text = body.to_string();
+        let checksum = format!("{:016x}", fnv1a64(text.as_bytes()));
+        (text, checksum)
+    };
+    // Checkpoint sizes vary with the epoch timings they record, so the byte
+    // count is zeroed in deterministic traces like a duration.
+    let len = V2_HEAD.len() + checksum.len() + V2_BODY_KEY.len() + body_text.len() + 1;
+    lasagne_obs::counter_add_ns("envelope.bytes", len as u64);
     let tmp = sibling(path, "tmp");
-    std::fs::write(&tmp, doc.to_string()).map_err(|e| io_err(&tmp, e))?;
+    let write = || -> std::io::Result<()> {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(V2_HEAD)?;
+        file.write_all(checksum.as_bytes())?;
+        file.write_all(V2_BODY_KEY)?;
+        file.write_all(body_text.as_bytes())?;
+        file.write_all(b"}")
+    };
+    write().map_err(|e| io_err(&tmp, e))?;
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+}
+
+/// The stored checksum and body bytes of a v2 file in the layout
+/// [`atomic_write_envelope`] writes; `None` for anything else.
+fn split_v2(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    let rest = bytes.strip_prefix(V2_HEAD)?;
+    let (hex, rest) = (rest.get(..16)?, &rest[16..]);
+    if !hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
+    let body = rest.strip_prefix(V2_BODY_KEY)?.strip_suffix(b"}")?;
+    let stored = u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+    Some((stored, body))
 }
 
 /// `<path>.<suffix>` alongside the checkpoint (keeps the original extension,
@@ -86,33 +124,44 @@ pub fn previous_generation(path: &Path) -> PathBuf {
 
 /// Read `path`, verify the checksum envelope, and return the body. Accepts
 /// legacy v1 documents (no checksum) for params-only checkpoints.
+///
+/// A v2 file in the writer's layout is one pass: hash the body bytes as
+/// stored ([`TrainError::Corrupt`] on a mismatch), then parse them. Anything
+/// else is parsed whole: version 1 is returned as is, version 2 in any other
+/// layout is `Corrupt`, and other versions are [`TrainError::Mismatch`].
 pub fn read_envelope(path: &Path) -> TrainResult<Json> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let doc = Json::parse(&text).map_err(|e| TrainError::Parse(format!("{}: {e}", path.display())))?;
+    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
+    lasagne_obs::counter_add_ns("envelope.bytes", bytes.len() as u64);
+    let parse = |b: &[u8]| -> TrainResult<Json> {
+        lasagne_obs::span!("envelope.parse");
+        let err = |e: &dyn std::fmt::Display| TrainError::Parse(format!("{}: {e}", path.display()));
+        let text = std::str::from_utf8(b).map_err(|e| err(&e))?;
+        Json::parse(text).map_err(|e| err(&e))
+    };
+    if let Some((stored, body)) = split_v2(&bytes) {
+        let actual = {
+            lasagne_obs::span!("envelope.verify");
+            fnv1a64(body)
+        };
+        if actual != stored {
+            return Err(TrainError::Corrupt(format!(
+                "{}: checksum {actual:016x} != stored {stored:016x}",
+                path.display()
+            )));
+        }
+        return parse(body);
+    }
+    let doc = parse(&bytes)?;
     let version = doc
         .get("format_version")
         .and_then(Json::as_u64)
-        .ok_or_else(|| TrainError::Parse("missing format_version".into()))? as u32;
+        .ok_or_else(|| TrainError::Parse("missing format_version".into()))?;
     match version {
         1 => Ok(doc), // v1: the document itself is the body, no checksum.
-        2 => {
-            let stored = doc
-                .get("checksum")
-                .and_then(Json::as_str)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or_else(|| TrainError::Parse("missing or malformed checksum".into()))?;
-            let body = doc
-                .get("body")
-                .ok_or_else(|| TrainError::Parse("missing body".into()))?;
-            let actual = fnv1a64(body.to_string().as_bytes());
-            if actual != stored {
-                return Err(TrainError::Corrupt(format!(
-                    "{}: checksum {actual:016x} != stored {stored:016x}",
-                    path.display()
-                )));
-            }
-            Ok(body.clone())
-        }
+        FORMAT_VERSION => Err(TrainError::Corrupt(format!(
+            "{}: format version 2 document is not in the checksummed layout",
+            path.display()
+        ))),
         v => Err(TrainError::Mismatch(format!("unsupported format version {v}"))),
     }
 }
@@ -136,7 +185,9 @@ pub fn tensor_from_json(j: &Json) -> TrainResult<Tensor> {
     let rows = field("rows")?.as_usize().ok_or_else(|| TrainError::Parse("'rows' not an integer".into()))?;
     let cols = field("cols")?.as_usize().ok_or_else(|| TrainError::Parse("'cols' not an integer".into()))?;
     let data = field("data")?.to_f32s().ok_or_else(|| TrainError::Parse("'data' not a number array".into()))?;
-    Tensor::from_vec(rows, cols, data).map_err(|e| TrainError::Parse(e.to_string()))
+    // The document parsed; a declared shape its data does not fill is a
+    // shape mismatch.
+    Tensor::from_vec(rows, cols, data).map_err(|e| TrainError::Mismatch(e.to_string()))
 }
 
 pub fn named_param_to_json(name: &str, t: &Tensor) -> Json {
@@ -578,6 +629,106 @@ mod tests {
             matches!(err, TrainError::Corrupt(_) | TrainError::Parse(_)),
             "flip must be caught, got: {err}"
         );
+        let _ = std::fs::remove_file(path);
+        Ok(())
+    }
+
+    #[test]
+    fn writer_bytes_equal_the_whole_document_serialization() -> TrainResult<()> {
+        let body = Json::Obj(vec![
+            ("kind".into(), Json::Str("esc \" \\ \n \t \u{1} ünï 🎉".into())),
+            (
+                "nested".into(),
+                Json::Obj(vec![
+                    (
+                        "values".into(),
+                        Json::Arr(vec![
+                            Json::Num(-0.0),
+                            Json::Num(3.0),
+                            Json::Num(-17.0),
+                            Json::Num(0.1),
+                            Json::Num(2f64.powi(63)),
+                            Json::Null,
+                            Json::Bool(true),
+                        ]),
+                    ),
+                    ("empty".into(), Json::Obj(Vec::new())),
+                ]),
+            ),
+        ]);
+        // The reference: the envelope serialized as one object, which is how
+        // every v2 file was written before the body was spliced in.
+        let reference = Json::Obj(vec![
+            ("format_version".into(), Json::Num(FORMAT_VERSION as f64)),
+            ("checksum".into(), Json::Str(format!("{:016x}", fnv1a64(body.to_string().as_bytes())))),
+            ("body".into(), body.clone()),
+        ])
+        .to_string();
+        let path = temp_path("writer");
+        atomic_write_envelope(&path, body.clone())?;
+        let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
+        assert_eq!(String::from_utf8(bytes).expect("utf-8"), reference);
+        assert_eq!(read_envelope(&path)?, body);
+        let _ = std::fs::remove_file(path);
+        Ok(())
+    }
+
+    #[test]
+    fn every_one_bit_flip_fails_typed() -> TrainResult<()> {
+        let path = temp_path("every-flip");
+        save_params(&sample_store(5), &path)?;
+        let pristine = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
+        let version_digit = V2_HEAD.len() - br#","checksum":""#.len() - 1;
+        assert_eq!(pristine[version_digit], b'2');
+        for at in 0..pristine.len() {
+            for bit in 0..8 {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= 1 << bit;
+                std::fs::write(&path, &bytes).map_err(|e| io_err(&path, e))?;
+                match load_params(&mut sample_store(5), &path) {
+                    Err(TrainError::Corrupt(_) | TrainError::Parse(_)) => {}
+                    // A flip of the version digit to another digit leaves a
+                    // well-formed document declaring an unsupported version.
+                    Err(TrainError::Mismatch(m))
+                        if at == version_digit && bytes[at].is_ascii_digit() =>
+                    {
+                        assert!(m.contains("unsupported format version"), "{m}");
+                    }
+                    other => panic!("byte {at} ^ {:#04x}: {other:?}", 1u8 << bit),
+                }
+            }
+        }
+        let _ = std::fs::remove_file(path);
+        Ok(())
+    }
+
+    #[test]
+    fn a_v2_document_in_another_layout_is_corrupt() -> TrainResult<()> {
+        let path = temp_path("layout");
+        let body = Json::Obj(vec![
+            ("kind".into(), Json::Str("params".into())),
+            ("params".into(), store_params_to_json(&sample_store(6))),
+        ]);
+        let text = body.to_string();
+        let checksum = format!("{:016x}", fnv1a64(text.as_bytes()));
+        assert!(checksum.bytes().any(|b| b.is_ascii_alphabetic()), "case must matter");
+        // Each is a JSON document carrying the true checksum of the canonical
+        // body text, and each loaded before the loader hashed stored bytes.
+        let spaced = text.replace(',', ", ").replace(':', ": ");
+        for doc in [
+            format!(r#"{{"format_version": 2, "checksum": "{checksum}", "body": {spaced}}}"#),
+            format!(r#"{{"format_version":2,"checksum":"{checksum}","body":{text}}}"#) + "\n",
+            format!(r#"{{"checksum":"{checksum}","format_version":2,"body":{text}}}"#),
+            format!(r#"{{"format_version":2,"checksum":"{}","body":{text}}}"#, checksum.to_uppercase()),
+        ] {
+            std::fs::write(&path, &doc).map_err(|e| io_err(&path, e))?;
+            let err = load_params(&mut sample_store(6), &path).unwrap_err();
+            assert!(matches!(err, TrainError::Corrupt(_)), "{err}: {doc:.60}");
+        }
+        // The same body in the writer's layout loads.
+        let canonical = format!(r#"{{"format_version":2,"checksum":"{checksum}","body":{text}}}"#);
+        std::fs::write(&path, canonical).map_err(|e| io_err(&path, e))?;
+        load_params(&mut sample_store(7), &path)?;
         let _ = std::fs::remove_file(path);
         Ok(())
     }

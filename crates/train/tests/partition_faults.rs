@@ -61,10 +61,10 @@ fn flipped_bits_in_block_files_always_fail_typed_or_load_pristine() {
                 | TrainError::Io(_)
                 | TrainError::Mismatch(_),
             ) => {}
-            // One benign corner exists: a flip inside the checksum's hex
-            // string that only changes letter case parses to the same u64.
-            // Loading is then allowed — but only if the payload is exactly
-            // the pristine block, bit for bit. Anything else is garbage.
+            // The loader hashes the stored bytes and accepts only the
+            // writer's layout, so no flip should load (an upper-cased
+            // checksum digit is `Corrupt` too). If one ever does, the
+            // payload must be the pristine block, bit for bit.
             Ok(loaded) => assert_same_block(&pristine[b], &loaded),
             Err(e) => panic!(
                 "trial {trial}: flip at byte {offset} ({was:#04x}->{now:#04x}) \

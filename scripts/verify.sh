@@ -12,8 +12,13 @@ cargo build --release --offline
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
-echo "== fault-injection smoke (rollback, checksum fallback, bit-identical resume) =="
-cargo test -q --offline -p lasagne-train --test fault_injection
+echo "== lasagne-train, whole crate, at 1 and 4 threads =="
+# Its unit tests (the checkpoint envelope: writer bytes, every one-bit flip
+# failing typed, non-canonical layouts, truncation, .prev fallback), fault
+# injection (rollback, checksum fallback, bit-identical resume), the trace
+# determinism suite, and the partition equivalence and fault suites.
+LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-train
+LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-train
 
 echo "== release CLI links with --resume/--max-recoveries/--clip-norm =="
 cargo run --release --offline --bin lasagne-cli -- --list > /dev/null
@@ -68,6 +73,8 @@ echo "== MI golden tests (closed-form histogram + KSG cases) =="
 cargo test -q --offline -p lasagne-mi --test golden
 
 echo "== trace: artifact is valid and has the expected spans =="
+# The --resume run saves a checkpoint every epoch, so tracecheck's required
+# spans include the envelope write (`envelope.serialize`).
 rm -f target/verify_trace.ckpt.json
 cargo run --release --offline --bin lasagne-cli -- \
     cora gcn --epochs 3 --resume target/verify_trace.ckpt.json \
@@ -195,12 +202,10 @@ echo "== partitioning: property suite + equivalence harnesses at 1 and 4 threads
 # The partition-equivalence contract (DESIGN.md §14): partitioned eval,
 # streamed out-of-core training, and lazy partitioned serving are bitwise
 # identical to the resident paths, at both pool sizes; corrupted partition
-# blocks always fail typed.
+# blocks always fail typed. The lasagne-train suites (partition_equiv,
+# partition_faults) run with the whole crate above.
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-graph --test partition
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-graph --test partition
-LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-train --test partition_equiv
-LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-train --test partition_equiv
-cargo test -q --offline -p lasagne-train --test partition_faults
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test partition_equiv
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test partition_equiv
 
