@@ -4,6 +4,8 @@
 
 use lasagne_tensor::Tensor;
 
+use crate::export::ProgramOp;
+use crate::ops_graph::gat_attention;
 use crate::tape::{NodeId, Op, Tape};
 use crate::ParamStore;
 
@@ -31,13 +33,13 @@ impl Tape {
         }
     }
 
-    /// Accumulate `delta` into the pending gradient of `target` (skipping
-    /// nodes that don't need gradients).
-    fn acc(&self, grads: &mut [Option<Tensor>], target: NodeId, delta: Tensor) {
-        if !self.nodes[target.0].needs_grad {
+    /// Accumulate `delta` into the pending gradient of node `target`
+    /// (skipping nodes that don't need gradients).
+    fn acc(&self, grads: &mut [Option<Tensor>], target: usize, delta: Tensor) {
+        if !self.nodes[target].needs_grad {
             return;
         }
-        match &mut grads[target.0] {
+        match &mut grads[target] {
             Some(g) => g.add_assign(&delta),
             slot @ None => *slot = Some(delta),
         }
@@ -51,142 +53,167 @@ impl Tape {
         store: &mut ParamStore,
     ) {
         let out = &self.nodes[id].value;
-        match &self.nodes[id].op {
-            Op::Constant => {}
-            Op::Param(pid) => store.accumulate_grad(*pid, g),
-
-            Op::MatMul(a, b) => {
-                if self.needs_grad(*a) {
-                    self.acc(grads, *a, g.matmul_nt(self.value(*b)));
+        let value = |j: usize| &self.nodes[j].value;
+        let needs = |j: usize| self.nodes[j].needs_grad;
+        let op = match &self.nodes[id].op {
+            Op::Constant => return,
+            Op::Param(pid) => return store.accumulate_grad(*pid, g),
+            Op::Dropout { x, mask } => return self.acc(grads, *x, g.mul(mask)),
+            Op::Gate { x, p, mask } => {
+                if needs(*x) {
+                    self.acc(grads, *x, g.mul_col_broadcast(mask));
                 }
-                if self.needs_grad(*b) {
-                    self.acc(grads, *b, self.value(*a).matmul_tn(g));
+                if needs(*p) {
+                    // Straight-through: d/dp ≈ d/dmask = Σ_j g[i,j]·x[i,j].
+                    self.acc(grads, *p, g.mul(value(*x)).sum_cols());
+                }
+                return;
+            }
+            Op::Nll { logp, labels, idx } => {
+                let lv = value(*logp);
+                let mut d = Tensor::zeros(lv.rows(), lv.cols());
+                let w = -g.get(0, 0) / idx.len() as f32;
+                for &i in idx.iter() {
+                    d[(i, labels[i])] += w;
+                }
+                return self.acc(grads, *logp, d);
+            }
+            Op::Program(op) => op,
+        };
+        use ProgramOp::*;
+        match op {
+            Constant { .. } | Param { .. } => {}
+            MatMul { a, b } => {
+                if needs(*a) {
+                    self.acc(grads, *a, g.matmul_nt(value(*b)));
+                }
+                if needs(*b) {
+                    self.acc(grads, *b, value(*a).matmul_tn(g));
                 }
             }
-            Op::SpMM { m, x } => {
-                if self.needs_grad(*x) {
-                    self.acc(grads, *x, m.spmm_t(g));
+            SpMM { m, x } => {
+                if needs(*x) {
+                    self.acc(grads, *x, self.sparse[*m].spmm_t(g));
                 }
             }
 
-            Op::Add(a, b) => {
+            Add { a, b } => {
                 self.acc(grads, *a, g.clone());
                 self.acc(grads, *b, g.clone());
             }
-            Op::Sub(a, b) => {
+            Sub { a, b } => {
                 self.acc(grads, *a, g.clone());
                 self.acc(grads, *b, g.scale(-1.0));
             }
-            Op::Mul(a, b) => {
-                if self.needs_grad(*a) {
-                    self.acc(grads, *a, g.mul(self.value(*b)));
+            Mul { a, b } => {
+                if needs(*a) {
+                    self.acc(grads, *a, g.mul(value(*b)));
                 }
-                if self.needs_grad(*b) {
-                    self.acc(grads, *b, g.mul(self.value(*a)));
+                if needs(*b) {
+                    self.acc(grads, *b, g.mul(value(*a)));
                 }
             }
-            Op::Div(a, b) => {
-                let bv = self.value(*b);
-                if self.needs_grad(*a) {
+            Div { a, b } => {
+                let bv = value(*b);
+                if needs(*a) {
                     self.acc(grads, *a, g.div(bv));
                 }
-                if self.needs_grad(*b) {
+                if needs(*b) {
                     // d/db (a/b) = -a / b²
-                    let d = g.mul(self.value(*a)).div(bv).div(bv).scale(-1.0);
+                    let d = g.mul(value(*a)).div(bv).div(bv).scale(-1.0);
                     self.acc(grads, *b, d);
                 }
             }
-            Op::Scale(x, alpha) => self.acc(grads, *x, g.scale(*alpha)),
-            Op::AddConst(x, _) => self.acc(grads, *x, g.clone()),
-            Op::Pow { x, p, eps } => {
-                let xv = self.value(*x);
+            Scale { x, alpha } => self.acc(grads, *x, g.scale(*alpha)),
+            AddConst { x, .. } => self.acc(grads, *x, g.clone()),
+            Pow { x, p, eps } => {
+                let xv = value(*x);
                 let d = Tensor::from_fn(xv.rows(), xv.cols(), |i, j| {
                     p * (xv.get(i, j) + eps).powf(p - 1.0)
                 });
                 self.acc(grads, *x, g.mul(&d));
             }
 
-            Op::Exp(x) => {
+            Exp { x } => {
                 // d/dx e^x = e^x = out.
                 self.acc(grads, *x, g.mul(out));
             }
-            Op::Relu(x) => {
+            Relu { x } => {
                 let d = g.mul(&out.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
                 self.acc(grads, *x, d);
             }
-            Op::LeakyRelu(x, slope) => {
+            LeakyRelu { x, slope } => {
                 // slope > 0 ⇒ output sign mirrors input sign.
                 let s = *slope;
                 let d = g.mul(&out.map(|v| if v >= 0.0 { 1.0 } else { s }));
                 self.acc(grads, *x, d);
             }
-            Op::Sigmoid(x) => {
+            Sigmoid { x } => {
                 let d = g.mul(&out.map(|y| y * (1.0 - y)));
                 self.acc(grads, *x, d);
             }
-            Op::Tanh(x) => {
+            Tanh { x } => {
                 let d = g.mul(&out.map(|y| 1.0 - y * y));
                 self.acc(grads, *x, d);
             }
-            Op::Dropout { x, mask } => self.acc(grads, *x, g.mul(mask)),
 
-            Op::AddRowBroadcast(x, b) => {
+            AddRowBroadcast { x, b } => {
                 self.acc(grads, *x, g.clone());
-                if self.needs_grad(*b) {
+                if needs(*b) {
                     self.acc(grads, *b, g.sum_rows());
                 }
             }
-            Op::AddColBroadcast(x, c) => {
+            AddColBroadcast { x, c } => {
                 self.acc(grads, *x, g.clone());
-                if self.needs_grad(*c) {
+                if needs(*c) {
                     self.acc(grads, *c, g.sum_cols());
                 }
             }
-            Op::MulColBroadcast(x, c) => {
-                if self.needs_grad(*x) {
-                    self.acc(grads, *x, g.mul_col_broadcast(self.value(*c)));
+            MulColBroadcast { x, c } => {
+                if needs(*x) {
+                    self.acc(grads, *x, g.mul_col_broadcast(value(*c)));
                 }
-                if self.needs_grad(*c) {
-                    self.acc(grads, *c, g.mul(self.value(*x)).sum_cols());
+                if needs(*c) {
+                    self.acc(grads, *c, g.mul(value(*x)).sum_cols());
                 }
             }
-            Op::MulScalarNode(x, s) => {
-                let sv = self.value(*s).get(0, 0);
-                if self.needs_grad(*x) {
+            MulScalarNode { x, s } => {
+                let sv = value(*s).get(0, 0);
+                if needs(*x) {
                     self.acc(grads, *x, g.scale(sv));
                 }
-                if self.needs_grad(*s) {
-                    self.acc(grads, *s, Tensor::full(1, 1, g.dot(self.value(*x))));
+                if needs(*s) {
+                    self.acc(grads, *s, Tensor::full(1, 1, g.dot(value(*x))));
                 }
             }
 
-            Op::LogSoftmax(x) => {
+            LogSoftmax { x } => {
                 // dx = g − softmax(x) ⊙ rowsum(g); out already holds log p.
                 let sm = out.map(f32::exp);
                 let row_sums = g.sum_cols();
                 let d = g.sub(&sm.mul_col_broadcast(&row_sums));
                 self.acc(grads, *x, d);
             }
-            Op::ConcatCols(parts) => {
+            ConcatCols { parts } => {
                 let mut off = 0;
                 for &p in parts {
-                    let w = self.value(p).cols();
-                    if self.needs_grad(p) {
+                    let w = value(p).cols();
+                    if needs(p) {
                         self.acc(grads, p, g.slice_cols(off, off + w));
                     }
                     off += w;
                 }
             }
-            Op::SliceCols { x, lo, hi } => {
-                let xv = self.value(*x);
+            SliceCols { x, lo, hi } => {
+                let xv = value(*x);
                 let mut d = Tensor::zeros(xv.rows(), xv.cols());
                 for i in 0..g.rows() {
                     d.row_mut(i)[*lo..*hi].copy_from_slice(g.row(i));
                 }
                 self.acc(grads, *x, d);
             }
-            Op::GatherRows { x, idx } => {
-                let xv = self.value(*x);
+            GatherRows { x, idx } => {
+                let xv = value(*x);
                 let mut d = Tensor::zeros(xv.rows(), xv.cols());
                 for (k, &src) in idx.iter().enumerate() {
                     let row = g.row(k);
@@ -197,64 +224,51 @@ impl Tape {
                 self.acc(grads, *x, d);
             }
 
-            Op::SumAll(x) => {
-                let xv = self.value(*x);
-                self.acc(
-                    grads,
-                    *x,
-                    Tensor::full(xv.rows(), xv.cols(), g.get(0, 0)),
-                );
+            SumAll { x } => {
+                let xv = value(*x);
+                self.acc(grads, *x, Tensor::full(xv.rows(), xv.cols(), g.get(0, 0)));
             }
-            Op::SumRows(x) => {
-                let xv = self.value(*x);
+            SumRows { x } => {
+                let xv = value(*x);
                 let d = Tensor::zeros(xv.rows(), xv.cols()).add_row_broadcast(g);
                 self.acc(grads, *x, d);
             }
-            Op::SumCols { x, groups } => {
+            SumCols { x, groups } => {
                 // Each gradient column over its group, added to `+0.0` as
                 // a broadcast into zeros does.
-                let xv = self.value(*x);
+                let xv = value(*x);
                 let w = xv.cols() / groups;
                 let d = Tensor::from_fn(xv.rows(), xv.cols(), |i, j| 0.0 + g.get(i, j / w));
                 self.acc(grads, *x, d);
             }
 
-            Op::MaxStack { parts, argmax } => {
-                for (k, &p) in parts.iter().enumerate() {
-                    if !self.needs_grad(p) {
-                        continue;
-                    }
-                    let pv = self.value(p);
-                    let mut d = Tensor::zeros(pv.rows(), pv.cols());
-                    for (pos, dv) in d.as_mut_slice().iter_mut().enumerate() {
-                        if argmax[pos] == k as u32 {
-                            *dv = g.as_slice()[pos];
+            MaxStack { parts } => {
+                // The strict-`>` fold's winner at each position is the first
+                // part holding the output's bits: a `NaN` first part, and
+                // the earliest of tied parts (`-0.0` and `+0.0` included).
+                let mut won = vec![false; out.len()];
+                for &p in parts {
+                    let pv = value(p).as_slice();
+                    let mut d = needs(p).then(|| Tensor::zeros(value(p).rows(), value(p).cols()));
+                    for (pos, (&o, &v)) in out.as_slice().iter().zip(pv).enumerate() {
+                        if !won[pos] && v.to_bits() == o.to_bits() {
+                            won[pos] = true;
+                            if let Some(d) = &mut d {
+                                d.as_mut_slice()[pos] = g.as_slice()[pos];
+                            }
                         }
                     }
-                    self.acc(grads, p, d);
+                    if let Some(d) = d {
+                        self.acc(grads, p, d);
+                    }
                 }
-            }
-            Op::StMulCol { x, p, mask } => {
-                if self.needs_grad(*x) {
-                    self.acc(grads, *x, g.mul_col_broadcast(mask));
-                }
-                if self.needs_grad(*p) {
-                    // Straight-through: d/dp ≈ d/dmask = Σ_j g[i,j]·x[i,j].
-                    self.acc(grads, *p, g.mul(self.value(*x)).sum_cols());
-                }
-            }
-            Op::NllMasked { logp, labels, idx } => {
-                let lv = self.value(*logp);
-                let mut d = Tensor::zeros(lv.rows(), lv.cols());
-                let w = -g.get(0, 0) / idx.len() as f32;
-                for &i in idx.iter() {
-                    d[(i, labels[i])] += w;
-                }
-                self.acc(grads, *logp, d);
             }
 
-            Op::GatAggregate { adj, z, ssrc, sdst, alpha, dleaky, .. } => {
-                let zv = self.value(*z);
+            GatAggregate { adj, z, ssrc, sdst, slope } => {
+                let adj = &*self.sparse[*adj];
+                let zv = value(*z);
+                let fwd = gat_attention(adj, zv, value(*ssrc), value(*sdst), *slope);
+                let (alpha, dleaky) = (&fwd.alpha, &fwd.dleaky);
                 let n = adj.rows();
                 let d = zv.cols();
                 let mut dz = Tensor::zeros(n, d);
@@ -295,13 +309,13 @@ impl Tape {
                     }
                     dssrc[(i, 0)] = dsi;
                 }
-                if self.needs_grad(*z) {
+                if needs(*z) {
                     self.acc(grads, *z, dz);
                 }
-                if self.needs_grad(*ssrc) {
+                if needs(*ssrc) {
                     self.acc(grads, *ssrc, dssrc);
                 }
-                if self.needs_grad(*sdst) {
+                if needs(*sdst) {
                     self.acc(grads, *sdst, dsdst);
                 }
             }

@@ -4,7 +4,7 @@
 //! Three functions state the semantics of every [`ProgramOp`] once:
 //!
 //! * [`op_rows`], the **op kernel**: any set of an op's output rows from
-//!   its operands, calling the exact kernels the tape constructors call;
+//!   its operands;
 //! * [`row_deps`], the **dependency rule**: which operand rows each output
 //!   row reads — the same row, the sparse operator's neighbours, the
 //!   gathered index, or the whole operand;
@@ -16,10 +16,12 @@
 //! Every evaluation mode is a *schedule* over the first two: it decides
 //! which rows of each op to compute and where the operands come from
 //! ([`Operands`]).
-//! The resident schedule ([`eval_all`]) computes all rows once; the demand
-//! schedule ([`crate::RowPlan`]) walks `row_deps` backwards from requested
-//! rows; the dirty schedule ([`dirty_rows`] + [`eval_dirty`]) walks it
-//! forwards from the operator rows a graph mutation changed.
+//! The training tape computes all rows of each op as it is recorded, its
+//! own nodes the operands; the resident schedule ([`eval_all`]) computes
+//! all rows of a program once; the demand schedule ([`crate::RowPlan`])
+//! walks `row_deps` backwards from requested rows; the dirty schedule
+//! ([`dirty_rows`] + [`eval_dirty`]) walks it forwards from the operator
+//! rows a graph mutation changed.
 //!
 //! A subset of rows is bitwise equal to the same rows of a whole
 //! evaluation because every kernel computes each output row from its own
@@ -31,8 +33,8 @@
 //!   neighbours — by exactly those operand rows; with the
 //!   ascending-from-+0.0 accumulation contract (DESIGN.md §8) each row sums
 //!   the same products in the same order;
-//! * `MaxStack` folds with strict `>` from the first part, like
-//!   `Tape::max_stack`, so ties keep the earliest layer.
+//! * `MaxStack` folds with strict `>` from the first part, so ties keep
+//!   the earliest layer.
 
 use std::borrow::Cow;
 
@@ -41,7 +43,7 @@ use lasagne_tensor::Tensor;
 
 use crate::export::ProgramOp;
 use crate::ops_graph::gat_attention;
-use crate::peval::{op_name, PevalError};
+use crate::peval::PevalError;
 
 /// An operand of a program op: an earlier instruction, or an entry of the
 /// program's sparse table.
@@ -126,7 +128,7 @@ pub fn program_shapes(
     use ProgramOp::*;
     let mut shapes: Vec<(usize, usize)> = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
-        let bad = |detail: String| PevalError::Shape { node: i, op: op_name(op), detail };
+        let bad = |detail: String| PevalError::Shape { node: i, op: op.name(), detail };
         let ensure = |ok: bool, detail: &dyn Fn() -> String| match ok {
             true => Ok(()),
             false => Err(bad(detail())),
@@ -303,7 +305,7 @@ pub(crate) fn neighbors(m: &Csr, rows: &[usize]) -> Vec<usize> {
 /// The op kernel: rows `rows` (any order, repeats allowed; `None` = all)
 /// of instruction `i`'s output, bitwise equal to the same rows of its whole
 /// value. Operands come from `src`; a leaf's rows are its own.
-pub fn op_rows(ops: &[ProgramOp], i: usize, rows: Option<&[usize]>, src: &impl Operands) -> Tensor {
+pub fn op_rows(op: &ProgramOp, i: usize, rows: Option<&[usize]>, src: &impl Operands) -> Tensor {
     use ProgramOp::*;
     // Operand `j` at the requested rows (row-aligned ops).
     let at = |j: usize| src.rows(j, rows);
@@ -313,7 +315,7 @@ pub fn op_rows(ops: &[ProgramOp], i: usize, rows: Option<&[usize]>, src: &impl O
         None => t,
         Some(r) => t.gather_rows(r),
     };
-    match &ops[i] {
+    match op {
         Constant { .. } | Param { .. } => at(i).into_owned(),
         MatMul { a, b } => match (rows, src.packed(*b)) {
             (None, Some(q)) => {
@@ -427,7 +429,7 @@ pub fn eval_all(
         let value = if ops[i].is_leaf() {
             Tensor::zeros(0, 0)
         } else {
-            op_rows(ops, i, None, &Resident { ops, sparse, weights, packed, values: &values })
+            op_rows(&ops[i], i, None, &Resident { ops, sparse, weights, packed, values: &values })
         };
         values.push(value);
     }
@@ -502,7 +504,7 @@ pub fn eval_dirty(
             continue;
         }
         let src = Resident { ops, sparse, weights, packed: &[], values };
-        let patch = op_rows(ops, i, Some(rows), &src);
+        let patch = op_rows(&ops[i], i, Some(rows), &src);
         for (r, &row) in rows.iter().enumerate() {
             values[i].row_mut(row).copy_from_slice(patch.row(r));
         }

@@ -4,21 +4,20 @@
 //! whole autograd machinery (gradient flags, captured backward data) into
 //! inference. For serving we instead record the tape *once* — with the
 //! model in `Mode::Eval`, so there are no dropout masks or sampled gates —
-//! and convert the subgraph reachable from the logits into a flat
-//! [`Program`]: a topologically ordered list of [`ProgramOp`]s over dense
-//! tensors, a deduplicated table of sparse operators, and parameter leaves
-//! referenced **by name** (bound to a weight table at load time).
+//! and keep the subgraph reachable from the logits as a flat [`Program`]: a
+//! topologically ordered list of [`ProgramOp`]s over dense tensors, a
+//! deduplicated table of sparse operators, and parameter leaves referenced
+//! **by name** (bound to a weight table at load time).
 //!
-//! The program's evaluator (`lasagne-serve`) calls the exact same
-//! `lasagne-tensor` / `lasagne-sparse` kernels the tape constructors call,
-//! in the same order, so a frozen forward is bitwise-identical to the
-//! training-path eval forward at any thread count.
+//! The tape already records every exportable op as a [`ProgramOp`] and
+//! computes its value with the evaluator's op kernel, so export only prunes
+//! and renumbers: a frozen forward is bitwise-identical to the
+//! training-path eval forward at any thread count by construction.
 //!
 //! Train-only ops (dropout, sampled Bernoulli gates, the masked NLL loss)
 //! must not appear in an inference program; exporting one is a typed
 //! [`ExportError`], not a silent approximation.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -133,6 +132,42 @@ pub enum ProgramOp {
 }
 
 impl ProgramOp {
+    /// The op's name, spelled as the frozen-model file tags it.
+    pub fn name(&self) -> &'static str {
+        use ProgramOp::*;
+        match self {
+            Constant { .. } => "constant",
+            Param { .. } => "param",
+            MatMul { .. } => "matmul",
+            SpMM { .. } => "spmm",
+            Add { .. } => "add",
+            Sub { .. } => "sub",
+            Mul { .. } => "mul",
+            Div { .. } => "div",
+            Scale { .. } => "scale",
+            AddConst { .. } => "add_const",
+            Pow { .. } => "pow",
+            Exp { .. } => "exp",
+            Relu { .. } => "relu",
+            LeakyRelu { .. } => "leaky_relu",
+            Sigmoid { .. } => "sigmoid",
+            Tanh { .. } => "tanh",
+            AddRowBroadcast { .. } => "add_row_broadcast",
+            AddColBroadcast { .. } => "add_col_broadcast",
+            MulColBroadcast { .. } => "mul_col_broadcast",
+            MulScalarNode { .. } => "mul_scalar_node",
+            LogSoftmax { .. } => "log_softmax",
+            ConcatCols { .. } => "concat_cols",
+            SliceCols { .. } => "slice_cols",
+            GatherRows { .. } => "gather_rows",
+            SumAll { .. } => "sum_all",
+            SumRows { .. } => "sum_rows",
+            SumCols { .. } => "sum_cols",
+            MaxStack { .. } => "max_stack",
+            GatAggregate { .. } => "gat_aggregate",
+        }
+    }
+
     /// Is this a leaf (`Constant` or `Param`), whose value lives in the
     /// program or the weight table rather than being computed?
     pub fn is_leaf(&self) -> bool {
@@ -149,6 +184,52 @@ impl ProgramOp {
                 (Operand::Sparse(_), _) => None,
             })
             .collect()
+    }
+
+    /// Rewrite every operand in place: instruction indices through `op`,
+    /// sparse-table refs through `sparse`.
+    fn renumber(&mut self, op: impl Fn(usize) -> usize, mut sparse: impl FnMut(usize) -> usize) {
+        use ProgramOp::*;
+        match self {
+            Constant { .. } | Param { .. } => {}
+            MatMul { a, b }
+            | Add { a, b }
+            | Sub { a, b }
+            | Mul { a, b }
+            | Div { a, b }
+            | AddRowBroadcast { x: a, b }
+            | AddColBroadcast { x: a, c: b }
+            | MulColBroadcast { x: a, c: b }
+            | MulScalarNode { x: a, s: b } => {
+                *a = op(*a);
+                *b = op(*b);
+            }
+            SpMM { m, x } => {
+                *m = sparse(*m);
+                *x = op(*x);
+            }
+            Scale { x, .. }
+            | AddConst { x, .. }
+            | Pow { x, .. }
+            | Exp { x }
+            | Relu { x }
+            | LeakyRelu { x, .. }
+            | Sigmoid { x }
+            | Tanh { x }
+            | LogSoftmax { x }
+            | SliceCols { x, .. }
+            | GatherRows { x, .. }
+            | SumAll { x }
+            | SumRows { x }
+            | SumCols { x, .. } => *x = op(*x),
+            ConcatCols { parts } | MaxStack { parts } => parts.iter_mut().for_each(|p| *p = op(*p)),
+            GatAggregate { adj, z, ssrc, sdst, .. } => {
+                *adj = sparse(*adj);
+                for j in [z, ssrc, sdst] {
+                    *j = op(*j);
+                }
+            }
+        }
     }
 }
 
@@ -232,62 +313,6 @@ impl Program {
     }
 }
 
-/// Mark every tape index reachable from `output` by walking op inputs.
-fn reachable_set(tape: &Tape, output: NodeId) -> Vec<bool> {
-    let mut keep = vec![false; tape.len()];
-    let mut stack = vec![output.0];
-    while let Some(i) = stack.pop() {
-        if keep[i] {
-            continue;
-        }
-        keep[i] = true;
-        match &tape.nodes[i].op {
-            Op::Constant | Op::Param(_) => {}
-            Op::MatMul(a, b)
-            | Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::Div(a, b)
-            | Op::AddRowBroadcast(a, b)
-            | Op::AddColBroadcast(a, b)
-            | Op::MulColBroadcast(a, b)
-            | Op::MulScalarNode(a, b) => {
-                stack.push(a.0);
-                stack.push(b.0);
-            }
-            Op::SpMM { x, .. }
-            | Op::Scale(x, _)
-            | Op::AddConst(x, _)
-            | Op::Pow { x, .. }
-            | Op::Exp(x)
-            | Op::Relu(x)
-            | Op::LeakyRelu(x, _)
-            | Op::Sigmoid(x)
-            | Op::Tanh(x)
-            | Op::Dropout { x, .. }
-            | Op::LogSoftmax(x)
-            | Op::SliceCols { x, .. }
-            | Op::GatherRows { x, .. }
-            | Op::SumAll(x)
-            | Op::SumRows(x)
-            | Op::SumCols { x, .. } => stack.push(x.0),
-            Op::ConcatCols(parts) => stack.extend(parts.iter().map(|p| p.0)),
-            Op::MaxStack { parts, .. } => stack.extend(parts.iter().map(|p| p.0)),
-            Op::StMulCol { x, p, .. } => {
-                stack.push(x.0);
-                stack.push(p.0);
-            }
-            Op::NllMasked { logp, .. } => stack.push(logp.0),
-            Op::GatAggregate { z, ssrc, sdst, .. } => {
-                stack.push(z.0);
-                stack.push(ssrc.0);
-                stack.push(sdst.0);
-            }
-        }
-    }
-    keep
-}
-
 impl Tape {
     /// Convert the subgraph of this tape that produces `output` into a
     /// standalone [`Program`]. Parameter leaves are exported by their
@@ -300,89 +325,48 @@ impl Tape {
         store: &ParamStore,
         output: NodeId,
     ) -> Result<Program, ExportError> {
-        let keep = reachable_set(self, output);
-        // Remap kept tape indices to dense program indices, preserving the
-        // tape's (already topological) order.
-        let mut remap = vec![usize::MAX; self.len()];
-        let mut next = 0usize;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                remap[i] = next;
-                next += 1;
+        let mut keep = vec![false; self.len()];
+        let mut stack = vec![output.0];
+        while let Some(i) = stack.pop() {
+            if !std::mem::replace(&mut keep[i], true) {
+                stack.extend(self.nodes[i].op.inputs());
             }
         }
+        // Kept tape indices become dense program indices in tape (already
+        // topological) order; sparse refs are numbered by first use.
+        let mut remap = vec![usize::MAX; self.len()];
+        let mut sparse_ids = vec![usize::MAX; self.sparse.len()];
         let mut sparse: Vec<Rc<Csr>> = Vec::new();
-        let mut sparse_ids: HashMap<*const Csr, usize> = HashMap::new();
-        let mut intern = |m: &Rc<Csr>, sparse: &mut Vec<Rc<Csr>>| -> usize {
-            let key = Rc::as_ptr(m);
-            *sparse_ids.entry(key).or_insert_with(|| {
-                sparse.push(Rc::clone(m));
-                sparse.len() - 1
-            })
-        };
-
-        let mut ops = Vec::with_capacity(next);
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !keep[i] {
-                continue;
-            }
-            let r = |n: &NodeId| remap[n.0];
+        let mut ops = Vec::new();
+        for (i, node) in self.nodes.iter().enumerate().filter(|&(i, _)| keep[i]) {
             let op = match &node.op {
                 Op::Constant => ProgramOp::Constant { value: node.value.clone() },
                 Op::Param(id) => ProgramOp::Param { name: store.name(*id).to_string() },
-                Op::MatMul(a, b) => ProgramOp::MatMul { a: r(a), b: r(b) },
-                Op::SpMM { m, x } => {
-                    ProgramOp::SpMM { m: intern(m, &mut sparse), x: r(x) }
+                Op::Program(op) => {
+                    let mut op = op.clone();
+                    op.renumber(
+                        |j| remap[j],
+                        |k| {
+                            if sparse_ids[k] == usize::MAX {
+                                sparse_ids[k] = sparse.len();
+                                sparse.push(Rc::clone(&self.sparse[k]));
+                            }
+                            sparse_ids[k]
+                        },
+                    );
+                    op
                 }
-                Op::Add(a, b) => ProgramOp::Add { a: r(a), b: r(b) },
-                Op::Sub(a, b) => ProgramOp::Sub { a: r(a), b: r(b) },
-                Op::Mul(a, b) => ProgramOp::Mul { a: r(a), b: r(b) },
-                Op::Div(a, b) => ProgramOp::Div { a: r(a), b: r(b) },
-                Op::Scale(x, alpha) => ProgramOp::Scale { x: r(x), alpha: *alpha },
-                Op::AddConst(x, c) => ProgramOp::AddConst { x: r(x), c: *c },
-                Op::Pow { x, p, eps } => ProgramOp::Pow { x: r(x), p: *p, eps: *eps },
-                Op::Exp(x) => ProgramOp::Exp { x: r(x) },
-                Op::Relu(x) => ProgramOp::Relu { x: r(x) },
-                Op::LeakyRelu(x, slope) => ProgramOp::LeakyRelu { x: r(x), slope: *slope },
-                Op::Sigmoid(x) => ProgramOp::Sigmoid { x: r(x) },
-                Op::Tanh(x) => ProgramOp::Tanh { x: r(x) },
-                Op::AddRowBroadcast(x, b) => ProgramOp::AddRowBroadcast { x: r(x), b: r(b) },
-                Op::AddColBroadcast(x, c) => ProgramOp::AddColBroadcast { x: r(x), c: r(c) },
-                Op::MulColBroadcast(x, c) => ProgramOp::MulColBroadcast { x: r(x), c: r(c) },
-                Op::MulScalarNode(x, s) => ProgramOp::MulScalarNode { x: r(x), s: r(s) },
-                Op::LogSoftmax(x) => ProgramOp::LogSoftmax { x: r(x) },
-                Op::ConcatCols(parts) => {
-                    ProgramOp::ConcatCols { parts: parts.iter().map(r).collect() }
-                }
-                Op::SliceCols { x, lo, hi } => {
-                    ProgramOp::SliceCols { x: r(x), lo: *lo, hi: *hi }
-                }
-                Op::GatherRows { x, idx } => {
-                    ProgramOp::GatherRows { x: r(x), idx: (**idx).clone() }
-                }
-                Op::SumAll(x) => ProgramOp::SumAll { x: r(x) },
-                Op::SumRows(x) => ProgramOp::SumRows { x: r(x) },
-                Op::SumCols { x, groups } => ProgramOp::SumCols { x: r(x), groups: *groups },
-                Op::MaxStack { parts, .. } => {
-                    ProgramOp::MaxStack { parts: parts.iter().map(r).collect() }
-                }
-                Op::GatAggregate { adj, z, ssrc, sdst, slope, .. } => ProgramOp::GatAggregate {
-                    adj: intern(adj, &mut sparse),
-                    z: r(z),
-                    ssrc: r(ssrc),
-                    sdst: r(sdst),
-                    slope: *slope,
-                },
                 Op::Dropout { .. } => {
                     return Err(ExportError::TrainOnlyOp { node: i, op: "dropout" })
                 }
-                Op::StMulCol { .. } => {
+                Op::Gate { .. } => {
                     return Err(ExportError::TrainOnlyOp { node: i, op: "st_bernoulli_gate" })
                 }
-                Op::NllMasked { .. } => {
+                Op::Nll { .. } => {
                     return Err(ExportError::TrainOnlyOp { node: i, op: "nll_masked" })
                 }
             };
+            remap[i] = ops.len();
             ops.push(op);
         }
         Ok(Program { ops, sparse, output: remap[output.0] })

@@ -2,107 +2,74 @@
 
 use std::rc::Rc;
 
-use lasagne_tensor::Tensor;
-
-use crate::tape::{NodeId, Op, Tape};
+use crate::export::ProgramOp;
+use crate::tape::{NodeId, Tape};
 
 impl Tape {
-    fn needs2(&self, a: NodeId, b: NodeId) -> bool {
-        self.needs_grad(a) || self.needs_grad(b)
-    }
-
     /// `a · b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).matmul(self.value(b));
-        let needs = self.needs2(a, b);
-        self.push(v, Op::MatMul(a, b), needs)
+        self.record(ProgramOp::MatMul { a: a.0, b: b.0 })
     }
 
     /// `a + b` (same shape).
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).add(self.value(b));
-        let needs = self.needs2(a, b);
-        self.push(v, Op::Add(a, b), needs)
+        self.record(ProgramOp::Add { a: a.0, b: b.0 })
     }
 
     /// `a - b` (same shape).
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).sub(self.value(b));
-        let needs = self.needs2(a, b);
-        self.push(v, Op::Sub(a, b), needs)
+        self.record(ProgramOp::Sub { a: a.0, b: b.0 })
     }
 
     /// Hadamard product `a ⊙ b`.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).mul(self.value(b));
-        let needs = self.needs2(a, b);
-        self.push(v, Op::Mul(a, b), needs)
+        self.record(ProgramOp::Mul { a: a.0, b: b.0 })
     }
 
     /// Element-wise `a / b` (b must be non-zero where it matters).
     pub fn div(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).div(self.value(b));
-        let needs = self.needs2(a, b);
-        self.push(v, Op::Div(a, b), needs)
+        self.record(ProgramOp::Div { a: a.0, b: b.0 })
     }
 
     /// `alpha * x`.
     pub fn scale(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        let v = self.value(x).scale(alpha);
-        let needs = self.needs_grad(x);
-        self.push(v, Op::Scale(x, alpha), needs)
+        self.record(ProgramOp::Scale { x: x.0, alpha })
     }
 
     /// `x + c` element-wise, constant `c`.
     pub fn add_const(&mut self, x: NodeId, c: f32) -> NodeId {
-        let v = self.value(x).add_scalar(c);
-        let needs = self.needs_grad(x);
-        self.push(v, Op::AddConst(x, c), needs)
+        self.record(ProgramOp::AddConst { x: x.0, c })
     }
 
     /// Element-wise `(x + eps)^p`. Use `eps > 0` for fractional/negative `p`.
     pub fn pow(&mut self, x: NodeId, p: f32, eps: f32) -> NodeId {
-        let v = self.value(x).map(|t| (t + eps).powf(p));
-        let needs = self.needs_grad(x);
-        self.push(v, Op::Pow { x, p, eps }, needs)
+        self.record(ProgramOp::Pow { x: x.0, p, eps })
     }
 
     /// `x * s` where `s` is a differentiable `1×1` node.
     pub fn mul_scalar_node(&mut self, x: NodeId, s: NodeId) -> NodeId {
         assert_eq!(self.value(s).shape(), (1, 1), "mul_scalar_node: s must be 1x1");
-        let sv = self.value(s).get(0, 0);
-        let v = self.value(x).scale(sv);
-        let needs = self.needs2(x, s);
-        self.push(v, Op::MulScalarNode(x, s), needs)
+        self.record(ProgramOp::MulScalarNode { x: x.0, s: s.0 })
     }
 
     /// Concatenate nodes side by side.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
-        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let v = Tensor::concat_cols(&tensors);
-        let needs = parts.iter().any(|&p| self.needs_grad(p));
-        self.push(v, Op::ConcatCols(parts.to_vec()), needs)
+        self.record(ProgramOp::ConcatCols { parts: parts.iter().map(|p| p.0).collect() })
     }
 
     /// Columns `[lo, hi)` of `x`.
     pub fn slice_cols(&mut self, x: NodeId, lo: usize, hi: usize) -> NodeId {
-        let v = self.value(x).slice_cols(lo, hi);
-        let needs = self.needs_grad(x);
-        self.push(v, Op::SliceCols { x, lo, hi }, needs)
+        self.record(ProgramOp::SliceCols { x: x.0, lo, hi })
     }
 
     /// Gather rows of `x` in the given order (duplicates allowed).
     pub fn gather_rows(&mut self, x: NodeId, idx: Rc<Vec<usize>>) -> NodeId {
-        let v = self.value(x).gather_rows(&idx);
-        let needs = self.needs_grad(x);
-        self.push(v, Op::GatherRows { x, idx }, needs)
+        self.record(ProgramOp::GatherRows { x: x.0, idx: Rc::unwrap_or_clone(idx) })
     }
 
     /// Sum of all elements, as a `1×1` node.
     pub fn sum_all(&mut self, x: NodeId) -> NodeId {
-        let v = Tensor::full(1, 1, self.value(x).sum());
-        let needs = self.needs_grad(x);
-        self.push(v, Op::SumAll(x), needs)
+        self.record(ProgramOp::SumAll { x: x.0 })
     }
 
     /// Mean of all elements, as a `1×1` node.
@@ -114,9 +81,7 @@ impl Tape {
 
     /// Column sums: `N×D → 1×D`.
     pub fn sum_rows(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).sum_rows();
-        let needs = self.needs_grad(x);
-        self.push(v, Op::SumRows(x), needs)
+        self.record(ProgramOp::SumRows { x: x.0 })
     }
 
     /// Row sums: `N×D → N×1`.
@@ -125,10 +90,8 @@ impl Tape {
     }
 
     /// Row sums of `groups` equal column groups: `N×(g·w) → N×g`
-    /// ([`Tensor::sum_col_groups`]).
+    /// ([`lasagne_tensor::Tensor::sum_col_groups`]).
     pub fn sum_col_groups(&mut self, x: NodeId, groups: usize) -> NodeId {
-        let v = self.value(x).sum_col_groups(groups);
-        let needs = self.needs_grad(x);
-        self.push(v, Op::SumCols { x, groups }, needs)
+        self.record(ProgramOp::SumCols { x: x.0, groups })
     }
 }

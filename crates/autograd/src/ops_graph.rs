@@ -6,7 +6,8 @@ use std::rc::Rc;
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
-use crate::tape::{NodeId, Op, Tape};
+use crate::export::ProgramOp;
+use crate::tape::{NodeId, Tape};
 
 /// Result of the GAT attention forward pass: the aggregated output plus the
 /// per-edge attention coefficients and LeakyReLU slopes that backward needs.
@@ -19,10 +20,9 @@ pub struct GatForward {
     pub dleaky: Vec<f32>,
 }
 
-/// The forward computation of [`Tape::gat_aggregate`] as a pure function —
-/// shared between the training tape and the tape-free inference engine
-/// (`lasagne-serve`), so the two paths are bitwise-identical by
-/// construction.
+/// The forward computation of [`Tape::gat_aggregate`] as a pure function:
+/// the op kernel ([`crate::op_rows`]) calls it for the value, and backward
+/// calls it again for the coefficients, so there is one attention.
 pub fn gat_attention(
     adj: &Csr,
     zv: &Tensor,
@@ -80,9 +80,8 @@ impl Tape {
     /// `m · x` with a fixed sparse matrix `m` (usually `Â`). Gradients flow
     /// to `x` only (the graph is not trainable).
     pub fn spmm(&mut self, m: Rc<Csr>, x: NodeId) -> NodeId {
-        let v = m.spmm(self.value(x));
-        let needs = self.needs_grad(x);
-        self.push(v, Op::SpMM { m, x }, needs)
+        let m = self.intern(m);
+        self.record(ProgramOp::SpMM { m, x: x.0 })
     }
 
     /// GAT neighborhood attention (Veličković et al., ICLR'18; the paper's
@@ -105,21 +104,7 @@ impl Tape {
         sdst: NodeId,
         slope: f32,
     ) -> NodeId {
-        let fwd = gat_attention(&adj, self.value(z), self.value(ssrc), self.value(sdst), slope);
-        let needs =
-            self.needs_grad(z) || self.needs_grad(ssrc) || self.needs_grad(sdst);
-        self.push(
-            fwd.out,
-            Op::GatAggregate {
-                adj,
-                z,
-                ssrc,
-                sdst,
-                slope,
-                alpha: fwd.alpha,
-                dleaky: fwd.dleaky,
-            },
-            needs,
-        )
+        let adj = self.intern(adj);
+        self.record(ProgramOp::GatAggregate { adj, z: z.0, ssrc: ssrc.0, sdst: sdst.0, slope })
     }
 }

@@ -6,42 +6,33 @@ use std::rc::Rc;
 
 use lasagne_tensor::{Tensor, TensorRng};
 
+use crate::export::ProgramOp;
 use crate::tape::{NodeId, Op, Tape};
 
 impl Tape {
     /// Element-wise `e^x`.
     pub fn exp(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).map(f32::exp);
-        let needs = self.needs_grad(x);
-        self.push(v, Op::Exp(x), needs)
+        self.record(ProgramOp::Exp { x: x.0 })
     }
 
     /// `max(0, x)`.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).relu();
-        let needs = self.needs_grad(x);
-        self.push(v, Op::Relu(x), needs)
+        self.record(ProgramOp::Relu { x: x.0 })
     }
 
     /// Leaky ReLU with negative slope.
     pub fn leaky_relu(&mut self, x: NodeId, slope: f32) -> NodeId {
-        let v = self.value(x).leaky_relu(slope);
-        let needs = self.needs_grad(x);
-        self.push(v, Op::LeakyRelu(x, slope), needs)
+        self.record(ProgramOp::LeakyRelu { x: x.0, slope })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).sigmoid();
-        let needs = self.needs_grad(x);
-        self.push(v, Op::Sigmoid(x), needs)
+        self.record(ProgramOp::Sigmoid { x: x.0 })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).tanh();
-        let needs = self.needs_grad(x);
-        self.push(v, Op::Tanh(x), needs)
+        self.record(ProgramOp::Tanh { x: x.0 })
     }
 
     /// Inverted dropout: keeps each entry with probability `keep` and scales
@@ -54,39 +45,31 @@ impl Tape {
         let mask = rng.dropout_mask(r, c, keep);
         let v = self.value(x).mul(&mask);
         let needs = self.needs_grad(x);
-        self.push(v, Op::Dropout { x, mask }, needs)
+        self.push(v, Op::Dropout { x: x.0, mask }, needs)
     }
 
     /// `x (N×D) + b (1×D)` broadcast over rows (bias add).
     pub fn add_row_broadcast(&mut self, x: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(x).add_row_broadcast(self.value(b));
-        let needs = self.needs_grad(x) || self.needs_grad(b);
-        self.push(v, Op::AddRowBroadcast(x, b), needs)
+        self.record(ProgramOp::AddRowBroadcast { x: x.0, b: b.0 })
     }
 
     /// `x (N×D) + c (N×1)` broadcast over columns (per-node shift; used for
     /// the row-max stabilization of the stochastic aggregator's softmax-like
     /// normalization, Eq 6).
     pub fn add_col_broadcast(&mut self, x: NodeId, c: NodeId) -> NodeId {
-        let v = self.value(x).add_col_broadcast(self.value(c));
-        let needs = self.needs_grad(x) || self.needs_grad(c);
-        self.push(v, Op::AddColBroadcast(x, c), needs)
+        self.record(ProgramOp::AddColBroadcast { x: x.0, c: c.0 })
     }
 
     /// `x (N×D) ⊙ c (N×1)` broadcast over columns — per-node scaling, the
     /// `C(l)[:, i] ⊗ H(i)` of Eq (5).
     pub fn mul_col_broadcast(&mut self, x: NodeId, c: NodeId) -> NodeId {
-        let v = self.value(x).mul_col_broadcast(self.value(c));
-        let needs = self.needs_grad(x) || self.needs_grad(c);
-        self.push(v, Op::MulColBroadcast(x, c), needs)
+        self.record(ProgramOp::MulColBroadcast { x: x.0, c: c.0 })
     }
 
     /// Row-wise log-softmax (the paper's Eq 2 softmax, in log space for a
     /// stable cross-entropy).
     pub fn log_softmax(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).log_softmax_rows();
-        let needs = self.needs_grad(x);
-        self.push(v, Op::LogSoftmax(x), needs)
+        self.record(ProgramOp::LogSoftmax { x: x.0 })
     }
 
     /// Mean negative log-likelihood over the labeled node subset `idx`
@@ -105,7 +88,7 @@ impl Tape {
         }
         let v = Tensor::full(1, 1, acc / idx.len() as f32);
         let needs = self.needs_grad(logp);
-        self.push(v, Op::NllMasked { logp, labels, idx }, needs)
+        self.push(v, Op::Nll { logp: logp.0, labels, idx }, needs)
     }
 
     /// Element-wise maximum over same-shaped nodes; the Max-Pooling layer
@@ -117,28 +100,7 @@ impl Tape {
         for &p in parts {
             assert_eq!(self.value(p).shape(), shape, "max_stack: shape mismatch");
         }
-        let mut v = self.value(parts[0]).clone();
-        let mut argmax = vec![0u32; v.len()];
-        for (k, &p) in parts.iter().enumerate().skip(1) {
-            let pv = self.value(p);
-            for (pos, (best, cand)) in v
-                .as_mut_slice()
-                .iter_mut()
-                .zip(pv.as_slice())
-                .enumerate()
-            {
-                if *cand > *best {
-                    *best = *cand;
-                    argmax[pos] = k as u32;
-                }
-            }
-        }
-        let needs = parts.iter().any(|&p| self.needs_grad(p));
-        self.push(
-            v,
-            Op::MaxStack { parts: parts.to_vec(), argmax },
-            needs,
-        )
+        self.record(ProgramOp::MaxStack { parts: parts.iter().map(|p| p.0).collect() })
     }
 
     /// Straight-through Bernoulli gate (Eq 6): samples `m_i ~ Bernoulli(p_i)`
@@ -159,7 +121,7 @@ impl Tape {
         let mask = Tensor::col_vector(&mask_vals);
         let v = self.value(x).mul_col_broadcast(&mask);
         let needs = self.needs_grad(x) || self.needs_grad(p);
-        self.push(v, Op::StMulCol { x, p, mask }, needs)
+        self.push(v, Op::Gate { x: x.0, p: p.0, mask }, needs)
     }
 
     /// Deterministic evaluation-time counterpart of

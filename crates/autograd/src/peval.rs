@@ -72,41 +72,6 @@ impl fmt::Display for PevalError {
 
 impl std::error::Error for PevalError {}
 
-pub(crate) fn op_name(op: &ProgramOp) -> &'static str {
-    use ProgramOp::*;
-    match op {
-        Constant { .. } => "constant",
-        Param { .. } => "param",
-        MatMul { .. } => "matmul",
-        SpMM { .. } => "spmm",
-        Add { .. } => "add",
-        Sub { .. } => "sub",
-        Mul { .. } => "mul",
-        Div { .. } => "div",
-        Scale { .. } => "scale",
-        AddConst { .. } => "add_const",
-        Pow { .. } => "pow",
-        Exp { .. } => "exp",
-        Relu { .. } => "relu",
-        LeakyRelu { .. } => "leaky_relu",
-        Sigmoid { .. } => "sigmoid",
-        Tanh { .. } => "tanh",
-        AddRowBroadcast { .. } => "add_row_broadcast",
-        AddColBroadcast { .. } => "add_col_broadcast",
-        MulColBroadcast { .. } => "mul_col_broadcast",
-        MulScalarNode { .. } => "mul_scalar",
-        LogSoftmax { .. } => "log_softmax",
-        ConcatCols { .. } => "concat_cols",
-        SliceCols { .. } => "slice_cols",
-        GatherRows { .. } => "gather_rows",
-        SumAll { .. } => "sum_all",
-        SumRows { .. } => "sum_rows",
-        SumCols { .. } => "sum_cols",
-        MaxStack { .. } => "max_stack",
-        GatAggregate { .. } => "gat_aggregate",
-    }
-}
-
 /// Positions of each `wanted` row inside the sorted `union` row list.
 /// Demand-walk invariant: every row a consumer asks for was propagated into
 /// the producer's union, so the lookup cannot miss.
@@ -210,7 +175,7 @@ impl<'a> RowPlan<'a> {
             for (operand, dep) in row_deps(op) {
                 if let (Operand::Op(j), RowDep::Whole) = (operand, dep) {
                     if !full_ok[j] {
-                        return Err(PevalError::NotRowLocal { node: i, op: op_name(op) });
+                        return Err(PevalError::NotRowLocal { node: i, op: op.name() });
                     }
                 }
             }
@@ -288,7 +253,7 @@ impl<'a> RowPlan<'a> {
                     Demand::All => None,
                 };
                 let src = Demanded { plan: self, demand: &demand, halos: &halos, vals: &vals };
-                let value = op_rows(&self.ops, i, only, &src);
+                let value = op_rows(&self.ops[i], i, only, &src);
                 vals[i] = Some(value);
             }
         }

@@ -1,86 +1,56 @@
 //! The computation tape: a flat arena of nodes recorded during the forward
 //! pass and replayed in reverse by [`Tape::backward`].
+//!
+//! A recorded node is a leaf, an exported-program op ([`ProgramOp`]) over
+//! earlier tape indices, or one of three train-only ops. A program op's
+//! value is computed by the evaluator's op kernel ([`op_rows`]) over all
+//! rows, with the tape as its operand source, so training, export and
+//! serving share one op list and one forward definition (DESIGN.md §10).
 
 use std::rc::Rc;
 
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
+use crate::eval::{op_rows, Operands};
+use crate::export::ProgramOp;
 use crate::{ParamId, ParamStore};
 
 /// Handle to a value recorded on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeId(pub(crate) usize);
 
-/// Every differentiable operation the stack needs. Data captured at record
-/// time (dropout masks, attention coefficients, argmax indices) lives inside
-/// the variant so backward is a pure function of the tape.
+/// How a node was produced. Data captured at record time (dropout masks,
+/// sampled gates, labels) lives inside the variant so backward is a pure
+/// function of the tape.
 pub(crate) enum Op {
     /// Non-trainable input (features, precomputed propagations).
     Constant,
     /// Leaf backed by a [`ParamStore`] entry; backward scatters into it.
     Param(ParamId),
-    MatMul(NodeId, NodeId),
-    /// Sparse · dense with a fixed (non-differentiable) sparse operand.
-    SpMM { m: Rc<Csr>, x: NodeId },
-    Add(NodeId, NodeId),
-    Sub(NodeId, NodeId),
-    Mul(NodeId, NodeId),
-    Div(NodeId, NodeId),
-    Scale(NodeId, f32),
-    AddConst(NodeId, f32),
-    /// Element-wise `(x + eps)^p` (eps keeps fractional powers away from 0).
-    Pow { x: NodeId, p: f32, eps: f32 },
-    /// Element-wise `e^x`.
-    Exp(NodeId),
-    Relu(NodeId),
-    LeakyRelu(NodeId, f32),
-    Sigmoid(NodeId),
-    Tanh(NodeId),
+    /// An exportable op; operands are tape indices and sparse refs index
+    /// [`Tape::sparse`].
+    Program(ProgramOp),
     /// Inverted dropout; the sampled mask (entries 0 or 1/keep) is captured.
-    Dropout { x: NodeId, mask: Tensor },
-    /// `x (N×D) + b (1×D)` broadcast over rows.
-    AddRowBroadcast(NodeId, NodeId),
-    /// `x (N×D) + c (N×1)` broadcast over columns.
-    AddColBroadcast(NodeId, NodeId),
-    /// `x (N×D) ⊙ c (N×1)` broadcast over columns — the `C(l)[:,i] ⊗ H(i)`
-    /// operation of Eq (5).
-    MulColBroadcast(NodeId, NodeId),
-    /// `x (N×D) * s (1×1)` with a *node* scalar (differentiable scale).
-    MulScalarNode(NodeId, NodeId),
-    LogSoftmax(NodeId),
-    ConcatCols(Vec<NodeId>),
-    SliceCols { x: NodeId, lo: usize, hi: usize },
-    GatherRows { x: NodeId, idx: Rc<Vec<usize>> },
-    SumAll(NodeId),
-    /// Column sums: `N×D → 1×D`.
-    SumRows(NodeId),
-    /// Row sums of `groups` equal column groups: `N×(g·w) → N×g`.
-    SumCols { x: NodeId, groups: usize },
-    /// Element-wise max over same-shaped parts; winners recorded for backward
-    /// (the Max-Pooling aggregator of §4.1.2).
-    MaxStack { parts: Vec<NodeId>, argmax: Vec<u32> },
+    Dropout { x: usize, mask: Tensor },
     /// Straight-through Bernoulli column gate (Eq 6): forward multiplies by
     /// the sampled 0/1 mask, backward routes the gate gradient to the
     /// probability node as if the mask had been the probability itself.
-    StMulCol { x: NodeId, p: NodeId, mask: Tensor },
+    Gate { x: usize, p: usize, mask: Tensor },
     /// Mean negative log-likelihood over the labeled subset (Eq 3).
-    NllMasked {
-        logp: NodeId,
-        labels: Rc<Vec<usize>>,
-        idx: Rc<Vec<usize>>,
-    },
-    /// GAT neighborhood attention over a fixed CSR structure; the attention
-    /// coefficients and LeakyReLU slopes at record time are captured.
-    GatAggregate {
-        adj: Rc<Csr>,
-        z: NodeId,
-        ssrc: NodeId,
-        sdst: NodeId,
-        slope: f32,
-        alpha: Vec<f32>,
-        dleaky: Vec<f32>,
-    },
+    Nll { logp: usize, labels: Rc<Vec<usize>>, idx: Rc<Vec<usize>> },
+}
+
+impl Op {
+    /// Tape indices this node reads.
+    pub(crate) fn inputs(&self) -> Vec<usize> {
+        match self {
+            Op::Constant | Op::Param(_) => Vec::new(),
+            Op::Program(op) => op.inputs(),
+            Op::Dropout { x, .. } | Op::Nll { logp: x, .. } => vec![*x],
+            Op::Gate { x, p, .. } => vec![*x, *p],
+        }
+    }
 }
 
 pub(crate) struct Node {
@@ -93,12 +63,14 @@ pub(crate) struct Node {
 #[derive(Default)]
 pub struct Tape {
     pub(crate) nodes: Vec<Node>,
+    /// Sparse operands of recorded ops, interned by pointer.
+    pub(crate) sparse: Vec<Rc<Csr>>,
 }
 
 impl Tape {
     /// Fresh empty tape.
     pub fn new() -> Self {
-        Tape { nodes: Vec::with_capacity(64) }
+        Tape { nodes: Vec::with_capacity(64), sparse: Vec::new() }
     }
 
     /// Number of recorded nodes.
@@ -127,6 +99,25 @@ impl Tape {
         id
     }
 
+    /// Record a program op: its value is the op kernel over every row, and
+    /// it needs a gradient when any operand does.
+    pub(crate) fn record(&mut self, op: ProgramOp) -> NodeId {
+        let value = op_rows(&op, self.nodes.len(), None, self);
+        let needs_grad = op.inputs().into_iter().any(|j| self.nodes[j].needs_grad);
+        self.push(value, Op::Program(op), needs_grad)
+    }
+
+    /// The sparse-table index of `m`, adding it on first use.
+    pub(crate) fn intern(&mut self, m: Rc<Csr>) -> usize {
+        match self.sparse.iter().position(|s| Rc::ptr_eq(s, &m)) {
+            Some(k) => k,
+            None => {
+                self.sparse.push(m);
+                self.sparse.len() - 1
+            }
+        }
+    }
+
     /// Record a non-trainable input.
     pub fn constant(&mut self, value: Tensor) -> NodeId {
         self.push(value, Op::Constant, false)
@@ -135,5 +126,16 @@ impl Tape {
     /// Record a trainable parameter leaf (value copied from the store).
     pub fn param(&mut self, id: ParamId, store: &ParamStore) -> NodeId {
         self.push(store.value(id).clone(), Op::Param(id), true)
+    }
+}
+
+/// The tape as the op kernel's operand source: operand `j` is node `j`.
+impl Operands for Tape {
+    fn whole(&self, j: usize) -> &Tensor {
+        &self.nodes[j].value
+    }
+
+    fn sparse(&self, m: usize) -> &Csr {
+        &self.sparse[m]
     }
 }

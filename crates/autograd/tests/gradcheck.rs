@@ -254,6 +254,37 @@ fn max_stack_grads_away_from_ties() {
 }
 
 #[test]
+fn max_stack_sends_a_tie_to_the_earliest_part() {
+    // Per position: the two later parts tie at the maximum; `-0.0` first
+    // against `+0.0`; a `NaN` first part; a `NaN` in a later part.
+    let nan = f32::NAN;
+    let parts = [[1.0, -0.0, nan, 1.0], [3.0, 0.0, 1.0, nan], [3.0, -1.0, 2.0, 2.0]];
+    let winners = [1, 0, 0, 2];
+    let upstream = [0.5f32, -1.5, 2.0, 3.0];
+    let mut store = ParamStore::new();
+    let ids: Vec<_> = parts
+        .iter()
+        .enumerate()
+        .map(|(k, p)| store.add(format!("p{k}"), Tensor::from_rows(&[p])))
+        .collect();
+    let mut tape = Tape::new();
+    let nodes: Vec<NodeId> = ids.iter().map(|&id| tape.param(id, &store)).collect();
+    let m = tape.max_stack(&nodes);
+    let w = tape.constant(Tensor::from_rows(&[&upstream]));
+    let weighted = tape.mul(m, w);
+    let loss = tape.sum_all(weighted);
+    store.zero_grads();
+    tape.backward(loss, &mut store);
+    for (k, &id) in ids.iter().enumerate() {
+        let got: Vec<u32> = store.grad(id).as_slice().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = (0..4)
+            .map(|pos| if winners[pos] == k { upstream[pos] } else { 0.0 }.to_bits())
+            .collect();
+        assert_eq!(got, want, "part {k}");
+    }
+}
+
+#[test]
 fn pairnorm_grads() {
     let (mut store, w) = store_with((4, 3), 12);
     check(&mut store, |t, s| {

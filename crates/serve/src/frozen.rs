@@ -250,148 +250,72 @@ fn csr_from_json(j: &Json) -> ServeResult<Csr> {
 fn op_to_json(op: &ProgramOp) -> Json {
     use ProgramOp::*;
     let mut fields: Vec<(String, Json)> = Vec::with_capacity(4);
-    let tag = |t: &str, fields: &mut Vec<(String, Json)>| {
-        fields.push(("op".into(), Json::Str(t.into())));
-    };
+    let mut put = |k: &str, v: Json| fields.push((k.into(), v));
+    put("op", Json::Str(op.name().into()));
     match op {
-        Constant { value } => {
-            tag("constant", &mut fields);
-            fields.push(("value".into(), tensor_to_json(value)));
-        }
-        Param { name } => {
-            tag("param", &mut fields);
-            fields.push(("name".into(), Json::Str(name.clone())));
-        }
-        MatMul { a, b } => {
-            tag("matmul", &mut fields);
-            fields.push(("a".into(), num(*a)));
-            fields.push(("b".into(), num(*b)));
+        Constant { value } => put("value", tensor_to_json(value)),
+        Param { name } => put("name", Json::Str(name.clone())),
+        MatMul { a, b } | Add { a, b } | Sub { a, b } | Mul { a, b } | Div { a, b } => {
+            put("a", num(*a));
+            put("b", num(*b));
         }
         SpMM { m, x } => {
-            tag("spmm", &mut fields);
-            fields.push(("m".into(), num(*m)));
-            fields.push(("x".into(), num(*x)));
-        }
-        Add { a, b } => {
-            tag("add", &mut fields);
-            fields.push(("a".into(), num(*a)));
-            fields.push(("b".into(), num(*b)));
-        }
-        Sub { a, b } => {
-            tag("sub", &mut fields);
-            fields.push(("a".into(), num(*a)));
-            fields.push(("b".into(), num(*b)));
-        }
-        Mul { a, b } => {
-            tag("mul", &mut fields);
-            fields.push(("a".into(), num(*a)));
-            fields.push(("b".into(), num(*b)));
-        }
-        Div { a, b } => {
-            tag("div", &mut fields);
-            fields.push(("a".into(), num(*a)));
-            fields.push(("b".into(), num(*b)));
+            put("m", num(*m));
+            put("x", num(*x));
         }
         Scale { x, alpha } => {
-            tag("scale", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("alpha".into(), f32_bits(*alpha)));
+            put("x", num(*x));
+            put("alpha", f32_bits(*alpha));
         }
         AddConst { x, c } => {
-            tag("add_const", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("c".into(), f32_bits(*c)));
+            put("x", num(*x));
+            put("c", f32_bits(*c));
         }
         Pow { x, p, eps } => {
-            tag("pow", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("p".into(), f32_bits(*p)));
-            fields.push(("eps".into(), f32_bits(*eps)));
+            put("x", num(*x));
+            put("p", f32_bits(*p));
+            put("eps", f32_bits(*eps));
         }
-        Exp { x } => {
-            tag("exp", &mut fields);
-            fields.push(("x".into(), num(*x)));
-        }
-        Relu { x } => {
-            tag("relu", &mut fields);
-            fields.push(("x".into(), num(*x)));
-        }
+        Exp { x } | Relu { x } | Sigmoid { x } | Tanh { x } | LogSoftmax { x } | SumAll { x }
+        | SumRows { x } => put("x", num(*x)),
         LeakyRelu { x, slope } => {
-            tag("leaky_relu", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("slope".into(), f32_bits(*slope)));
-        }
-        Sigmoid { x } => {
-            tag("sigmoid", &mut fields);
-            fields.push(("x".into(), num(*x)));
-        }
-        Tanh { x } => {
-            tag("tanh", &mut fields);
-            fields.push(("x".into(), num(*x)));
+            put("x", num(*x));
+            put("slope", f32_bits(*slope));
         }
         AddRowBroadcast { x, b } => {
-            tag("add_row_broadcast", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("b".into(), num(*b)));
+            put("x", num(*x));
+            put("b", num(*b));
         }
-        AddColBroadcast { x, c } => {
-            tag("add_col_broadcast", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("c".into(), num(*c)));
-        }
-        MulColBroadcast { x, c } => {
-            tag("mul_col_broadcast", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("c".into(), num(*c)));
+        AddColBroadcast { x, c } | MulColBroadcast { x, c } => {
+            put("x", num(*x));
+            put("c", num(*c));
         }
         MulScalarNode { x, s } => {
-            tag("mul_scalar_node", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("s".into(), num(*s)));
+            put("x", num(*x));
+            put("s", num(*s));
         }
-        LogSoftmax { x } => {
-            tag("log_softmax", &mut fields);
-            fields.push(("x".into(), num(*x)));
-        }
-        ConcatCols { parts } => {
-            tag("concat_cols", &mut fields);
-            fields.push(("parts".into(), Json::Arr(parts.iter().map(|&p| num(p)).collect())));
+        ConcatCols { parts } | MaxStack { parts } => {
+            put("parts", Json::Arr(parts.iter().map(|&p| num(p)).collect()))
         }
         SliceCols { x, lo, hi } => {
-            tag("slice_cols", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("lo".into(), num(*lo)));
-            fields.push(("hi".into(), num(*hi)));
+            put("x", num(*x));
+            put("lo", num(*lo));
+            put("hi", num(*hi));
         }
         GatherRows { x, idx } => {
-            tag("gather_rows", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("idx".into(), Json::Arr(idx.iter().map(|&i| num(i)).collect())));
-        }
-        SumAll { x } => {
-            tag("sum_all", &mut fields);
-            fields.push(("x".into(), num(*x)));
-        }
-        SumRows { x } => {
-            tag("sum_rows", &mut fields);
-            fields.push(("x".into(), num(*x)));
+            put("x", num(*x));
+            put("idx", Json::Arr(idx.iter().map(|&i| num(i)).collect()));
         }
         SumCols { x, groups } => {
-            tag("sum_cols", &mut fields);
-            fields.push(("x".into(), num(*x)));
-            fields.push(("groups".into(), num(*groups)));
-        }
-        MaxStack { parts } => {
-            tag("max_stack", &mut fields);
-            fields.push(("parts".into(), Json::Arr(parts.iter().map(|&p| num(p)).collect())));
+            put("x", num(*x));
+            put("groups", num(*groups));
         }
         GatAggregate { adj, z, ssrc, sdst, slope } => {
-            tag("gat_aggregate", &mut fields);
-            fields.push(("adj".into(), num(*adj)));
-            fields.push(("z".into(), num(*z)));
-            fields.push(("ssrc".into(), num(*ssrc)));
-            fields.push(("sdst".into(), num(*sdst)));
-            fields.push(("slope".into(), f32_bits(*slope)));
+            put("adj", num(*adj));
+            put("z", num(*z));
+            put("ssrc", num(*ssrc));
+            put("sdst", num(*sdst));
+            put("slope", f32_bits(*slope));
         }
     }
     Json::Obj(fields)
@@ -729,6 +653,47 @@ mod tests {
 
     fn parse(text: &str) -> ServeResult<ProgramOp> {
         op_from_json(&Json::parse(text).expect("test JSON parses"), 2, 0)
+    }
+
+    #[test]
+    fn every_op_is_tagged_with_its_name_and_round_trips() {
+        use ProgramOp::*;
+        let ops = [
+            Constant { value: Tensor::from_rows(&[&[1.5, -0.0]]) },
+            Param { name: "w".into() },
+            MatMul { a: 0, b: 1 },
+            SpMM { m: 0, x: 1 },
+            Add { a: 0, b: 1 },
+            Sub { a: 1, b: 0 },
+            Mul { a: 0, b: 1 },
+            Div { a: 1, b: 0 },
+            Scale { x: 1, alpha: -0.5 },
+            AddConst { x: 0, c: 2.0 },
+            Pow { x: 1, p: -0.5, eps: 1e-6 },
+            Exp { x: 0 },
+            Relu { x: 1 },
+            LeakyRelu { x: 0, slope: 0.2 },
+            Sigmoid { x: 1 },
+            Tanh { x: 0 },
+            AddRowBroadcast { x: 0, b: 1 },
+            AddColBroadcast { x: 1, c: 0 },
+            MulColBroadcast { x: 0, c: 1 },
+            MulScalarNode { x: 1, s: 0 },
+            LogSoftmax { x: 0 },
+            ConcatCols { parts: vec![0, 1, 0] },
+            SliceCols { x: 1, lo: 1, hi: 3 },
+            GatherRows { x: 0, idx: vec![2, 0, 2] },
+            SumAll { x: 1 },
+            SumRows { x: 0 },
+            SumCols { x: 1, groups: 3 },
+            MaxStack { parts: vec![1, 0] },
+            GatAggregate { adj: 0, z: 1, ssrc: 0, sdst: 1, slope: 0.2 },
+        ];
+        for op in ops {
+            let j = op_to_json(&op);
+            assert_eq!(j.get("op").and_then(Json::as_str), Some(op.name()), "{op:?}");
+            assert_eq!(op_from_json(&j, 2, 1).expect("round trip"), op);
+        }
     }
 
     #[test]

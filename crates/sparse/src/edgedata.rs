@@ -7,21 +7,14 @@
 //! companion (transpose, delta compaction, `replace_parts`) must be mirrored
 //! by the matching row permutation here, and every mismatch is a typed
 //! [`EdgeDataError`], never a silent misread.
-//!
-//! [`EdgeDeltaCsr`] pairs a [`DeltaCsr`] with its edge features and keeps
-//! the two consistent through buffered inserts/removes and compaction.
 
-use std::collections::BTreeMap;
-
-use crate::{Csr, DeltaCsr, DeltaError};
+use crate::Csr;
 use lasagne_tensor::Tensor;
 
 /// Typed failures of the edge-feature layer. Every variant names the shapes
 /// involved so callers can log without re-deriving state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EdgeDataError {
-    /// A feature row had the wrong width.
-    DimMismatch { expected: usize, got: usize },
     /// The flat buffer length is not `nnz * dim`.
     LengthMismatch { nnz: usize, dim: usize, len: usize },
     /// The edge table and the CSR disagree on entry count — the structure
@@ -29,19 +22,14 @@ pub enum EdgeDataError {
     Misaligned { nnz: usize, edge_rows: usize },
     /// An edge-row index was out of range.
     RowOutOfRange { row: usize, nnz: usize },
-    /// A merged CSR entry has no feature row on either side of the delta —
-    /// structure and features have drifted apart.
+    /// A CSR entry has no feature row — structure and features have
+    /// drifted apart.
     MissingFeature { row: u32, col: u32 },
-    /// The underlying delta buffer refused the structural change.
-    Delta(DeltaError),
 }
 
 impl std::fmt::Display for EdgeDataError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EdgeDataError::DimMismatch { expected, got } => {
-                write!(f, "edge feature dim mismatch: expected {expected}, got {got}")
-            }
             EdgeDataError::LengthMismatch { nnz, dim, len } => {
                 write!(f, "edge data length {len} != nnz {nnz} * dim {dim}")
             }
@@ -54,18 +42,11 @@ impl std::fmt::Display for EdgeDataError {
             EdgeDataError::MissingFeature { row, col } => {
                 write!(f, "entry ({row},{col}) has no feature row — structure and edge data drifted")
             }
-            EdgeDataError::Delta(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for EdgeDataError {}
-
-impl From<DeltaError> for EdgeDataError {
-    fn from(e: DeltaError) -> Self {
-        EdgeDataError::Delta(e)
-    }
-}
 
 /// Dense `nnz x dim` edge-feature matrix, row `e` aligned to flat CSR
 /// position `e` of a companion matrix.
@@ -179,138 +160,6 @@ impl EdgeData {
     }
 }
 
-/// A [`DeltaCsr`] whose edges carry features: buffered inserts store their
-/// feature row alongside the value, removes drop it, and
-/// [`EdgeDeltaCsr::to_parts`] / [`EdgeDeltaCsr::compact`] re-emit a clean
-/// `(Csr, EdgeData)` pair with rows aligned to the merged nnz order — or
-/// fail typed if structure and features have drifted.
-#[derive(Debug, Clone)]
-pub struct EdgeDeltaCsr {
-    delta: DeltaCsr,
-    dim: usize,
-    base_edges: EdgeData,
-    pending_feats: BTreeMap<(u32, u32), Vec<f32>>,
-}
-
-impl EdgeDeltaCsr {
-    /// Wrap a base matrix and its aligned edge features. Errors typed on
-    /// misalignment.
-    pub fn new(base: Csr, edges: EdgeData) -> Result<EdgeDeltaCsr, EdgeDataError> {
-        edges.check_aligned(&base)?;
-        let dim = edges.dim();
-        Ok(EdgeDeltaCsr {
-            delta: DeltaCsr::new(base),
-            dim,
-            base_edges: edges,
-            pending_feats: BTreeMap::new(),
-        })
-    }
-
-    /// Rows of the merged view.
-    pub fn rows(&self) -> usize {
-        self.delta.rows()
-    }
-
-    /// Columns of the merged view.
-    pub fn cols(&self) -> usize {
-        self.delta.cols()
-    }
-
-    /// Entry count of the merged view.
-    pub fn nnz(&self) -> usize {
-        self.delta.nnz()
-    }
-
-    /// Feature width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Buffered mutations not yet compacted.
-    pub fn pending(&self) -> usize {
-        self.delta.pending()
-    }
-
-    /// Is entry `(r, c)` present in the merged view?
-    pub fn contains(&self, r: u32, c: u32) -> bool {
-        self.delta.contains(r, c)
-    }
-
-    /// Buffer an edge insert with its feature row. The feature width must
-    /// match; duplicate/out-of-range edges fail typed like [`DeltaCsr`].
-    pub fn insert(&mut self, r: u32, c: u32, v: f32, feat: &[f32]) -> Result<(), EdgeDataError> {
-        if feat.len() != self.dim {
-            return Err(EdgeDataError::DimMismatch { expected: self.dim, got: feat.len() });
-        }
-        self.delta.insert(r, c, v)?;
-        self.pending_feats.insert((r, c), feat.to_vec());
-        Ok(())
-    }
-
-    /// Buffer an edge remove, dropping its buffered feature row if the edge
-    /// was itself a buffered insert.
-    pub fn remove(&mut self, r: u32, c: u32) -> Result<(), EdgeDataError> {
-        self.delta.remove(r, c)?;
-        self.pending_feats.remove(&(r, c));
-        Ok(())
-    }
-
-    /// Grow a square matrix by one empty row/column; returns the new id.
-    pub fn add_node(&mut self) -> usize {
-        self.delta.add_node()
-    }
-
-    /// The feature row of a live edge: a buffered insert's row wins, then the
-    /// base table. Errors typed if the edge is absent or its feature row is
-    /// missing (drift).
-    pub fn feature(&self, r: u32, c: u32) -> Result<&[f32], EdgeDataError> {
-        if let Some(row) = self.pending_feats.get(&(r, c)) {
-            return Ok(row);
-        }
-        if self.delta.contains(r, c) {
-            if let Some(e) = self.delta.base().edge_position(r, c) {
-                return Ok(self.base_edges.row(e));
-            }
-        }
-        Err(EdgeDataError::MissingFeature { row: r, col: c })
-    }
-
-    /// Materialize the merged view as an aligned `(Csr, EdgeData)` pair —
-    /// the CSR is bitwise what [`DeltaCsr::to_csr`] produces, and edge row
-    /// `e` is the feature row of the CSR's `e`-th entry. Fails typed if any
-    /// merged entry lost its features.
-    pub fn to_parts(&self) -> Result<(Csr, EdgeData), EdgeDataError> {
-        let merged = self.delta.to_csr();
-        let mut data = Vec::with_capacity(merged.nnz() * self.dim);
-        for r in 0..merged.rows() {
-            for &c in merged.row_indices(r) {
-                let row = self.feature(r as u32, c)?;
-                data.extend_from_slice(row);
-            }
-        }
-        let edges = EdgeData::from_flat(merged.nnz(), self.dim, data)?;
-        Ok((merged, edges))
-    }
-
-    /// Fold the buffer into the base (structure via [`DeltaCsr::compact`]'s
-    /// `replace_parts` path, features re-emitted in the new nnz order) and
-    /// reset both buffers. Fails typed — leaving the buffer untouched — if
-    /// the merged view has drifted.
-    pub fn compact(&mut self) -> Result<(), EdgeDataError> {
-        let (_, edges) = self.to_parts()?;
-        self.delta.compact();
-        self.base_edges = edges;
-        self.pending_feats.clear();
-        debug_assert!(self.base_edges.check_aligned(self.delta.base()).is_ok());
-        Ok(())
-    }
-
-    /// The compacted base pair (aligned by construction after `compact`).
-    pub fn base(&self) -> (&Csr, &EdgeData) {
-        (self.delta.base(), &self.base_edges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,31 +224,5 @@ mod tests {
             EdgeData::zeros(2, 2).gather_edge_rows(&[0, 2]),
             Err(EdgeDataError::RowOutOfRange { row: 2, nnz: 2 })
         );
-    }
-
-    #[test]
-    fn delta_insert_remove_compact_keeps_alignment() {
-        let m = path3();
-        let e = tagged(&m);
-        let mut d = EdgeDeltaCsr::new(m, e).unwrap();
-        d.insert(0, 2, 9.0, &[0.0, 2.0]).unwrap();
-        d.remove(1, 0).unwrap();
-        assert_eq!(d.feature(0, 2).unwrap(), &[0.0, 2.0]);
-        let (csr, edges) = d.to_parts().unwrap();
-        edges.check_aligned(&csr).unwrap();
-        d.compact().unwrap();
-        let (base, base_edges) = d.base();
-        assert_eq!(base.nnz(), csr.nnz());
-        assert_eq!(base_edges.as_slice(), edges.as_slice());
-    }
-
-    #[test]
-    fn delta_dim_mismatch_fails_typed_and_buffers_nothing() {
-        let m = path3();
-        let mut d = EdgeDeltaCsr::new(m.clone(), tagged(&m)).unwrap();
-        let err = d.insert(0, 2, 1.0, &[1.0]).unwrap_err();
-        assert_eq!(err, EdgeDataError::DimMismatch { expected: 2, got: 1 });
-        assert_eq!(d.pending(), 0);
-        assert!(!d.contains(0, 2));
     }
 }

@@ -26,4 +26,4 @@ mod structure;
 
 pub use csr::Csr;
 pub use delta::{DeltaCsr, DeltaError};
-pub use edgedata::{EdgeData, EdgeDataError, EdgeDeltaCsr};
+pub use edgedata::{EdgeData, EdgeDataError};

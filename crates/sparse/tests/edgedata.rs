@@ -1,13 +1,9 @@
 //! Property suite for the edge-feature layer (DESIGN.md §15): `EdgeData`
-//! rows must track their CSR entries through transposition and through an
-//! arbitrary interleaving of `EdgeDeltaCsr` inserts/removes/compactions —
-//! and every drift or bad shape must fail typed, never misread.
+//! rows must track their CSR entries, through transposition too.
 
-use std::collections::BTreeMap;
-
-use lasagne_sparse::{Csr, EdgeData, EdgeDataError, EdgeDeltaCsr};
+use lasagne_sparse::{Csr, EdgeData};
 use lasagne_testkit::gens::{coo_graph, CooGraph};
-use lasagne_testkit::{prop_assert, prop_assert_eq, prop_check, Rng};
+use lasagne_testkit::{prop_assert, prop_assert_eq, prop_check};
 
 fn csr_of(g: &CooGraph) -> Csr {
     Csr::from_coo(g.n, g.n, &g.entries)
@@ -66,128 +62,4 @@ prop_check! {
             }
         }
     }
-}
-
-prop_check! {
-    cases = 200,
-    fn delta_session_keeps_nnz_edge_row_alignment(
-        g in coo_graph(2..10, 0.35, -2.0, 2.0),
-        seed in 0u64..500,
-        ops in 1usize..40
-    ) {
-        let m = csr_of(&g);
-        let n = m.rows() as u32;
-        let mut d = EdgeDeltaCsr::new(m.clone(), tagged(&m)).unwrap();
-        // Shadow model: the ground-truth edge → feature map.
-        let mut shadow: BTreeMap<(u32, u32), [f32; 3]> = BTreeMap::new();
-        for r in 0..m.rows() {
-            for &c in m.row_indices(r) {
-                let mut f = [0.0f32; 3];
-                tag(r as u32, c, &mut f);
-                shadow.insert((r as u32, c), f);
-            }
-        }
-        let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
-        for _ in 0..ops {
-            let r = rng.range_usize(0, d.rows()) as u32;
-            let c = rng.range_usize(0, d.cols()) as u32;
-            let mut f = [0.0f32; 3];
-            tag(r, c, &mut f);
-            match rng.range_usize(0, 3) {
-                0 => {
-                    // Insert: succeeds iff absent; either way shadow agrees.
-                    let was = shadow.contains_key(&(r, c));
-                    let got = d.insert(r, c, 1.0, &f);
-                    prop_assert_eq!(got.is_ok(), !was);
-                    if !was {
-                        shadow.insert((r, c), f);
-                    }
-                }
-                1 => {
-                    let was = shadow.contains_key(&(r, c));
-                    let got = d.remove(r, c);
-                    prop_assert_eq!(got.is_ok(), was);
-                    if was {
-                        shadow.remove(&(r, c));
-                    }
-                }
-                _ => {
-                    d.compact().unwrap();
-                    prop_assert_eq!(d.pending(), 0);
-                }
-            }
-            let _ = n;
-        }
-        // The merged view must be exactly the shadow, rows aligned.
-        let (csr, edges) = d.to_parts().unwrap();
-        edges.check_aligned(&csr).unwrap();
-        prop_assert_eq!(csr.nnz(), shadow.len());
-        let mut flat = 0usize;
-        for r in 0..csr.rows() {
-            for &c in csr.row_indices(r) {
-                let want = shadow.get(&(r as u32, c)).expect("entry not in shadow");
-                prop_assert_eq!(edges.row(flat), &want[..]);
-                flat += 1;
-            }
-        }
-    }
-}
-
-prop_check! {
-    cases = 200,
-    fn compact_matches_from_coo_alignment(
-        g in coo_graph(2..10, 0.3, -2.0, 2.0),
-        seed in 0u64..500
-    ) {
-        // After a compact, base() must be bitwise the same pair to_parts()
-        // produced — compaction is re-emission, not re-derivation.
-        let m = csr_of(&g);
-        let mut d = EdgeDeltaCsr::new(m.clone(), tagged(&m)).unwrap();
-        let mut rng = Rng::seed_from_u64(seed);
-        for _ in 0..6 {
-            let r = rng.range_usize(0, d.rows()) as u32;
-            let c = rng.range_usize(0, d.cols()) as u32;
-            let mut f = [0.0f32; 3];
-            tag(r, c, &mut f);
-            if d.contains(r, c) {
-                d.remove(r, c).unwrap();
-            } else {
-                d.insert(r, c, 2.0, &f).unwrap();
-            }
-        }
-        let (csr, edges) = d.to_parts().unwrap();
-        d.compact().unwrap();
-        let (base, base_edges) = d.base();
-        prop_assert_eq!(base.indptr(), csr.indptr());
-        prop_assert_eq!(base.indices(), csr.indices());
-        prop_assert!(base
-            .values()
-            .iter()
-            .zip(csr.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        prop_assert!(base_edges
-            .as_slice()
-            .iter()
-            .zip(edges.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-}
-
-#[test]
-fn drifted_structure_fails_typed() {
-    // Widen the structure behind the edge table's back: to_parts must
-    // refuse with MissingFeature, not fabricate rows.
-    let m = Csr::from_coo(3, 3, &[(0, 1, 1.0), (2, 0, 1.0)]);
-    let short = EdgeData::zeros(m.nnz(), 2);
-    let wrong = EdgeData::zeros(m.nnz() + 2, 2);
-    assert!(matches!(
-        EdgeDeltaCsr::new(m.clone(), wrong),
-        Err(EdgeDataError::Misaligned { .. })
-    ));
-    let d = EdgeDeltaCsr::new(m, short).unwrap();
-    // feature() on an absent edge is the typed drift signal.
-    assert!(matches!(
-        d.feature(1, 1),
-        Err(EdgeDataError::MissingFeature { row: 1, col: 1 })
-    ));
 }

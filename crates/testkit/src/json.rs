@@ -121,14 +121,13 @@ impl Json {
             .collect()
     }
 
-    /// Compact serialization.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
+    /// Append the compact form to `out`, handing `out` to `f` whenever it
+    /// has grown past [`CHUNK`] bytes.
+    fn write(&self, out: &mut String, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if out.len() >= CHUNK {
+            f.write_str(out)?;
+            out.clear();
+        }
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -141,7 +140,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write(out, f)?;
                 }
                 out.push(']');
             }
@@ -153,11 +152,12 @@ impl Json {
                     }
                     write_string(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write(out, f)?;
                 }
                 out.push('}');
             }
         }
+        Ok(())
     }
 
     /// Parse a complete JSON document (trailing whitespace allowed,
@@ -174,9 +174,17 @@ impl Json {
     }
 }
 
+/// Bytes [`Json`]'s `Display` buffers between formatter writes.
+const CHUNK: usize = 1 << 16;
+
+/// Compact serialization (`to_string` is the whole document). Tokens are
+/// pushed onto a `String` buffer that reaches the formatter a chunk at a
+/// time, not one formatter call per token.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        let mut out = String::new();
+        self.write(&mut out, f)?;
+        f.write_str(&out)
     }
 }
 

@@ -9,8 +9,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-echo "== cargo test -q --offline =="
+echo "== cargo test -q --offline (the root package and every crate) =="
 cargo test -q --offline
+
+echo "== cargo clippy, whole workspace, every target =="
+# Errors fail the stage; warnings are reported, not promoted.
+cargo clippy --offline --workspace --all-targets
 
 echo "== lasagne-train, whole crate, at 1 and 4 threads =="
 # Its unit tests (the checkpoint envelope: writer bytes, every one-bit flip
