@@ -19,7 +19,9 @@
 //! kernel as a guard against silent contract rot. Note the `speedup` column
 //! is only meaningful on multi-core hardware; `available_parallelism` is
 //! recorded in the JSON so a reader can tell a 1-core CI box from a real
-//! measurement.
+//! measurement, and `gemm_isa` names the dense-kernel instantiation the CPU
+//! ran (`"avx512f"` or `"portable"`), so GFLOP/s figures from different
+//! hosts are not compared blind.
 
 use std::hint::black_box;
 
@@ -397,6 +399,7 @@ fn main() {
         ("bench".into(), Json::Str("kernels".into())),
         ("smoke".into(), Json::Bool(cfg.smoke)),
         ("available_parallelism".into(), Json::Num(cores as f64)),
+        ("gemm_isa".into(), Json::Str(lasagne_tensor::gemm_isa().into())),
         ("serial_threads".into(), Json::Num(1.0)),
         ("parallel_threads".into(), Json::Num(cfg.threads as f64)),
         ("samples".into(), Json::Num(cfg.samples as f64)),

@@ -28,6 +28,7 @@ mod reduce;
 mod tensor;
 
 pub use init::TensorRng;
+pub use matmul::gemm_isa;
 pub use tensor::{Tensor, TensorError};
 
 /// Fixed chunk size (in `f32` elements, or in flops for the matmul row

@@ -67,15 +67,18 @@ impl<G: Gen> Gen for VecGen<G> {
     }
 }
 
+/// One generator closure of a [`OneOf`].
+pub type Branch<T> = Box<dyn Fn(&mut Rng) -> T>;
+
 /// Pick uniformly among a fixed set of generator closures — the harness's
 /// `prop_oneof!`. All branches must produce the same `Value` type.
 pub struct OneOf<T> {
-    branches: Vec<Box<dyn Fn(&mut Rng) -> T>>,
+    branches: Vec<Branch<T>>,
 }
 
 impl<T> OneOf<T> {
     /// Build from branch closures.
-    pub fn new(branches: Vec<Box<dyn Fn(&mut Rng) -> T>>) -> Self {
+    pub fn new(branches: Vec<Branch<T>>) -> Self {
         assert!(!branches.is_empty(), "OneOf: no branches");
         OneOf { branches }
     }

@@ -10,6 +10,8 @@ echo "== cargo build --release --offline =="
 cargo build --release --offline
 
 echo "== cargo test -q --offline (the root package and every crate) =="
+# Every suite of every crate, once, at the default pool size. The stages
+# below rerun a suite only at LASAGNE_THREADS 1 and 4, or drive a binary.
 cargo test -q --offline
 
 echo "== cargo clippy, whole workspace, every target =="
@@ -28,7 +30,11 @@ echo "== release CLI links with --resume/--max-recoveries/--clip-norm =="
 cargo run --release --offline --bin lasagne-cli -- --list > /dev/null
 
 echo "== determinism across thread counts (LASAGNE_THREADS=1 vs 4) =="
-# The kernel suites under both pool sizes...
+# The kernel suites under both pool sizes, among them the kernel
+# equivalence suites: the blocked matmul family (every tile instantiation
+# this CPU runs) and the column-blocked SpMM must compute bit for bit what
+# the pre-blocking seed loops computed (`blocked_equiv`, `spmm_blocked`, the
+# matmul.rs unit tests; the suites also sweep thread counts internally)...
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-tensor -p lasagne-sparse
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-tensor -p lasagne-sparse
 # ...and a short end-to-end training run: the saved checkpoints must be
@@ -38,15 +44,6 @@ LASAGNE_THREADS=1 cargo run --release --offline --bin lasagne-cli -- \
 LASAGNE_THREADS=4 cargo run --release --offline --bin lasagne-cli -- \
     cora gcn --epochs 3 --save target/verify_t4.ckpt.json > /dev/null
 cmp target/verify_t1.ckpt.json target/verify_t4.ckpt.json
-
-echo "== kernel equivalence: blocked kernels bitwise-equal pinned seed references =="
-# The blocked/tiled matmul family and the column-blocked SpMM must compute
-# bit-for-bit what the pre-blocking seed loops computed, at 1 and 4 pool
-# threads (the suites additionally sweep thread counts internally).
-LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-tensor --test blocked_equiv
-LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-tensor --test blocked_equiv
-LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-sparse --test spmm_blocked
-LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-sparse --test spmm_blocked
 
 echo "== evaluator: one op kernel + one dependency rule under every schedule, at 1 and 4 threads =="
 # DESIGN.md §10 "One evaluator": autograd's unit tests (peval, export),
@@ -65,16 +62,13 @@ LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test query_contract
 # that breaks it fails here rather than only in the benchmark pipeline.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== gradcheck sweeps (13 baselines + Lasagne aggregators + GC-FM) =="
-cargo test -q --offline -p lasagne-gnn --test gradcheck_models
-# The whole Lasagne crate: its unit tests (GC-FM fast path vs brute-force
-# Eq 7 among them), the gradcheck sweep and the batched-vs-per-class GC-FM
-# suite, at both pool sizes.
+echo "== lasagne-core, whole crate, at 1 and 4 threads =="
+# Its unit tests (GC-FM fast path vs brute-force Eq 7 among them), the
+# gradcheck sweep and the batched-vs-per-class GC-FM suite, at both pool
+# sizes. (The 13-baseline sweep, lasagne-gnn's `gradcheck_models`, runs in
+# the first stage.)
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-core
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-core
-
-echo "== MI golden tests (closed-form histogram + KSG cases) =="
-cargo test -q --offline -p lasagne-mi --test golden
 
 echo "== trace: artifact is valid and has the expected spans =="
 # The --resume run saves a checkpoint every epoch, so tracecheck's required
@@ -132,8 +126,8 @@ echo "== serve: quantized export + serve smoke (opt-in path, DESIGN.md 13) =="
 # The i8 artifact must be byte-deterministic, strictly smaller than the
 # exact f32 artifact, refused by a plain `serve`, and served cleanly under
 # `serve --quantized` (protocol check included). The logit-tolerance and
-# bitwise fused-kernel contracts are covered by the dedicated suite.
-cargo test -q --offline -p lasagne-serve --test quantized
+# bitwise fused-kernel contracts are covered by lasagne-serve's `quantized`
+# suite in the first stage.
 cargo run --release --offline --bin lasagne-cli -- \
     cora gcn --epochs 3 --export-quantized target/verify_quant_a.json > /dev/null
 cargo run --release --offline --bin lasagne-cli -- \
@@ -160,9 +154,6 @@ cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --smoke --out target/BENCH_serve.smoke.json > /dev/null
 test -s target/BENCH_serve.smoke.json
 
-echo "== overload contract: bounded admission, deadlines, hot swap, protocol fuzz =="
-cargo test -q --offline -p lasagne-serve --test overload
-
 echo "== overload soak: 30s flood at 4x the knee with chaos clients, hot swap mid-flood =="
 # Pass criteria enforced by the binary (DESIGN.md §12): zero untyped
 # failures under flood + garbage + slowloris + hangups, health p99 < 5ms
@@ -170,12 +161,6 @@ echo "== overload soak: 30s flood at 4x the knee with chaos clients, hot swap mi
 # shutdown drains cleanly.
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --soak --duration-s 30
-
-echo "== streaming: bitwise property suites (delta layer + live-vs-cold engines) =="
-cargo test -q --offline -p lasagne-sparse --test delta
-cargo test -q --offline -p lasagne-sparse --test transpose_cache_delta
-cargo test -q --offline -p lasagne-serve --test streaming_equiv
-cargo test -q --offline -p lasagne-serve --test server_robustness
 
 echo "== streaming: live mutated server is bitwise-equal to an always-cold engine =="
 # The drive replays a scripted mutation session over TCP against a server
@@ -231,13 +216,10 @@ cargo run --release --offline -p lasagne-bench --bin scale-bench -- \
     --smoke --out target/BENCH_scale.smoke.json
 test -s target/BENCH_scale.smoke.json
 
-echo "== rec: edge-data, gated-model, and serving suites at 1 and 4 threads =="
-# The recommendation contract (DESIGN.md §15): edge features stay aligned
-# through deltas and gathers, the gate is gradient-checked, per-edge
-# attributes are bitwise seed-deterministic, and frozen `recommend` is
-# bitwise the training-side ranker at both pool sizes.
-cargo test -q --offline -p lasagne-sparse --test edgedata
-cargo test -q --offline -p lasagne-graph --test bipartite_attrs
+echo "== rec: frozen-forward and serving suites at 1 and 4 threads =="
+# The recommendation contract (DESIGN.md §15): frozen `recommend` is
+# bitwise the training-side ranker at both pool sizes. (The edge-data
+# suites, `edgedata` and `bipartite_attrs`, run in the first stage.)
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test frozen_forward
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test frozen_forward
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test rec_serving
