@@ -284,15 +284,14 @@ impl Tape {
                     let g_row = g.row(i);
                     dalpha.clear();
                     let mut weighted_sum = 0.0f32; // Σ_k α_ik · dα_ik
-                    for e in lo..hi {
-                        let j = adj.indices()[e] as usize;
+                    for (&j, &a_ij) in adj.indices()[lo..hi].iter().zip(&alpha[lo..hi]) {
                         let da: f32 = g_row
                             .iter()
-                            .zip(zv.row(j))
+                            .zip(zv.row(j as usize))
                             .map(|(a, b)| a * b)
                             .sum();
                         dalpha.push(da);
-                        weighted_sum += alpha[e] * da;
+                        weighted_sum += a_ij * da;
                     }
                     let mut dsi = 0.0f32;
                     for (k, e) in (lo..hi).enumerate() {

@@ -237,16 +237,6 @@ pub fn program_shapes(
     Ok(shapes)
 }
 
-/// A `MatMul` right operand a schedule supplies k-panel by k-panel instead
-/// of as a tensor (the resident schedule's quantized weights; see
-/// [`Tensor::matmul_packed_b`]).
-pub trait PackedOperand {
-    /// `(rows, cols)` of the unpacked matrix.
-    fn shape(&self) -> (usize, usize);
-    /// Fill `buf` (`(r1 - r0) × cols`, row-major) with rows `r0..r1`.
-    fn pack(&self, r0: usize, r1: usize, buf: &mut [f32]);
-}
-
 /// Where a schedule's operand values come from.
 pub trait Operands {
     /// Operand `j`, whole (a leaf resolves to the program or weight table).
@@ -268,11 +258,6 @@ pub trait Operands {
     /// `rows`. A schedule that already walked them may hand them back.
     fn halo(&self, _i: usize, m: usize, rows: &[usize]) -> Cow<'_, [usize]> {
         Cow::Owned(neighbors(self.sparse(m), rows))
-    }
-
-    /// A packed binding of weight slot `j`, if the schedule keeps it packed.
-    fn packed(&self, _j: usize) -> Option<&dyn PackedOperand> {
-        None
     }
 }
 
@@ -317,13 +302,7 @@ pub fn op_rows(op: &ProgramOp, i: usize, rows: Option<&[usize]>, src: &impl Oper
     };
     match op {
         Constant { .. } | Param { .. } => at(i).into_owned(),
-        MatMul { a, b } => match (rows, src.packed(*b)) {
-            (None, Some(q)) => {
-                let (k, m) = q.shape();
-                src.whole(*a).matmul_packed_b(k, m, |r0, r1, buf| q.pack(r0, r1, buf))
-            }
-            _ => at(*a).matmul(src.whole(*b)),
-        },
+        MatMul { a, b } => at(*a).matmul(src.whole(*b)),
         SpMM { m, x } => match rows {
             None => src.sparse(*m).spmm(src.whole(*x)),
             Some(r) => {
@@ -389,8 +368,6 @@ pub struct Resident<'a> {
     pub sparse: &'a [&'a Csr],
     /// Weight table the `Param` leaves bind to by name.
     pub weights: &'a [(String, Tensor)],
-    /// `MatMul` right operands kept packed, by `Param` slot.
-    pub packed: &'a [(usize, &'a dyn PackedOperand)],
     /// One value per instruction (leaves hold a placeholder).
     pub values: &'a [Tensor],
 }
@@ -405,10 +382,6 @@ impl Operands for Resident<'_> {
     fn sparse(&self, m: usize) -> &Csr {
         self.sparse[m]
     }
-
-    fn packed(&self, j: usize) -> Option<&dyn PackedOperand> {
-        self.packed.iter().find(|(slot, _)| *slot == j).map(|(_, q)| *q)
-    }
 }
 
 /// The resident schedule: every row of every instruction, once, in program
@@ -419,7 +392,6 @@ pub fn eval_all(
     ops: &[ProgramOp],
     sparse: &[&Csr],
     weights: &[(String, Tensor)],
-    packed: &[(usize, &dyn PackedOperand)],
 ) -> Result<Vec<Tensor>, PevalError> {
     for op in ops {
         leaf_value(op, weights)?;
@@ -429,7 +401,7 @@ pub fn eval_all(
         let value = if ops[i].is_leaf() {
             Tensor::zeros(0, 0)
         } else {
-            op_rows(&ops[i], i, None, &Resident { ops, sparse, weights, packed, values: &values })
+            op_rows(&ops[i], i, None, &Resident { ops, sparse, weights, values: &values })
         };
         values.push(value);
     }
@@ -503,7 +475,7 @@ pub fn eval_dirty(
         if rows.is_empty() || ops[i].is_leaf() {
             continue;
         }
-        let src = Resident { ops, sparse, weights, packed: &[], values };
+        let src = Resident { ops, sparse, weights, values };
         let patch = op_rows(&ops[i], i, Some(rows), &src);
         for (r, &row) in rows.iter().enumerate() {
             values[i].row_mut(row).copy_from_slice(patch.row(r));

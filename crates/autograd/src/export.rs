@@ -271,42 +271,28 @@ impl Program {
         seen
     }
 
-    /// Per op slot: is it a `Param` leaf read **only** as the right operand
-    /// of `MatMul` ops (and not the program output)? Those are the slots a
-    /// quantized serve path may keep compressed and dequantize on the fly
-    /// inside the matmul panel loop: every use goes through the packed
-    /// micro-kernel, so materializing vs fusing is bitwise-neutral. A slot
-    /// that also feeds any other op (bias adds, attention scores, …) — or
-    /// the `a` side of a matmul — must stay exact.
-    pub fn matmul_right_only(&self) -> Vec<bool> {
-        let mut ok: Vec<bool> =
-            self.ops.iter().map(|op| matches!(op, ProgramOp::Param { .. })).collect();
+    /// Names of the parameters read **only** as the right operand of
+    /// `MatMul` ops, at every slot that binds them (a name can bind several
+    /// slots when weights are shared), in first-use order. These are the
+    /// weights a quantized export may compress: a weight that also feeds
+    /// any other op (bias adds, attention scores, …), the `a` side of a
+    /// matmul, or the program output stays exact.
+    pub fn matmul_only_params(&self) -> Vec<&str> {
+        let mut escapes = vec![false; self.ops.len()];
         for op in &self.ops {
             match op {
-                // The `b` slot is the one fusable position; `a` is not.
-                ProgramOp::MatMul { a, .. } => ok[*a] = false,
-                _ => {
-                    for inp in op.inputs() {
-                        ok[inp] = false;
-                    }
-                }
+                // The `b` slot is the one eligible position; `a` is not.
+                ProgramOp::MatMul { a, .. } => escapes[*a] = true,
+                _ => op.inputs().into_iter().for_each(|j| escapes[j] = true),
             }
         }
-        if let Some(slot) = ok.get_mut(self.output) {
-            *slot = false;
+        if let Some(slot) = escapes.get_mut(self.output) {
+            *slot = true;
         }
-        ok
-    }
-
-    /// Names of parameters whose **every** slot is
-    /// [`Program::matmul_right_only`] (a name can bind several slots when
-    /// weights are shared), in first-use order.
-    pub fn matmul_only_params(&self) -> Vec<&str> {
-        let ok = self.matmul_right_only();
         let mut names = self.param_names();
         names.retain(|&n| {
-            self.ops.iter().zip(&ok).all(|(op, &ok)| {
-                ok || !matches!(op, ProgramOp::Param { name } if name == n)
+            self.ops.iter().zip(&escapes).all(|(op, &escapes)| {
+                !escapes || !matches!(op, ProgramOp::Param { name } if name == n)
             })
         });
         names
@@ -399,6 +385,41 @@ mod tests {
         assert_eq!(prog.output, 5);
         assert_eq!(prog.param_names(), vec!["w"]);
         assert!(matches!(prog.ops[prog.output], ProgramOp::Relu { .. }));
+    }
+
+    #[test]
+    fn only_weights_read_solely_as_matmul_right_operands_are_eligible() {
+        use ProgramOp::*;
+        let param = |name: &str| Param { name: name.into() };
+        let program =
+            |ops: Vec<ProgramOp>, output: usize| Program { ops, sparse: Vec::new(), output };
+        let ops = vec![
+            Constant { value: Tensor::zeros(2, 2) }, // 0
+            param("w"),                              // 1: right operand only…
+            MatMul { a: 0, b: 1 },                   // 2
+            param("w"),                              // 3: …at both of its slots
+            MatMul { a: 2, b: 3 },                   // 4
+            param("bias"),                           // 5
+            AddRowBroadcast { x: 4, b: 5 },          // 6
+            param("left"),                           // 7
+            MatMul { a: 7, b: 6 },                   // 8
+            param("slot"),                           // 9: one slot, two readers
+            MatMul { a: 8, b: 9 },                   // 10
+            Add { a: 10, b: 9 },                     // 11
+            param("name"),                           // 12: right operand here…
+            MatMul { a: 11, b: 12 },                 // 13
+            param("name"),                           // 14: …an activation input here
+            Relu { x: 14 },                          // 15
+            Add { a: 13, b: 15 },                    // 16
+        ];
+        assert_eq!(program(ops, 16).matmul_only_params(), vec!["w"]);
+
+        // A weight that is the program output stays exact, even when its
+        // only reader is a matmul.
+        let x = Constant { value: Tensor::zeros(2, 2) };
+        let ops = vec![x, param("out"), MatMul { a: 0, b: 1 }];
+        assert!(program(ops.clone(), 1).matmul_only_params().is_empty());
+        assert_eq!(program(ops, 2).matmul_only_params(), vec!["out"]);
     }
 
     #[test]

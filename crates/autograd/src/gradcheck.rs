@@ -84,8 +84,7 @@ pub fn grad_check_owner<M: ?Sized>(
             continue;
         }
         let id = ParamId(p);
-        let n = store_of(owner).value(id).len();
-        for k in 0..n {
+        for (k, &a) in analytic[p].iter().enumerate() {
             let orig = store_of(owner).value(id).as_slice()[k];
 
             store_of(owner).value_mut(id).as_mut_slice()[k] = orig + eps;
@@ -101,7 +100,6 @@ pub fn grad_check_owner<M: ?Sized>(
             store_of(owner).value_mut(id).as_mut_slice()[k] = orig;
 
             let numeric = (f_plus - f_minus) / (2.0 * eps);
-            let a = analytic[p][k];
             let abs = (a - numeric).abs();
             let rel = abs / a.abs().max(numeric.abs()).max(1.0);
             report.max_abs_err = report.max_abs_err.max(abs);

@@ -55,7 +55,7 @@ mod tape;
 
 pub use eval::{
     dirty_rows, eval_all, eval_dirty, leaf_value, op_rows, program_shapes, row_deps, Operand,
-    Operands, PackedOperand, Resident, RowDep,
+    Operands, Resident, RowDep,
 };
 pub use export::{ExportError, Program, ProgramOp};
 pub use peval::{evaluate_program_partitioned, PevalError, RowPlan};

@@ -48,10 +48,9 @@ pub fn gat_attention(
         }
         let si = s_src.get(i, 0);
         row_e.clear();
-        for e in lo..hi {
-            let j = adj.indices()[e] as usize;
-            let u = si + s_dst.get(j, 0);
-            dleaky[e] = if u >= 0.0 { 1.0 } else { slope };
+        for (&j, dl) in adj.indices()[lo..hi].iter().zip(&mut dleaky[lo..hi]) {
+            let u = si + s_dst.get(j as usize, 0);
+            *dl = if u >= 0.0 { 1.0 } else { slope };
             row_e.push(if u >= 0.0 { u } else { slope * u });
         }
         // Stable softmax over the row.

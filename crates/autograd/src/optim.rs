@@ -222,7 +222,7 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::full(2, 2, 5.0));
         let mut opt = Adam::new(&store, 0.1, 0.0);
-        let mut do_step = |store: &mut ParamStore, opt: &mut Adam| {
+        let do_step = |store: &mut ParamStore, opt: &mut Adam| {
             store.zero_grads();
             store.accumulate_grad(w, &Tensor::full(2, 2, 1.0));
             opt.step(store);

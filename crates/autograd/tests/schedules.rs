@@ -235,12 +235,11 @@ fn demand_subsets_match_the_all_rows_schedule_bitwise() {
         for seed in 0..CASES {
             let (program, weights, taped) = random_program(seed, None, seed % 2 == 0);
             let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
-            let values = eval_all(&program.ops, &sparse, &weights, &[]).expect("weights bound");
+            let values = eval_all(&program.ops, &sparse, &weights).expect("weights bound");
             let src = Resident {
                 ops: &program.ops,
                 sparse: &sparse,
                 weights: &weights,
-                packed: &[],
                 values: &values,
             };
             for op in &program.ops {
@@ -318,7 +317,7 @@ fn dirty_schedule_matches_a_cold_evaluation_bitwise() {
         for seed in 0..CASES {
             let (mut program, weights, _) = random_program(seed, None, false);
             let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
-            let mut values = eval_all(&program.ops, &sparse, &weights, &[]).expect("weights bound");
+            let mut values = eval_all(&program.ops, &sparse, &weights).expect("weights bound");
             let features = program
                 .ops
                 .iter()
@@ -337,7 +336,6 @@ fn dirty_schedule_matches_a_cold_evaluation_bitwise() {
                 ops: &program.ops,
                 sparse: &sparse,
                 weights: &weights,
-                packed: &[],
                 values: &values,
             };
             match dirty_rows(&src, &[(Operand::Op(features), rows)]) {
@@ -346,10 +344,10 @@ fn dirty_schedule_matches_a_cold_evaluation_bitwise() {
                     incremental += 1;
                 }
                 None => {
-                    values = eval_all(&program.ops, &sparse, &weights, &[]).expect("weights bound")
+                    values = eval_all(&program.ops, &sparse, &weights).expect("weights bound")
                 }
             }
-            let cold = eval_all(&program.ops, &sparse, &weights, &[]).expect("weights bound");
+            let cold = eval_all(&program.ops, &sparse, &weights).expect("weights bound");
             for (i, op) in program.ops.iter().enumerate() {
                 assert_eq!(
                     bits(&values[i]),

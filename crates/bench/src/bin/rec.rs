@@ -30,12 +30,14 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use lasagne_autograd::{Adam, Optimizer, Tape};
+use lasagne_bench::{connect_patiently, fail};
 use lasagne_datasets::{RecConfig, RecDataset};
 use lasagne_gnn::{models, GraphContext, Hyper, Mode, NodeClassifier};
 use lasagne_serve::{
     freeze_rec, Client, Engine, FrozenRec, Request, Server, ServerConfig,
 };
 use lasagne_tensor::TensorRng;
+use lasagne_testkit::bench::percentile;
 use lasagne_testkit::Json;
 
 struct Args {
@@ -100,11 +102,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("rec-bench: {msg}");
-    std::process::exit(1);
-}
-
 /// The bench's dataset shape. More categories than the classification
 /// default (12 over 600 items) so class-space dot products carry real
 /// ranking signal — the frozen engine scores in logit space — and a
@@ -156,14 +153,6 @@ fn train_model(ds: &RecDataset, ctx: &GraphContext, epochs: usize, seed: u64) ->
         opt.step(model.store_mut());
     }
     model
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn run_bench(args: &Args) {
@@ -280,11 +269,6 @@ fn run_bench(args: &Args) {
         "rec bench passed: model beats popularity by {:.4} hit@{k}",
         model_eval.hit_rate - pop_eval.hit_rate
     );
-}
-
-fn connect_patiently(addr: &str) -> Client {
-    Client::connect_with_retry(addr, 40, 50, 0x7ec0)
-        .unwrap_or_else(|e| fail(&format!("connect {addr}: {e}")))
 }
 
 fn error_kind(doc: &Json) -> String {

@@ -31,6 +31,7 @@ use std::process::Command;
 use std::time::Instant;
 
 use lasagne_autograd::{ProgramOp, RowPlan};
+use lasagne_bench::fail;
 use lasagne_graph::generators::{dc_sbm, DcSbmConfig};
 use lasagne_sparse::Csr;
 use lasagne_tensor::{Tensor, TensorRng};
@@ -98,11 +99,6 @@ fn parse_args() -> Args {
         _ => usage(),
     }
     args
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("scale-bench: {msg}");
-    std::process::exit(1);
 }
 
 /// Process-lifetime peak resident set, from `VmHWM` in `/proc/self/status`

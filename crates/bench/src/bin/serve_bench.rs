@@ -37,9 +37,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lasagne_bench::{connect_patiently, fail};
 use lasagne_datasets::{Dataset, DatasetId};
 use lasagne_gnn::{models, GraphContext, Hyper};
 use lasagne_serve::{freeze, Client, Engine, FrozenModel, QuantMode, Request, Server, ServerConfig};
+use lasagne_testkit::bench::percentile;
 use lasagne_testkit::rng::Rng;
 use lasagne_testkit::{chaos, Json};
 
@@ -117,11 +119,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("serve-bench: {msg}");
-    std::process::exit(1);
-}
-
 /// Load the engine from a frozen file, or freeze a cora GCN with the given
 /// weight seed (distinct seeds give distinct models — the soak's hot-swap
 /// target uses a different seed than the primary).
@@ -162,14 +159,6 @@ fn drive(addr: &str, n: usize, num_nodes: usize, seed: u64) -> Vec<f64> {
         debug_assert!(doc.get("class").is_some());
     }
     latencies
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Closed-loop throughput at one concurrency level, measured over `window`.
@@ -754,13 +743,6 @@ fn run_soak(args: &Args) {
         }
         std::process::exit(1);
     }
-}
-
-/// Connect with retries — verify.sh starts the server in the background,
-/// so the first attempts may race its bind.
-fn connect_patiently(addr: &str) -> Client {
-    Client::connect_with_retry(addr, 40, 50, 0x5e4e)
-        .unwrap_or_else(|e| fail(&format!("connect {addr}: {e}")))
 }
 
 /// Protocol conformance drive against a live server (verify.sh stage).

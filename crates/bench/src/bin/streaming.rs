@@ -31,9 +31,11 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use lasagne_bench::{connect_patiently, fail};
 use lasagne_datasets::{Dataset, DatasetId};
 use lasagne_gnn::{models, GraphContext, Hyper};
-use lasagne_serve::{freeze, Client, Engine, FrozenModel, Mutation, Request};
+use lasagne_serve::{freeze, Engine, FrozenModel, Mutation, Request};
+use lasagne_testkit::bench::percentile;
 use lasagne_testkit::rng::Rng;
 use lasagne_testkit::Json;
 
@@ -103,11 +105,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("streaming-bench: {msg}");
-    std::process::exit(1);
 }
 
 /// Load the engine from a frozen file, or freeze an untrained cora GCN
@@ -378,21 +375,6 @@ fn run_bench(args: &Args) {
     std::fs::write(&out, format!("{doc}\n"))
         .unwrap_or_else(|e| fail(&format!("write {}: {e}", out.display())));
     println!("wrote {}", out.display());
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Connect with retries — verify.sh starts the server in the background,
-/// so the first attempts may race its bind.
-fn connect_patiently(addr: &str) -> Client {
-    Client::connect_with_retry(addr, 12, 50, 0x57a7)
-        .unwrap_or_else(|e| fail(&format!("connect {addr}: {e}")))
 }
 
 fn main() {

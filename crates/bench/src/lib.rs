@@ -32,6 +32,7 @@ use lasagne_gnn::models::{
 };
 use lasagne_gnn::sampling::{BatchStrategy, ClusterBatches, FullBatch, SaintNodeSampler};
 use lasagne_gnn::{GraphContext, Hyper, NodeClassifier};
+use lasagne_serve::Client;
 use lasagne_tensor::TensorRng;
 use lasagne_train::{run_seeds_fallible, try_fit, SeedSummary, TrainConfig, TrainResult};
 
@@ -78,6 +79,23 @@ pub fn max_epochs() -> usize {
 /// Smoke mode for CI (`LASAGNE_FAST=1`).
 pub fn fast_mode() -> bool {
     std::env::var("LASAGNE_FAST").map(|v| v == "1").unwrap_or(false)
+}
+
+/// Print `<binary name>: msg` to stderr and exit 1 — how the serving,
+/// streaming, scale and rec benches fail a check, so a script stage
+/// running one fails with a named cause.
+pub fn fail(msg: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let name = std::path::Path::new(&argv0).file_name().and_then(|n| n.to_str());
+    eprintln!("{}: {msg}", name.unwrap_or("lasagne-bench"));
+    std::process::exit(1);
+}
+
+/// Connect to `addr`, retrying with backoff for a while: verify.sh starts
+/// the server in the background, so the first attempts may race its bind.
+pub fn connect_patiently(addr: &str) -> Client {
+    Client::connect_with_retry(addr, 12, 50, 0x5e4e)
+        .unwrap_or_else(|e| fail(&format!("connect {addr}: {e}")))
 }
 
 /// All models a table row can name. Depth conventions follow the paper:

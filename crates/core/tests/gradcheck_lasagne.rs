@@ -59,7 +59,7 @@ fn tiny_ctx(seed: u64) -> (GraphContext, Vec<usize>) {
     (GraphContext::new(&g, features, labels, CLASSES), train)
 }
 
-fn store_of(m: &mut Box<dyn NodeClassifier>) -> &mut ParamStore {
+fn store_of<M: NodeClassifier + ?Sized>(m: &mut M) -> &mut ParamStore {
     m.store_mut()
 }
 
@@ -75,7 +75,7 @@ fn check_lasagne(agg: AggregatorKind, skip: fn(&str) -> bool) {
     let idx = Rc::new(train);
     for &threads in &[1usize, 4] {
         lasagne_par::set_threads(threads);
-        let forward = |m: &Box<dyn NodeClassifier>, tape: &mut Tape| -> NodeId {
+        let forward = |m: &(dyn NodeClassifier + 'static), tape: &mut Tape| -> NodeId {
             let mut rng = TensorRng::seed_from_u64(7);
             let out = m.forward(tape, &ctx, Mode::Eval, &mut rng);
             let lp = tape.log_softmax(out.logits);
@@ -85,7 +85,7 @@ fn check_lasagne(agg: AggregatorKind, skip: fn(&str) -> bool) {
             }
             loss
         };
-        let report = grad_check_owner(&mut model, store_of, skip, EPS, forward);
+        let report = grad_check_owner(model.as_mut(), store_of, skip, EPS, forward);
         assert!(report.checked > 0, "{agg:?}: no parameters were checked");
         assert!(
             report.max_rel_err < TOL,

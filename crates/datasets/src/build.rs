@@ -199,15 +199,15 @@ fn build_bipartite(s: DatasetSpec, rng: &mut TensorRng) -> Dataset {
 
     let mut features = Tensor::zeros(n, s.features);
     let mut labels = vec![0usize; n];
-    for i in 0..items {
-        labels[i] = b.item_labels[i];
+    for (i, label) in labels.iter_mut().enumerate().take(items) {
+        *label = b.item_labels[i];
         // Popularity-dependent noise: hot items are feature-ambiguous.
         let deg = b.graph.degree(i).max(1) as f32;
         let mult = (deg / avg_item_deg.max(1.0))
             .powf(s.degree_noise_exponent)
             .clamp(0.5, 4.0);
         let sigma = noise_per_coord * mult;
-        for (v, &mu) in features.row_mut(i).iter_mut().zip(centroids.row(labels[i])) {
+        for (v, &mu) in features.row_mut(i).iter_mut().zip(centroids.row(*label)) {
             *v = mu + sigma * rng.normal();
         }
     }
@@ -298,7 +298,7 @@ mod tests {
         assert_eq!(low.split.val.len(), 500);
         low.split.validate(low.num_nodes());
         // 5 per class exactly.
-        let mut counts = vec![0usize; 7];
+        let mut counts = [0usize; 7];
         for &v in &low.split.train {
             counts[low.labels[v]] += 1;
         }

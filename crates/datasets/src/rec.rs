@@ -109,7 +109,7 @@ pub fn dot_score(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// The shared ranking order: score descending, ties to the lower item id.
-pub fn sort_ranked(scored: &mut Vec<(usize, f32)>) {
+pub fn sort_ranked(scored: &mut [(usize, f32)]) {
     scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 }
 
@@ -203,14 +203,14 @@ impl RecDataset {
         let centroids = rng.normal_tensor(cfg.classes, cfg.features, 0.0, per_coord);
         let mut features = Tensor::zeros(n, cfg.features);
         let mut labels = vec![0usize; n];
-        for v in 0..n {
-            labels[v] = if v < cfg.items {
+        for (v, label) in labels.iter_mut().enumerate() {
+            *label = if v < cfg.items {
                 b.item_labels[v]
             } else {
                 b.user_prefs[v - cfg.items]
             };
             let sigma = per_coord * if v < cfg.items { 0.6 } else { 1.2 };
-            for (x, &mu) in features.row_mut(v).iter_mut().zip(centroids.row(labels[v])) {
+            for (x, &mu) in features.row_mut(v).iter_mut().zip(centroids.row(*label)) {
                 *x = mu + sigma * rng.normal();
             }
         }

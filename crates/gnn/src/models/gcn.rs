@@ -110,7 +110,7 @@ mod tests {
         let out = m.forward(&mut tape, &ctx, Mode::Eval, &mut rng);
         assert_eq!(tape.value(out.logits).shape(), (60, 3));
         // Keep the borrow checker honest about the trait API.
-        assert!(m.store_mut().len() > 0);
+        assert!(!m.store_mut().is_empty());
     }
 
     #[test]

@@ -136,9 +136,9 @@ pub(crate) mod test_support {
         let centroids = rng.normal_tensor(3, 8, 0.0, 0.6);
         let mut features = Tensor::zeros(n, 8);
         let mut labels = vec![0usize; n];
-        for v in 0..n {
-            labels[v] = if v < items { b.item_labels[v] } else { b.user_prefs[v - items] };
-            for (x, &mu) in features.row_mut(v).iter_mut().zip(centroids.row(labels[v])) {
+        for (v, label) in labels.iter_mut().enumerate() {
+            *label = if v < items { b.item_labels[v] } else { b.user_prefs[v - items] };
+            for (x, &mu) in features.row_mut(v).iter_mut().zip(centroids.row(*label)) {
                 *x = mu + 0.3 * rng.normal();
             }
         }

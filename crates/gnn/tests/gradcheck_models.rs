@@ -73,7 +73,7 @@ fn tiny_hyper() -> Hyper {
     }
 }
 
-fn store_of(m: &mut Box<dyn NodeClassifier>) -> &mut ParamStore {
+fn store_of<M: NodeClassifier + ?Sized>(m: &mut M) -> &mut ParamStore {
     m.store_mut()
 }
 
@@ -83,7 +83,7 @@ fn check_model(name: &str, mut model: Box<dyn NodeClassifier>) {
     let idx = Rc::new(train);
     for &threads in &[1usize, 4] {
         lasagne_par::set_threads(threads);
-        let forward = |m: &Box<dyn NodeClassifier>, tape: &mut Tape| -> NodeId {
+        let forward = |m: &(dyn NodeClassifier + 'static), tape: &mut Tape| -> NodeId {
             // Reseeded per call: eval consumes no randomness today, but the
             // checker's contract is a deterministic closure regardless.
             let mut rng = TensorRng::seed_from_u64(7);
@@ -95,7 +95,7 @@ fn check_model(name: &str, mut model: Box<dyn NodeClassifier>) {
             }
             loss
         };
-        let report = grad_check_owner(&mut model, store_of, |_| false, EPS, forward);
+        let report = grad_check_owner(model.as_mut(), store_of, |_| false, EPS, forward);
         assert!(report.checked > 0, "{name}: no parameters were checked");
         assert!(
             report.max_rel_err < TOL,
@@ -149,9 +149,9 @@ fn edgegated_gradients_match() {
     let centroids = rng.normal_tensor(CLASSES, IN_DIM, 0.0, 0.6);
     let mut features = Tensor::zeros(n, IN_DIM);
     let mut labels = vec![0usize; n];
-    for v in 0..n {
-        labels[v] = if v < items { b.item_labels[v] } else { b.user_prefs[v - items] };
-        for (x, &mu) in features.row_mut(v).iter_mut().zip(centroids.row(labels[v])) {
+    for (v, label) in labels.iter_mut().enumerate() {
+        *label = if v < items { b.item_labels[v] } else { b.user_prefs[v - items] };
+        for (x, &mu) in features.row_mut(v).iter_mut().zip(centroids.row(*label)) {
             *x = mu + 0.3 * rng.normal();
         }
     }
@@ -182,13 +182,13 @@ fn edgegated_gradients_match() {
     ));
     for &threads in &[1usize, 4] {
         lasagne_par::set_threads(threads);
-        let forward = |m: &Box<dyn NodeClassifier>, tape: &mut Tape| -> NodeId {
+        let forward = |m: &(dyn NodeClassifier + 'static), tape: &mut Tape| -> NodeId {
             let mut rng = TensorRng::seed_from_u64(7);
             let out = m.forward(tape, &ctx, Mode::Eval, &mut rng);
             let lp = tape.log_softmax(out.logits);
             tape.nll_masked(lp, labels.clone(), idx.clone())
         };
-        let report = grad_check_owner(&mut model, store_of, |_| false, EPS, forward);
+        let report = grad_check_owner(model.as_mut(), store_of, |_| false, EPS, forward);
         assert!(report.checked > 0, "EdgeGatedGcn: no parameters were checked");
         assert!(
             report.max_rel_err < TOL,

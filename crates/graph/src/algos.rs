@@ -180,7 +180,7 @@ pub fn partition_bfs(
 
     let mut queue = VecDeque::new();
     let mut cursor = 0usize; // scans `order` for unassigned seeds
-    for p in 0..k {
+    for (p, part) in parts.iter_mut().enumerate() {
         // Seed: next unassigned node.
         while cursor < n && part_of[order[cursor]] != usize::MAX {
             cursor += 1;
@@ -190,30 +190,30 @@ pub fn partition_bfs(
         }
         let seed = order[cursor];
         part_of[seed] = p;
-        parts[p].push(seed);
+        part.push(seed);
         queue.clear();
         queue.push_back(seed as u32);
         while let Some(u) = queue.pop_front() {
-            if parts[p].len() >= cap {
+            if part.len() >= cap {
                 break;
             }
             for &v in g.neighbors(u as usize) {
-                if parts[p].len() >= cap {
+                if part.len() >= cap {
                     break;
                 }
                 if part_of[v as usize] == usize::MAX {
                     part_of[v as usize] = p;
-                    parts[p].push(v as usize);
+                    part.push(v as usize);
                     queue.push_back(v);
                 }
             }
         }
     }
     // Leftovers (disconnected remainders): round-robin into the lightest part.
-    for v in 0..n {
-        if part_of[v] == usize::MAX {
+    for (v, slot) in part_of.iter_mut().enumerate() {
+        if *slot == usize::MAX {
             let lightest = (0..k).min_by_key(|&p| parts[p].len()).expect("k >= 1");
-            part_of[v] = lightest;
+            *slot = lightest;
             parts[lightest].push(v);
         }
     }
@@ -321,7 +321,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..99u32).map(|i| (i, i + 1)).collect();
         let g = Graph::from_edges(100, &edges);
         let parts = partition_bfs(&g, 4, &mut rng).unwrap();
-        let mut seen = vec![false; 100];
+        let mut seen = [false; 100];
         for part in &parts {
             for &v in part {
                 assert!(!seen[v], "node {v} in two parts");

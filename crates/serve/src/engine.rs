@@ -17,33 +17,27 @@
 //! consumed at construction; what survives is the cache — plus, for models
 //! frozen with a graph binding, the streaming state that can patch it.
 
-use lasagne_autograd::{
-    eval_all, program_shapes, Operands, PackedOperand, Program, ProgramOp, Resident,
-};
+use lasagne_autograd::{eval_all, program_shapes, Operands, Program, Resident};
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
 use crate::error::{ServeError, ServeResult};
-use crate::frozen::{FrozenMeta, FrozenModel, FrozenRec, FrozenWeight};
+use crate::frozen::{FrozenMeta, FrozenModel, FrozenRec};
 use crate::streaming::StreamingState;
 
 /// Evaluate `program`, binding `Param` leaves against `weights` by name.
 /// Returns the output tensor (for a classifier: `N×F` logits).
 pub fn evaluate_program(program: &Program, weights: &[(String, Tensor)]) -> ServeResult<Tensor> {
-    Ok(resident(program, weights, &[])?.1)
+    Ok(resident(program, weights)?.1)
 }
 
 /// The resident schedule over `program`: every instruction's value (the
 /// streaming cache) and a copy of the output.
-fn resident(
-    program: &Program,
-    weights: &[(String, Tensor)],
-    packed: &[(usize, &dyn PackedOperand)],
-) -> ServeResult<(Vec<Tensor>, Tensor)> {
+fn resident(program: &Program, weights: &[(String, Tensor)]) -> ServeResult<(Vec<Tensor>, Tensor)> {
     lasagne_obs::span!("serve.evaluate");
     let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
-    let values = eval_all(&program.ops, &sparse, weights, packed)?;
-    let src = Resident { ops: &program.ops, sparse: &sparse, weights, packed, values: &values };
+    let values = eval_all(&program.ops, &sparse, weights)?;
+    let src = Resident { ops: &program.ops, sparse: &sparse, weights, values: &values };
     let output = src.whole(program.output).clone();
     Ok((values, output))
 }
@@ -117,47 +111,6 @@ pub struct Engine {
     pub(crate) rec: Option<FrozenRec>,
 }
 
-/// `(Param slot, packed weight)` bindings of the resident schedule.
-type PackedSlots<'w> = Vec<(usize, &'w dyn PackedOperand)>;
-
-/// Decide which quantized weights stay packed (fused into the matmul
-/// panel kernel) versus materialized: a `Param` slot is fusable iff
-/// [`Program::matmul_right_only`] says so. Returns the materialized weight
-/// table (placeholders for fully-fused names, so a fused weight never
-/// exists as a full f32 matrix) and the `(op index, matrix)` packed
-/// bindings of the resident schedule.
-fn quant_binding<'w>(
-    program: &Program,
-    weights: &'w [(String, FrozenWeight)],
-) -> (Vec<(String, Tensor)>, PackedSlots<'w>) {
-    let fusable = program.matmul_right_only();
-    let slots = || {
-        program.ops.iter().enumerate().filter_map(|(i, op)| match op {
-            ProgramOp::Param { name } => Some((i, name.as_str())),
-            _ => None,
-        })
-    };
-    let packed = slots()
-        .filter(|&(i, _)| fusable[i])
-        .filter_map(|(i, name)| match weights.iter().find(|(n, _)| n == name) {
-            Some((_, FrozenWeight::Quant(q))) => Some((i, q as &dyn PackedOperand)),
-            _ => None,
-        })
-        .collect();
-    // A weight with a slot that escaped fusion (e.g. a hand-built program
-    // also adds it) is materialized.
-    let mats = weights
-        .iter()
-        .map(|(n, w)| match w {
-            FrozenWeight::Quant(_) if slots().all(|(i, s)| s != n || fusable[i]) => {
-                (n.clone(), Tensor::zeros(0, 0))
-            }
-            w => (n.clone(), w.to_tensor()),
-        })
-        .collect();
-    (mats, packed)
-}
-
 impl Engine {
     /// Evaluate `frozen`'s program over the whole graph and cache the
     /// result. Fails before evaluating if the program references a weight
@@ -166,28 +119,8 @@ impl Engine {
     /// contradicts the metadata.
     pub fn new(frozen: FrozenModel) -> ServeResult<Engine> {
         lasagne_obs::span!("serve.engine.load");
-        let quantized = frozen.is_quantized();
-        if quantized && frozen.graph.is_some() {
-            // `FrozenModel::quantize` strips the binding; a file carrying
-            // both would silently degrade the §11 exactness contract.
-            return Err(ServeError::Mismatch(
-                "quantized frozen models do not support a streaming graph binding \
-                 (serve the exact f32 artifact for mutations)"
-                    .into(),
-            ));
-        }
-        if quantized && frozen.rec.is_some() {
-            // Same contract for recommendations: `recommend` promises
-            // bitwise parity with the training-path evaluator, which
-            // quantized logits cannot deliver. `quantize` strips the block.
-            return Err(ServeError::Mismatch(
-                "quantized frozen models do not carry a recommendation binding \
-                 (serve the exact f32 artifact for `recommend`)"
-                    .into(),
-            ));
-        }
-        let rec = frozen.rec;
-        let program = frozen.program;
+        frozen.check_quantized_bindings()?;
+        let program = &frozen.program;
         // No kernel runs on operands that do not fit it: a file's weights
         // and ops are checked against each other first.
         let sparse_shapes: Vec<_> = program.sparse.iter().map(|m| m.shape()).collect();
@@ -202,14 +135,15 @@ impl Engine {
                 frozen.meta.num_classes
             )));
         }
-        let (weights, packed) = quant_binding(&program, &frozen.weights);
-        let (values, logits) = resident(&program, &weights, &packed)?;
+        let weights = frozen.weights_f32();
+        let (values, logits) = resident(program, &weights)?;
         let probs = logits.softmax_rows();
+        let quantized = frozen.is_quantized();
         let streaming = match frozen.graph {
-            Some(g) => Some(StreamingState::new(program, g, weights, values)?),
+            Some(g) => Some(StreamingState::new(frozen.program, g, weights, values)?),
             None => None,
         };
-        Ok(Engine { meta: frozen.meta, logits, probs, streaming, quantized, rec })
+        Ok(Engine { meta: frozen.meta, logits, probs, streaming, quantized, rec: frozen.rec })
     }
 
     /// Whether this engine serves approximate (quantized-weight) logits.
@@ -266,49 +200,63 @@ impl Engine {
         self.rec.is_some()
     }
 
-    /// Top-`k` item recommendations for user node `node`, best first.
-    ///
-    /// Scores every item the user has *not* interacted with (the frozen
-    /// interaction mask hides training items) as the dot product of the
-    /// user's and the item's embedding rows from the propagation cache.
-    /// The accumulation order (ascending index) and the ranking order
-    /// (score descending via `total_cmp`, ties to the lower item id) are
-    /// the exact contract of `lasagne_datasets::{dot_score, sort_ranked}`,
-    /// so serving-side rankings are bitwise-reproducible against the
-    /// training-side evaluator.
+    /// Top-`k` item recommendations for user node `node`, best first: the
+    /// items the user has not interacted with, ranked by the dot product
+    /// of their logits rows with the user's — bitwise the training-side
+    /// `lasagne_datasets::RecDataset::score_topk`.
     pub fn recommend(&self, node: usize, k: usize) -> ServeResult<Vec<(usize, f32)>> {
-        let rec = self.rec.as_ref().ok_or_else(|| ServeError::NotARecommender {
-            reason: format!(
-                "model '{}' was frozen without a recommendation binding \
-                 (predict/top_k remain available)",
-                self.meta.model
-            ),
-        })?;
-        if node < rec.items || node >= rec.items + rec.users {
-            return Err(ServeError::UnknownUser { node, items: rec.items, users: rec.users });
-        }
-        let mask = rec.interacted.row_indices(node - rec.items);
-        let user_row = self.logits.row(node);
-        let mut scored: Vec<(usize, f32)> = Vec::with_capacity(rec.items - mask.len());
-        for item in 0..rec.items {
-            // `interacted` rows are sorted (CSR invariant), so masking is a
-            // binary search, not a set lookup.
-            if mask.binary_search(&(item as u32)).is_ok() {
-                continue;
-            }
-            let mut acc = 0.0f32;
-            for (x, y) in user_row.iter().zip(self.logits.row(item)) {
-                acc += x * y;
-            }
-            scored.push((item, acc));
-        }
-        if scored.is_empty() {
-            return Err(ServeError::NoCandidates { node });
-        }
-        lasagne_obs::counter_add("serve.recommend", 1);
-        lasagne_obs::counter_add("rec.candidates", scored.len() as u64);
-        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        Ok(scored)
+        recommend(&self.meta, self.rec.as_ref(), node, k, |v| self.logits_row(v))
     }
+}
+
+/// Top-`k` item recommendations for user node `node`, best first, reading
+/// embedding rows through `row` — the one ranking both engines serve.
+///
+/// Scores every item the user has *not* interacted with (the frozen
+/// interaction mask hides training items) as the dot product of the
+/// user's and the item's embedding rows. The accumulation order (ascending
+/// index) and the ranking order (score descending via `total_cmp`, ties to
+/// the lower item id) are the exact contract of
+/// `lasagne_datasets::{dot_score, sort_ranked}`, so serving-side rankings
+/// are bitwise-reproducible against the training-side evaluator.
+pub(crate) fn recommend<'a>(
+    meta: &FrozenMeta,
+    rec: Option<&FrozenRec>,
+    node: usize,
+    k: usize,
+    row: impl Fn(usize) -> ServeResult<&'a [f32]>,
+) -> ServeResult<Vec<(usize, f32)>> {
+    let rec = rec.ok_or_else(|| ServeError::NotARecommender {
+        reason: format!(
+            "model '{}' was frozen without a recommendation binding \
+             (predict/top_k remain available)",
+            meta.model
+        ),
+    })?;
+    if node < rec.items || node >= rec.items + rec.users {
+        return Err(ServeError::UnknownUser { node, items: rec.items, users: rec.users });
+    }
+    let mask = rec.interacted.row_indices(node - rec.items);
+    let user_row = row(node)?;
+    let mut scored: Vec<(usize, f32)> = Vec::with_capacity(rec.items - mask.len());
+    for item in 0..rec.items {
+        // `interacted` rows are sorted (CSR invariant), so masking is a
+        // binary search, not a set lookup.
+        if mask.binary_search(&(item as u32)).is_ok() {
+            continue;
+        }
+        let mut acc = 0.0f32;
+        for (x, y) in user_row.iter().zip(row(item)?) {
+            acc += x * y;
+        }
+        scored.push((item, acc));
+    }
+    if scored.is_empty() {
+        return Err(ServeError::NoCandidates { node });
+    }
+    lasagne_obs::counter_add("serve.recommend", 1);
+    lasagne_obs::counter_add("rec.candidates", scored.len() as u64);
+    scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    Ok(scored)
 }

@@ -71,9 +71,9 @@ pub enum ServeError {
     /// A client-side read/write deadline elapsed before the server answered.
     Timeout(String),
     /// `recommend` against a model with no recommendation binding (a
-    /// node-classification artifact, a quantized export, or a lazy
-    /// partitioned engine) — refused typed instead of ranking garbage
-    /// class logits as if they were item scores.
+    /// node-classification artifact, or a quantized export, which
+    /// `quantize` strips of it), on either engine — refused typed instead
+    /// of ranking class logits as if they were item scores.
     NotARecommender {
         /// Why this engine cannot recommend.
         reason: String,

@@ -116,7 +116,7 @@ pub struct FrozenGraph {
 pub enum FrozenWeight {
     /// Full-precision tensor, byte-identical to the training checkpoint.
     Exact(Tensor),
-    /// Compressed i8/f16 matrix, dequantized on the fly at serve time.
+    /// Compressed i8/f16 matrix, dequantized once when an engine loads it.
     Quant(QuantMatrix),
 }
 
@@ -604,12 +604,46 @@ impl FrozenModel {
         self.weights.iter().any(|(_, w)| matches!(w, FrozenWeight::Quant(_)))
     }
 
+    /// The weight table both engines bind `Param` leaves against: every
+    /// weight in f32, quantized ones dequantized once, at load.
+    pub(crate) fn weights_f32(&self) -> Vec<(String, Tensor)> {
+        self.weights.iter().map(|(name, w)| (name.clone(), w.to_tensor())).collect()
+    }
+
+    /// The load-time policy both engines enforce: a quantized model carries
+    /// neither a streaming graph binding nor a recommendation block, since
+    /// mutations (§11) and `recommend` (§15) promise bitwise parity with
+    /// the training path that approximate weights cannot give. [`quantize`]
+    /// strips both; a file that carries one anyway is refused `mismatch`.
+    ///
+    /// [`quantize`]: FrozenModel::quantize
+    pub(crate) fn check_quantized_bindings(&self) -> ServeResult<()> {
+        if !self.is_quantized() {
+            return Ok(());
+        }
+        if self.graph.is_some() {
+            return Err(ServeError::Mismatch(
+                "quantized frozen models do not support a streaming graph binding \
+                 (serve the exact f32 artifact for mutations)"
+                    .into(),
+            ));
+        }
+        if self.rec.is_some() {
+            return Err(ServeError::Mismatch(
+                "quantized frozen models do not carry a recommendation binding \
+                 (serve the exact f32 artifact for `recommend`)"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Produce the quantized variant of this model: every weight the
     /// program consumes **only** as a matmul right operand (and that is big
     /// enough to be worth compressing) is re-encoded per `mode`; biases,
     /// attention scores, and anything else the program touches elsewhere
-    /// stay exact, so the only approximation sites are products the engine
-    /// runs through its dequantizing panel kernel.
+    /// stay exact, so the only approximation sites are matmul right
+    /// operands, which the engines dequantize once at load.
     ///
     /// The graph binding is dropped: streaming mutations re-derive cache
     /// rows against the weights, and re-deriving against dequantized

@@ -10,11 +10,12 @@
 //!
 //! The exactness contract is inherited from the evaluator, not relaxed:
 //! every row served is bitwise identical to the resident engine's row
-//! (pinned by `tests/partition_equiv.rs`). Programs that cannot honor that
-//! contract row-locally (GAT's graph-global attention softmax) are refused
-//! typed at load time, as are quantized artifacts (the fused panel kernel
-//! is a whole-matrix path) and streaming mutations (the caches would go
-//! silently stale).
+//! (pinned by `tests/partition_equiv.rs`), quantized artifacts included —
+//! both engines bind the same load-time dequantized weights — and
+//! `recommend` is the resident engine's ranking over those rows. Programs
+//! that cannot honor that contract row-locally (GAT's graph-global
+//! attention softmax) are refused typed at load time, as are streaming
+//! mutations (the caches would go silently stale).
 
 use std::sync::OnceLock;
 
@@ -23,9 +24,9 @@ use lasagne_graph::{Graph, Partitioning};
 use lasagne_sparse::Csr;
 use lasagne_tensor::{Tensor, TensorRng};
 
-use crate::engine::{ranked, Prediction};
+use crate::engine::{ranked, recommend, Prediction};
 use crate::error::{ServeError, ServeResult};
-use crate::frozen::{FrozenMeta, FrozenModel};
+use crate::frozen::{FrozenMeta, FrozenModel, FrozenRec};
 use crate::streaming::{Mutation, MutationReport};
 
 /// Deterministic seed for the load-time BFS partitioning: partition layout
@@ -54,6 +55,10 @@ pub struct LazyEngine {
     pos_in_part: Vec<u32>,
     /// Materialize-once slots; an evaluation failure is cached typed too.
     caches: Vec<OnceLock<ServeResult<PartCache>>>,
+    /// Whether the loaded file carried quantized weights.
+    quantized: bool,
+    /// Recommendation binding, as on the resident engine.
+    rec: Option<FrozenRec>,
 }
 
 impl LazyEngine {
@@ -65,14 +70,8 @@ impl LazyEngine {
     /// node ranges — the exactness contract is independent of the layout.
     pub fn new(frozen: FrozenModel, k: usize) -> ServeResult<LazyEngine> {
         lasagne_obs::span!("serve.engine.lazy_load");
-        if frozen.is_quantized() {
-            return Err(ServeError::Mismatch(
-                "quantized frozen models cannot be served partition-lazily \
-                 (the fused dequantizing matmul is a whole-matrix kernel); \
-                 serve the exact f32 artifact"
-                    .into(),
-            ));
-        }
+        frozen.check_quantized_bindings()?;
+        let quantized = frozen.is_quantized();
         let n = frozen.meta.num_nodes;
         if k < 1 || k > n.max(1) {
             return Err(ServeError::Mismatch(format!(
@@ -97,8 +96,7 @@ impl LazyEngine {
                 pos_in_part[v] = pos as u32;
             }
         }
-        let weights: Vec<(String, Tensor)> =
-            frozen.weights.iter().map(|(name, w)| (name.clone(), w.to_tensor())).collect();
+        let weights = frozen.weights_f32();
         let sparse: Vec<Csr> = frozen
             .program
             .sparse
@@ -117,7 +115,16 @@ impl LazyEngine {
             )));
         }
         let caches = (0..parts.len()).map(|_| OnceLock::new()).collect();
-        Ok(LazyEngine { meta: frozen.meta, plan, parts, part_of, pos_in_part, caches })
+        Ok(LazyEngine {
+            meta: frozen.meta,
+            plan,
+            parts,
+            part_of,
+            pos_in_part,
+            caches,
+            quantized,
+            rec: frozen.rec,
+        })
     }
 
     /// Load + checksum the frozen file at `path` and plan it lazily.
@@ -128,6 +135,11 @@ impl LazyEngine {
     /// Provenance/shape metadata of the loaded model.
     pub fn meta(&self) -> &FrozenMeta {
         &self.meta
+    }
+
+    /// Whether this engine serves approximate (quantized-weight) logits.
+    pub fn is_quantized(&self) -> bool {
+        self.quantized
     }
 
     /// Nodes in the frozen graph (valid query ids are `0..num_nodes`).
@@ -190,6 +202,13 @@ impl LazyEngine {
     pub fn top_k(&self, node: usize, k: usize) -> ServeResult<Vec<(usize, f32)>> {
         let (logits, probs) = self.rows(node)?;
         Ok(ranked(logits, probs, k))
+    }
+
+    /// Top-`k` item recommendations for user node `node`, best first —
+    /// the resident engine's ranking over the same rows, materializing the
+    /// partitions that hold the user and the items.
+    pub fn recommend(&self, node: usize, k: usize) -> ServeResult<Vec<(usize, f32)>> {
+        recommend(&self.meta, self.rec.as_ref(), node, k, |v| self.logits_row(v))
     }
 
     /// Streaming mutations are refused typed: patching a lazily cached

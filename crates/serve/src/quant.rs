@@ -143,7 +143,7 @@ fn hex_encode(bytes: &[u8]) -> String {
 
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
     let b = s.as_bytes();
-    if b.len() % 2 != 0 {
+    if !b.len().is_multiple_of(2) {
         return None;
     }
     let nibble = |c: u8| -> Option<u8> {
@@ -154,18 +154,6 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
         }
     };
     b.chunks(2).map(|p| Some((nibble(p[0])? << 4) | nibble(p[1])?)).collect()
-}
-
-/// The resident schedule's packed binding: quantized weights feed the
-/// matmul panel loop through [`QuantMatrix::dequant_rows_into`].
-impl lasagne_autograd::PackedOperand for QuantMatrix {
-    fn shape(&self) -> (usize, usize) {
-        QuantMatrix::shape(self)
-    }
-
-    fn pack(&self, r0: usize, r1: usize, buf: &mut [f32]) {
-        self.dequant_rows_into(r0, r1, buf);
-    }
 }
 
 impl QuantMatrix {
@@ -184,7 +172,7 @@ impl QuantMatrix {
                     let scale = amax / 127.0;
                     scales.push(scale);
                     if scale == 0.0 {
-                        data.extend(std::iter::repeat(0u8).take(cols));
+                        data.extend(std::iter::repeat_n(0u8, cols));
                         continue;
                     }
                     for &v in row {
@@ -219,38 +207,29 @@ impl QuantMatrix {
         self.data.len()
     }
 
-    /// Dequantize rows `r0..r1` into `out` (`(r1-r0) × cols`, row-major).
-    /// This is the panel micro-kernel the engine's fused matmul packs with:
-    /// plain contiguous multiply (i8) or bit conversion (f16), no
-    /// data-dependent branches, so it autovectorizes and is deterministic.
-    pub fn dequant_rows_into(&self, r0: usize, r1: usize, out: &mut [f32]) {
-        assert!(r0 <= r1 && r1 <= self.rows, "dequant_rows_into: row range");
-        assert_eq!(out.len(), (r1 - r0) * self.cols, "dequant_rows_into: out size");
+    /// Dequantize the whole matrix — the f32 weights an engine binds at
+    /// load: a plain multiply per element (i8) or a bit conversion (f16),
+    /// no data-dependent branches, so it is deterministic.
+    pub fn dequantize(&self) -> Tensor {
         let cols = self.cols;
+        let mut out = Tensor::zeros(self.rows, cols);
+        if self.rows * cols == 0 {
+            return out;
+        }
         match self.mode {
             QuantMode::I8 => {
-                for (r, o_row) in (r0..r1).zip(out.chunks_mut(cols)) {
-                    let s = self.scales[r];
-                    let q_row = &self.data[r * cols..(r + 1) * cols];
+                let rows = out.as_mut_slice().chunks_mut(cols).zip(self.data.chunks(cols));
+                for ((o_row, q_row), &s) in rows.zip(&self.scales) {
                     for (o, &q) in o_row.iter_mut().zip(q_row) {
                         *o = (q as i8) as f32 * s;
                     }
                 }
             }
             QuantMode::F16 => {
-                let src = &self.data[r0 * cols * 2..r1 * cols * 2];
-                for (o, pair) in out.iter_mut().zip(src.chunks_exact(2)) {
+                for (o, pair) in out.as_mut_slice().iter_mut().zip(self.data.chunks_exact(2)) {
                     *o = f16_bits_to_f32(u16::from_le_bytes([pair[0], pair[1]]));
                 }
             }
-        }
-    }
-
-    /// Dequantize the whole matrix.
-    pub fn dequantize(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, self.cols);
-        if self.rows * self.cols > 0 {
-            self.dequant_rows_into(0, self.rows, out.as_mut_slice());
         }
         out
     }

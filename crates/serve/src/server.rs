@@ -50,6 +50,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use lasagne_testkit::bench::percentile;
+
 use crate::engine::{Engine, Prediction};
 use crate::error::{ServeError, ServeResult};
 use crate::frozen::FrozenMeta;
@@ -66,6 +68,9 @@ use crate::streaming::{Mutation, MutationReport};
 /// batcher thread owns it either way, and hot swaps preserve the mode — a
 /// lazy server re-plans the incoming artifact with the same partition
 /// count instead of silently materializing a full cache.
+// One engine per server, owned by the batcher: the variants' size gap
+// costs nothing, and boxing one only moves it.
+#[allow(clippy::large_enum_variant)]
 pub enum ServerEngine {
     /// Full-graph cache materialized at load.
     Resident(Engine),
@@ -96,8 +101,7 @@ impl ServerEngine {
     fn is_quantized(&self) -> bool {
         match self {
             ServerEngine::Resident(e) => e.is_quantized(),
-            // Lazy engines refuse quantized artifacts at construction.
-            ServerEngine::Lazy(_) => false,
+            ServerEngine::Lazy(e) => e.is_quantized(),
         }
     }
 
@@ -126,13 +130,7 @@ impl ServerEngine {
     fn recommend(&mut self, node: usize, k: usize) -> ServeResult<Vec<(usize, f32)>> {
         match self {
             ServerEngine::Resident(e) => e.recommend(node, k),
-            // A lazy engine pages logits per partition and never holds the
-            // whole-graph embedding table a dot-product ranking needs.
-            ServerEngine::Lazy(_) => Err(ServeError::NotARecommender {
-                reason: "partition-lazy serving has no recommendation state \
-                         (serve the resident artifact for `recommend`)"
-                    .into(),
-            }),
+            ServerEngine::Lazy(e) => e.recommend(node, k),
         }
     }
 
@@ -329,19 +327,13 @@ impl Shared {
             let stats = self.lock_stats();
             let mut sorted = stats.latencies_us.clone();
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let pct = |q: f64| -> f64 {
-                if sorted.is_empty() {
-                    return 0.0;
-                }
-                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-                sorted[rank - 1]
-            };
             let mean_batch = if stats.batches == 0 {
                 0.0
             } else {
                 stats.batch_req_sum as f64 / stats.batches as f64
             };
-            (stats.requests, stats.batches, stats.max_batch, mean_batch, pct(0.50), pct(0.99))
+            let (p50, p99) = (percentile(&sorted, 0.50), percentile(&sorted, 0.99));
+            (stats.requests, stats.batches, stats.max_batch, mean_batch, p50, p99)
         };
         StatsSnapshot {
             requests,
@@ -375,7 +367,7 @@ impl Server {
     /// The engine moves into the batcher thread — it is the only thread
     /// that touches model state.
     pub fn start(engine: Engine, config: ServerConfig) -> ServeResult<Server> {
-        Server::start_with(ServerEngine::Resident(engine), config)
+        Server::start_with(engine.into(), config)
     }
 
     /// [`Server::start`] for either engine mode — pass
@@ -503,8 +495,8 @@ impl Drop for Server {
 fn submit_swap(shared: &Shared, path: &Path) -> ServeResult<u64> {
     lasagne_obs::span!("serve.swap.load");
     let engine = match shared.lazy_partitions {
-        Some(k) => ServerEngine::Lazy(LazyEngine::load_path(path, k)?),
-        None => ServerEngine::Resident(Engine::load_path(path)?),
+        Some(k) => LazyEngine::load_path(path, k)?.into(),
+        None => Engine::load_path(path)?.into(),
     };
     let version = shared.version_alloc.fetch_add(1, Ordering::SeqCst) + 1;
     {

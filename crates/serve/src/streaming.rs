@@ -200,7 +200,7 @@ impl StreamingState {
     fn full_recompute(&mut self) -> ServeResult<()> {
         lasagne_obs::span!("serve.evaluate");
         let refs: Vec<&Csr> = self.sparse.iter().collect();
-        self.values = eval_all(&self.ops, &refs, &self.weights, &[])?;
+        self.values = eval_all(&self.ops, &refs, &self.weights)?;
         Ok(())
     }
 
@@ -334,7 +334,6 @@ impl StreamingState {
             ops: &self.ops,
             sparse: &refs,
             weights: &self.weights,
-            packed: &[],
             values: &self.values,
         };
         let Some(dirty) = dirty_rows(&src, &changed) else {

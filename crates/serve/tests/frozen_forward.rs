@@ -230,9 +230,9 @@ fn tiny_edge_ctx(seed: u64) -> (GraphContext, Vec<usize>) {
     let centroids = rng.normal_tensor(CLASSES, IN_DIM, 0.0, 0.6);
     let mut features = Tensor::zeros(n, IN_DIM);
     let mut labels = vec![0usize; n];
-    for v in 0..n {
-        labels[v] = if v < items { b.item_labels[v] } else { b.user_prefs[v - items] };
-        for (x, &mu) in features.row_mut(v).iter_mut().zip(centroids.row(labels[v])) {
+    for (v, label) in labels.iter_mut().enumerate() {
+        *label = if v < items { b.item_labels[v] } else { b.user_prefs[v - items] };
+        for (x, &mu) in features.row_mut(v).iter_mut().zip(centroids.row(*label)) {
             *x = mu + 0.3 * rng.normal();
         }
     }

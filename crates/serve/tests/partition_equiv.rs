@@ -2,16 +2,17 @@
 //! per-partition engine must be indistinguishable — bitwise — from the
 //! resident propagation-cache engine and from the training path's eval
 //! forward, for GCN and all four Lasagne aggregators, at 1 and 4 threads
-//! and across partition counts. Laziness itself is observable (partitions
-//! materialize only when queried), and everything the lazy engine cannot
-//! serve exactly is refused typed: non-row-local programs (GAT), quantized
-//! artifacts, streaming mutations, bad partition counts.
+//! and across partition counts — quantized (i8 and f16) artifacts
+//! included, whose lazy rows equal the resident engine's. Laziness itself
+//! is observable (partitions materialize only when queried), and
+//! everything the lazy engine cannot serve exactly is refused typed:
+//! non-row-local programs (GAT), streaming mutations, bad partition counts.
 
 use lasagne_autograd::Tape;
 use lasagne_core::{AggregatorKind, Lasagne, LasagneConfig};
 use lasagne_gnn::{models, GraphContext, Hyper, Mode, NodeClassifier};
 use lasagne_graph::generators::{dc_sbm, DcSbmConfig};
-use lasagne_serve::{freeze, Engine, LazyEngine, Mutation, QuantMode, ServeError};
+use lasagne_serve::{freeze, Engine, FrozenModel, LazyEngine, Mutation, QuantMode, ServeError};
 use lasagne_tensor::TensorRng;
 
 const IN_DIM: usize = 6;
@@ -78,32 +79,7 @@ fn assert_lazy_matches(name: &str, model: &dyn NodeClassifier, ctx: &GraphContex
     for &threads in &[1usize, 4] {
         lasagne_par::set_threads(threads);
         let reference = training_path_logits(model, ctx);
-        let resident = Engine::new(frozen.clone()).expect("resident engine");
-        for &k in &[1usize, 3, 5] {
-            let lazy = LazyEngine::new(frozen.clone(), k).expect("lazy engine");
-            assert_eq!(lazy.num_nodes(), ctx.num_nodes(), "{name}: node count");
-            assert_eq!(lazy.num_classes(), CLASSES, "{name}: class count");
-            let mut lazy_bits = Vec::with_capacity(reference.len());
-            for node in 0..lazy.num_nodes() {
-                let row = lazy.logits_row(node).expect("lazy row");
-                assert_eq!(
-                    row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    resident.logits_row(node).expect("resident row").iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{name} @ {threads} thread(s), k={k}, node {node}: lazy != resident"
-                );
-                lazy_bits.extend(row.iter().map(|v| v.to_bits()));
-                // Derived answers agree too.
-                assert_eq!(
-                    lazy.predict(node).expect("lazy predict"),
-                    resident.predict(node).expect("resident predict"),
-                    "{name} @ {threads} thread(s), k={k}, node {node}: predictions differ"
-                );
-                assert_eq!(
-                    lazy.top_k(node, 2).expect("lazy top_k"),
-                    resident.top_k(node, 2).expect("resident top_k"),
-                    "{name} @ {threads} thread(s), k={k}, node {node}: top-k differs"
-                );
-            }
+        for (k, lazy_bits) in lazy_equals_resident(name, &frozen, threads) {
             assert_eq!(
                 lazy_bits, reference,
                 "{name} @ {threads} thread(s), k={k}: lazy logits differ from training path"
@@ -111,6 +87,47 @@ fn assert_lazy_matches(name: &str, model: &dyn NodeClassifier, ctx: &GraphContex
         }
     }
     lasagne_par::set_threads(1);
+}
+
+/// At the current thread count and each partition count k ∈ {1, 3, 5}:
+/// every lazy row, prediction and top-k equals the resident engine's, to
+/// the bit. Returns each k's lazy logits, as bits.
+fn lazy_equals_resident(
+    name: &str,
+    frozen: &FrozenModel,
+    threads: usize,
+) -> Vec<(usize, Vec<u32>)> {
+    let resident = Engine::new(frozen.clone()).expect("resident engine");
+    let mut all = Vec::new();
+    for &k in &[1usize, 3, 5] {
+        let lazy = LazyEngine::new(frozen.clone(), k).expect("lazy engine");
+        assert_eq!(lazy.num_nodes(), resident.num_nodes(), "{name}: node count");
+        assert_eq!(lazy.num_classes(), CLASSES, "{name}: class count");
+        assert_eq!(lazy.is_quantized(), resident.is_quantized(), "{name}: quantized flag");
+        let mut lazy_bits = Vec::new();
+        for node in 0..lazy.num_nodes() {
+            let row = lazy.logits_row(node).expect("lazy row");
+            assert_eq!(
+                row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                resident.logits_row(node).expect("resident row").iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{name} @ {threads} thread(s), k={k}, node {node}: lazy != resident"
+            );
+            lazy_bits.extend(row.iter().map(|v| v.to_bits()));
+            // Derived answers agree too.
+            assert_eq!(
+                lazy.predict(node).expect("lazy predict"),
+                resident.predict(node).expect("resident predict"),
+                "{name} @ {threads} thread(s), k={k}, node {node}: predictions differ"
+            );
+            assert_eq!(
+                lazy.top_k(node, 2).expect("lazy top_k"),
+                resident.top_k(node, 2).expect("resident top_k"),
+                "{name} @ {threads} thread(s), k={k}, node {node}: top-k differs"
+            );
+        }
+        all.push((k, lazy_bits));
+    }
+    all
 }
 
 #[test]
@@ -128,6 +145,34 @@ fn lazy_engine_is_bitwise_for_gcn_and_all_lasagne_aggregators() {
         let model = lasagne_model(agg, n);
         assert_lazy_matches(agg.label(), model.as_ref(), &ctx);
     }
+}
+
+#[test]
+fn quantized_artifacts_serve_lazily_bitwise() {
+    // Hidden 16, so the first-layer weights clear the quantizer's size
+    // floor.
+    let ctx = tiny_ctx(5);
+    let hyper = Hyper { hidden: 16, ..tiny_hyper() };
+    let cfg = LasagneConfig::from_hyper(&hyper, AggregatorKind::MaxPooling);
+    let n = ctx.num_nodes();
+    let models: [(&str, Box<dyn NodeClassifier>); 2] = [
+        ("gcn", Box::new(models::Gcn::new(IN_DIM, CLASSES, &hyper, 3))),
+        ("lasagne-maxpool", Box::new(Lasagne::new(IN_DIM, CLASSES, Some(n), &cfg, 5))),
+    ];
+    for (name, model) in &models {
+        for mode in [QuantMode::I8, QuantMode::F16] {
+            let quantized = freeze(model.as_ref(), &ctx, "tiny")
+                .expect("freeze")
+                .quantize(mode)
+                .expect("quantize");
+            assert!(quantized.is_quantized(), "{name}: nothing was quantized");
+            for &threads in &[1usize, 4] {
+                lasagne_par::set_threads(threads);
+                lazy_equals_resident(&format!("{name}/{}", mode.as_str()), &quantized, threads);
+            }
+        }
+    }
+    lasagne_par::set_threads(1);
 }
 
 #[test]
@@ -163,20 +208,6 @@ fn everything_inexact_is_refused_typed() {
 
     let model = models::Gcn::new(IN_DIM, CLASSES, &tiny_hyper(), 3);
     let frozen = freeze(&model, &ctx, "tiny").expect("freeze");
-
-    // Quantized artifacts: the fused panel kernel is whole-matrix. (Wider
-    // hidden layer so the weights clear the quantizer's size floor.)
-    let wide = models::Gcn::new(IN_DIM, CLASSES, &Hyper { hidden: 16, ..tiny_hyper() }, 3);
-    let quantized = freeze(&wide, &ctx, "tiny")
-        .expect("freeze wide")
-        .quantize(QuantMode::I8)
-        .expect("quantize");
-    match LazyEngine::new(quantized, 3) {
-        Err(ServeError::Mismatch(msg)) => {
-            assert!(msg.contains("quantized"), "unexpected message: {msg}")
-        }
-        other => panic!("expected typed quantized refusal, got {:?}", other.err()),
-    }
 
     // Bad partition counts.
     for k in [0usize, 1000] {

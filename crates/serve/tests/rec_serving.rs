@@ -11,6 +11,8 @@
 //!    binding rather than serving approximate scores as exact.
 //! 4. The wire path (`recommend` verb over a live TCP server) agrees with
 //!    the in-process engine and enforces the same typed errors.
+//! 5. The partition-lazy engine recommends what the resident one does:
+//!    same items, same score bits, same error kinds.
 
 use std::rc::Rc;
 
@@ -18,8 +20,8 @@ use lasagne_autograd::{Adam, Optimizer, Tape};
 use lasagne_datasets::{dot_score, sort_ranked, RecConfig, RecDataset};
 use lasagne_gnn::{models, GraphContext, Hyper, Mode, NodeClassifier};
 use lasagne_serve::{
-    freeze, freeze_rec, Client, Engine, FrozenModel, FrozenRec, QuantMode, Request, ServeError,
-    Server, ServerConfig,
+    freeze, freeze_rec, Client, Engine, FrozenModel, FrozenRec, LazyEngine, QuantMode, Request,
+    ServeError, Server, ServerConfig,
 };
 use lasagne_sparse::Csr;
 use lasagne_tensor::TensorRng;
@@ -239,11 +241,58 @@ fn quantize_strips_the_rec_block() {
         freeze_rec(&model, &ctx, "rec-tiny", frozen_rec_block(&ds)).expect("freeze_rec");
     doctored = doctored.quantize(QuantMode::I8).expect("quantize");
     doctored.rec = Some(frozen_rec_block(&ds));
-    let err = match Engine::new(doctored) {
-        Err(e) => e,
-        Ok(_) => panic!("quantized + rec file must be refused at load"),
+    let errors = [
+        Engine::new(doctored.clone()).err().expect("quantized + rec file must be refused at load"),
+        LazyEngine::new(doctored, 3).err().expect("quantized + rec file must be refused lazily"),
+    ];
+    for err in errors {
+        assert_eq!(err.kind(), "mismatch");
+    }
+}
+
+#[test]
+fn lazy_recommend_equals_resident_recommend() {
+    let ds = RecDataset::generate(&small_cfg(), 12);
+    let ctx = rec_ctx(&ds);
+    let model = trained_model(&ds, &ctx);
+    // User 0 has seen every item, so the sweep also meets `no_candidates`.
+    let mut coo: Vec<(u32, u32, f32)> = (0..ds.items as u32).map(|i| (0, i, 1.0)).collect();
+    for u in 1..ds.users {
+        coo.extend(ds.interacted.row_indices(u).iter().map(|&i| (u as u32, i, 1.0)));
+    }
+    let rec = FrozenRec {
+        items: ds.items,
+        users: ds.users,
+        interacted: Csr::from_coo(ds.users, ds.items, &coo),
     };
-    assert_eq!(err.kind(), "mismatch");
+    let recommender = freeze_rec(&model, &ctx, "rec-tiny", rec).expect("freeze_rec");
+    let classifier = freeze(&model, &ctx, "rec-tiny").expect("freeze");
+    let bits = |r: Result<Vec<(usize, f32)>, ServeError>| {
+        r.map(|v| v.into_iter().map(|(i, s)| (i, s.to_bits())).collect::<Vec<_>>())
+            .map_err(|e| e.kind())
+    };
+    let mut kinds = std::collections::BTreeSet::new();
+    for frozen in [recommender, classifier] {
+        for &threads in &[1usize, 4] {
+            lasagne_par::set_threads(threads);
+            let resident = Engine::new(frozen.clone()).expect("engine");
+            for parts in [1usize, 3, 5] {
+                let lazy = LazyEngine::new(frozen.clone(), parts).expect("lazy engine");
+                for node in 0..ds.num_nodes() + 2 {
+                    let want = bits(resident.recommend(node, 10));
+                    assert_eq!(
+                        bits(lazy.recommend(node, 10)),
+                        want,
+                        "node {node} @ {threads} thread(s), {parts} parts"
+                    );
+                    kinds.insert(want.err().unwrap_or("ok"));
+                }
+            }
+        }
+    }
+    lasagne_par::set_threads(1);
+    let want = ["no_candidates", "not_a_recommender", "ok", "unknown_user"];
+    assert_eq!(kinds.into_iter().collect::<Vec<_>>(), want, "outcomes covered");
 }
 
 #[test]

@@ -60,8 +60,7 @@ impl Csr {
     pub fn rw_normalize(&self) -> Csr {
         let deg = self.row_sums();
         let mut out = self.clone();
-        for i in 0..out.rows() {
-            let d = deg[i];
+        for (i, &d) in deg.iter().enumerate() {
             if d > 0.0 {
                 let inv = 1.0 / d;
                 let lo = out.indptr()[i];

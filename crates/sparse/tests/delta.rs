@@ -6,6 +6,8 @@
 //! global, but every kernel is bitwise thread-count-invariant, so re-running
 //! the same seed under both pool sizes must reproduce the same bits.
 
+use std::collections::btree_map::Entry;
+
 use lasagne_sparse::{Csr, DeltaCsr, DeltaError};
 use lasagne_testkit::gens::{sym_adj, CooGraph};
 use lasagne_testkit::rng::Rng;
@@ -43,14 +45,15 @@ fn run_interleaving(g: &CooGraph, seed: u64, steps: usize) -> Result<(), String>
                 let r = rng.index(n) as u32;
                 let c = rng.index(n) as u32;
                 let v = rng.range_f32(-2.0, 2.0);
-                if shadow.contains_key(&(r, c)) {
-                    prop_assert_eq!(
+                match shadow.entry((r, c)) {
+                    Entry::Occupied(_) => prop_assert_eq!(
                         d.insert(r, c, v),
                         Err(DeltaError::DuplicateEdge { row: r, col: c })
-                    );
-                } else {
-                    prop_assert_eq!(d.insert(r, c, v), Ok(()));
-                    shadow.insert((r, c), v);
+                    ),
+                    Entry::Vacant(slot) => {
+                        prop_assert_eq!(d.insert(r, c, v), Ok(()));
+                        slot.insert(v);
+                    }
                 }
             }
             4..=5 => {

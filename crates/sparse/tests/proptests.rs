@@ -3,7 +3,7 @@
 //! every original property is preserved at ≥ the original 256 cases.
 
 use lasagne_sparse::Csr;
-use lasagne_tensor::{Tensor, TensorRng};
+use lasagne_tensor::TensorRng;
 use lasagne_testkit::gens::{coo_graph, sym_adj, CooGraph};
 use lasagne_testkit::{prop_assert, prop_assert_eq, prop_check};
 

@@ -16,9 +16,7 @@
 //! target-feature function that runs when the CPU reports the feature. A
 //! product whose width is not a multiple of `NR` runs its last column strip
 //! through the same full-width tile over a zero-padded copy of that strip
-//! of `B`, storing only the valid columns. `matmul_packed_b` adds a k-panel
-//! loop over a caller-packed right operand — the quantized serve path
-//! dequantizes weight panels into it on the fly.
+//! of `B`, storing only the valid columns.
 //!
 //! Bitwise contract (DESIGN.md §8): every output element accumulates its
 //! `k` products in ascending-`k` order starting from `+0.0`, exactly like
@@ -45,9 +43,6 @@ use tile::Tile;
 /// Micro-tile height (output rows per register block), the same in every
 /// instantiation, so pool chunks stay a function of shape only.
 const MR: usize = 4;
-/// k-panel length for [`Tensor::matmul_packed_b`]: the packed right operand
-/// is materialized at most `KC` rows at a time (`KC × m` floats of scratch).
-const KC: usize = 256;
 /// Input-row panel for `matmul_tn`: bounds the working set of the `A` tile
 /// panel (`PC × MR` floats) and `B` strip panel (`PC × NR`) to L1-ish size.
 const PC: usize = 256;
@@ -135,7 +130,7 @@ impl<'a> Strips<'a> {
 
 /// The partial last column strip of `b` (`rows × m`), zero-padded to `nr`
 /// columns: `rows × nr` floats, empty when `nr` divides `m`. Packed once per
-/// product (once per k-panel in `matmul_packed_b`) and read by every chunk.
+/// product and read by every chunk.
 fn pad_tail(b: View, m: usize, rows: usize, nr: usize) -> Vec<f32> {
     let full = m - m % nr;
     if full == m {
@@ -436,60 +431,6 @@ impl Tensor {
         out
     }
 
-    /// `self · B` where the caller materializes the right operand in
-    /// k-panels: `pack(p0, p1, buf)` must fill `buf` (`(p1-p0) × b_cols`,
-    /// row-major) with rows `p0..p1` of `B`. The quantized serve engine
-    /// dequantizes weight panels here so the int8/f16 weights never exist
-    /// as a full f32 matrix; a pack that plain-copies rows of a resident
-    /// `B` makes this bitwise-identical to `matmul` (same per-element
-    /// ascending-`k` accumulation; the f32 store/reload of `C` between
-    /// panels is exact).
-    pub fn matmul_packed_b<F>(&self, b_rows: usize, b_cols: usize, pack: F) -> Tensor
-    where
-        F: FnMut(usize, usize, &mut [f32]),
-    {
-        self.matmul_packed_b_on(Tile::best(), b_rows, b_cols, pack)
-    }
-
-    fn matmul_packed_b_on<F>(&self, tile: Tile, b_rows: usize, b_cols: usize, mut pack: F) -> Tensor
-    where
-        F: FnMut(usize, usize, &mut [f32]),
-    {
-        assert_eq!(
-            self.cols, b_rows,
-            "matmul_packed_b: {}x{} · {}x{}",
-            self.rows, self.cols, b_rows, b_cols
-        );
-        let (n, k, m) = (self.rows, b_rows, b_cols);
-        let mut out = Tensor::zeros(n, m);
-        if n == 0 || m == 0 {
-            return out;
-        }
-        lasagne_obs::span!("matmul");
-        lasagne_obs::counter_add("matmul.flops", 2 * (n * k * m) as u64);
-        let a = View {
-            data: &self.data,
-            stride: k,
-        };
-        let chunk = round_up_tile(par_row_chunk(k * m).max(32));
-        let mut panel = vec![0.0f32; KC.min(k) * m];
-        for p0 in (0..k).step_by(KC) {
-            let pl = (k - p0).min(KC);
-            let buf = &mut panel[..pl * m];
-            pack(p0, p0 + pl, buf);
-            let b = View {
-                data: buf,
-                stride: m,
-            };
-            let tail = pad_tail(b, m, pl, tile.nr());
-            let b = Strips::new(b, m, &tail, tile.nr());
-            lasagne_par::par_row_chunks_mut(&mut out.data, m, chunk, |i0, c| {
-                tile.gemm_panel(c, a.at(i0, p0), b, pl);
-            });
-        }
-        out
-    }
-
     /// `selfᵀ · other` without forming the transpose.
     /// Panics if `self.rows != other.rows`.
     ///
@@ -775,21 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_b_copy_pack_is_bitwise_matmul() {
-        // A pack that plain-copies B rows must reproduce `matmul` exactly,
-        // including across k-panel splits (k > KC forces ≥ 2 panels).
-        let (n, k, m) = (5, super::KC + 3, 6);
-        let a = Tensor::from_fn(n, k, |i, j| ((i * k + j) as f32 * 0.37).sin());
-        let b = Tensor::from_fn(k, m, |i, j| ((i + j) as f32 * 0.11).cos());
-        let packed = a.matmul_packed_b(k, m, |p0, p1, buf| {
-            buf.copy_from_slice(&b.as_slice()[p0 * m..p1 * m]);
-        });
-        let direct = a.matmul(&b);
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&packed), bits(&direct));
-    }
-
-    #[test]
     fn row_subset_is_bitwise_slice_of_matmul() {
         // A zero-heavy and a dense left operand: selected rows, multiplied
         // on their own, must match the full product bit for bit, in
@@ -816,8 +742,7 @@ mod tests {
         // Each instantiation the host runs, called directly, so an
         // avx512f host still checks the portable tile. Widths straddle
         // both tile widths (padded last strips), row counts leave short
-        // row tiles, `k = 0` is an empty sum, `k = 288` splits
-        // `matmul_packed_b` into two k-panels and 262 input rows split
+        // row tiles, `k = 0` is an empty sum and 262 input rows split
         // `matmul_tn` into two row panels. `A`
         // holds `±0.0` and one `±∞`/NaN in each of a few rows and columns:
         // the padded lanes of those rows turn non-finite, and must never
@@ -858,10 +783,6 @@ mod tests {
                         assert_eq!(bits(&nt), bits(&a.matmul_nt_reference(&bt)), "nt {what}");
                         let tn = a.matmul_tn_on(tile, &g);
                         assert_eq!(bits(&tn), bits(&a.matmul_tn_reference(&g)), "tn {what}");
-                        let packed = a.matmul_packed_b_on(tile, k, m, |p0, p1, buf| {
-                            buf.copy_from_slice(&b.as_slice()[p0 * m..p1 * m]);
-                        });
-                        assert_eq!(bits(&packed), bits(&full), "packed {what}");
 
                         let rows = [n - 1, 0, n / 2, n - 1, 0];
                         let part = a.gather_rows(&rows).matmul_on(tile, &b);

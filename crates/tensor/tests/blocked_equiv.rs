@@ -11,8 +11,8 @@
 //! * the branch-free kernels equal a zero-skipping loop on finite operands
 //!   whatever the zero share (0–99%), with `-0.0` left entries, products
 //!   that underflow to `±0` and negative right operands — for `matmul`,
-//!   `matmul_tn`, `matmul_nt`, `matmul_packed_b` across k-panels, and
-//!   gathered row subsets (unsorted, with repeats).
+//!   `matmul_tn`, `matmul_nt`, and gathered row subsets (unsorted, with
+//!   repeats).
 //!
 //! Each test holds [`POOL`], because the pool's thread count is
 //! process-global.
@@ -78,14 +78,6 @@ fn blocked_kernels_bitwise_equal_seed_references() {
                     if bits(&a.matmul_nt(&bt)) != want_nt {
                         return Err(format!("matmul_nt != seed at {t} threads"));
                     }
-                    // The packed-B panel product with a plain-copy pack is
-                    // the fused-dequant engine's exactness contract.
-                    let packed = a.matmul_packed_b(b.rows(), b.cols(), |p0, p1, buf| {
-                        buf.copy_from_slice(&b.as_slice()[p0 * b.cols()..p1 * b.cols()]);
-                    });
-                    if bits(&packed) != want_mm {
-                        return Err(format!("matmul_packed_b != seed at {t} threads"));
-                    }
                 }
             }
             Ok(())
@@ -133,7 +125,7 @@ fn right_operand(rng: &mut Rng, rows: usize, cols: usize) -> Tensor {
 fn dense_kernels_bitwise_equal_a_zero_skipping_loop() {
     let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = Rng::seed_from_u64(0x2E40);
-    // Edge tiles on every axis; k = 300 spans two `matmul_packed_b` panels.
+    // Edge tiles on every axis.
     for (n, k, m) in [(37, 19, 13), (64, 300, 9), (5, 3, 40), (9, 8, 8)] {
         for zeros in [0.0, 0.25, 0.5, 0.7, 0.9, 0.99] {
             let a = left_operand(&mut rng, n, k, zeros);
@@ -152,18 +144,11 @@ fn dense_kernels_bitwise_equal_a_zero_skipping_loop() {
             let case = format!("{n}x{k}x{m}, {zeros} zeros");
             for threads in [1, 4] {
                 lasagne_par::set_threads(threads);
-                let packed = |l: &Tensor| {
-                    l.matmul_packed_b(k, m, |p0, p1, buf| {
-                        buf.copy_from_slice(&b.as_slice()[p0 * m..p1 * m]);
-                    })
-                };
                 assert_eq!(bits(&a.matmul(&b)), want_mm, "matmul {case} @ {threads}");
                 assert_eq!(bits(&a.matmul_nt(&bt)), want_mm, "matmul_nt {case} @ {threads}");
-                assert_eq!(bits(&packed(&a)), want_mm, "packed {case} @ {threads}");
                 assert_eq!(bits(&a.matmul_tn(&g)), want_tn, "matmul_tn {case} @ {threads}");
                 assert_eq!(bits(&sub.matmul(&b)), want_sub, "subset matmul {case} @ {threads}");
                 assert_eq!(bits(&sub.matmul_nt(&bt)), want_sub, "subset nt {case} @ {threads}");
-                assert_eq!(bits(&packed(&sub)), want_sub, "subset packed {case} @ {threads}");
                 assert_eq!(bits(&sub.matmul_tn(&g_sub)), want_sub_tn, "subset tn {case} @ {threads}");
             }
         }

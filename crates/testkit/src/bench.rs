@@ -97,9 +97,33 @@ pub fn bench<F: FnMut()>(name: &str, f: F) -> BenchResult {
     r
 }
 
+/// Nearest-rank percentile of ascending `sorted` samples: the smallest
+/// sample with at least a `q` share of the samples at or below it (`q` in
+/// `[0, 1]`; 0 for no samples) — always an observed value, never an
+/// interpolation.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let s = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&s, 0.0), 1.0);
+        assert_eq!(percentile(&s, 0.25), 1.0);
+        assert_eq!(percentile(&s, 0.5), 2.0);
+        assert_eq!(percentile(&s, 0.51), 3.0);
+        assert_eq!(percentile(&s, 0.99), 4.0);
+        assert_eq!(percentile(&s, 1.0), 4.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+    }
 
     #[test]
     fn median_and_min_are_ordered() {

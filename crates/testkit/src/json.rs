@@ -485,6 +485,8 @@ mod tests {
     }
 
     #[test]
+    // The long literals are the f32 bit patterns under test, spelled out.
+    #[allow(clippy::excessive_precision)]
     fn every_f32_bit_pattern_we_care_about_round_trips() {
         // Awkward f32s: subnormals, ulp-neighbors, repeating decimals.
         let values = [

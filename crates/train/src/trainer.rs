@@ -89,6 +89,8 @@ impl TrainConfig {
             return Err(TrainError::InvalidConfig("fit: eval_every must be ≥ 1".into()));
         }
         if let Some(c) = self.clip_norm {
+            // Negated so that a NaN bound is refused too.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !(c > 0.0) {
                 return Err(TrainError::InvalidConfig(format!(
                     "fit: clip_norm {c} must be positive"
@@ -422,7 +424,7 @@ pub fn fit_with_options(
         if let Some(plan) = opts.fault {
             if plan.grad_nan_at(this_step) {
                 let store = model.store_mut();
-                if store.len() > 0 && store.grad(ParamId::from_index(0)).len() > 0 {
+                if !store.is_empty() && !store.grad(ParamId::from_index(0)).is_empty() {
                     store.grad_mut(ParamId::from_index(0)).as_mut_slice()[0] = f32::NAN;
                 }
             }
@@ -463,7 +465,7 @@ pub fn fit_with_options(
         train_time_total += train_seconds;
 
         let mut val_acc = None;
-        if epoch % cfg.eval_every == 0 || epoch + 1 == cfg.max_epochs {
+        if epoch.is_multiple_of(cfg.eval_every) || epoch + 1 == cfg.max_epochs {
             let logits = evaluate(model, eval_ctx, rng);
             let acc = accuracy(&logits, &eval_ctx.labels, &split.val);
             val_acc = Some(acc);
@@ -482,7 +484,7 @@ pub fn fit_with_options(
         history.push(EpochStats { epoch, loss: loss_value, val_acc, train_seconds });
 
         if let Some(pol) = &opts.checkpoint {
-            if (epoch + 1) % pol.every == 0 {
+            if (epoch + 1).is_multiple_of(pol.every) {
                 let state = TrainState {
                     next_epoch: epoch + 1,
                     step,

@@ -4,7 +4,7 @@
 //! silently-wrong subgraph. Deterministic fault injection via
 //! `lasagne_testkit::fault`, same as the checkpoint suite.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use lasagne_datasets::{Dataset, DatasetId};
 use lasagne_graph::partition_bfs;
@@ -17,14 +17,14 @@ fn temp_dir(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lasagne-partfault-{name}-{}", std::process::id()))
 }
 
-fn spill(dir: &PathBuf) -> (Dataset, PartitionStore) {
+fn spill(dir: &Path) -> (Dataset, PartitionStore) {
     let ds = Dataset::generate(DatasetId::Cora, 0);
     let parts = partition_bfs(&ds.graph, 3, &mut TensorRng::seed_from_u64(1)).expect("partition");
     let store = PartitionStore::spill(dir, &ds, &parts).expect("spill");
     (ds, store)
 }
 
-fn block_path(dir: &PathBuf, b: usize) -> PathBuf {
+fn block_path(dir: &Path, b: usize) -> PathBuf {
     dir.join(format!("block_{b:05}.json"))
 }
 

@@ -14,9 +14,9 @@ echo "== cargo test -q --offline (the root package and every crate) =="
 # below rerun a suite only at LASAGNE_THREADS 1 and 4, or drive a binary.
 cargo test -q --offline
 
-echo "== cargo clippy, whole workspace, every target =="
-# Errors fail the stage; warnings are reported, not promoted.
-cargo clippy --offline --workspace --all-targets
+echo "== cargo clippy, whole workspace, every target, warnings denied =="
+# A deliberate flagged form carries #[allow(clippy::...)] with its reason.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== lasagne-train, whole crate, at 1 and 4 threads =="
 # Its unit tests (the checkpoint envelope: writer bytes, every one-bit flip
@@ -198,7 +198,9 @@ LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-graph --test partition
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test partition_equiv
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test partition_equiv
 
-echo "== partitioned serving: lazy server conforms to the wire protocol =="
+echo "== partitioned serving: lazy servers conform to the wire protocol =="
+# The exact and the i8 artifact: both engines bind the same load-time
+# dequantized weights, so a quantized artifact serves lazily too.
 cargo run --release --offline --bin lasagne-cli -- \
     serve --frozen target/verify_frozen_a.json --partitions 4 --port 17881 > /dev/null &
 LAZY_PID=$!
@@ -207,6 +209,14 @@ cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17881
 wait "$LAZY_PID"
+cargo run --release --offline --bin lasagne-cli -- \
+    serve --frozen target/verify_quant_a.json --quantized --partitions 4 --port 17884 > /dev/null &
+LAZY_QUANT_PID=$!
+cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
+    --check --addr 127.0.0.1:17884
+cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
+    --shutdown --addr 127.0.0.1:17884
+wait "$LAZY_QUANT_PID"
 
 echo "== scale bench smoke (per-mode child processes, peak-RSS regression guard) =="
 # Exits non-zero unless partitioned peak RSS is strictly below resident
@@ -232,10 +242,12 @@ cargo run --release --offline --bin lasagne-cli -- \
     rec --epochs 3 --export target/verify_rec_b.json > /dev/null
 cmp target/verify_rec_a.json target/verify_rec_b.json
 
-echo "== rec: live server conforms to the recommend protocol =="
+echo "== rec: live servers, resident and partition-lazy, conform to the recommend protocol =="
 # The check regenerates the dataset from the same seed and asserts slate
 # shape (sorted, deduped, never a seen item), plus typed refusals for
-# k=0, item ids, and out-of-range nodes — against a real TCP server.
+# k=0, item ids, and out-of-range nodes — against a real TCP server. The
+# lazy server (--partitions 3) ranks with the same function over the same
+# rows; it runs here because this stage exports the artifact.
 cargo run --release --offline --bin lasagne-cli -- \
     serve --frozen target/verify_rec_a.json --port 17882 > /dev/null &
 REC_PID=$!
@@ -244,6 +256,14 @@ cargo run --release --offline -p lasagne-bench --bin rec-bench -- \
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17882
 wait "$REC_PID"
+cargo run --release --offline --bin lasagne-cli -- \
+    serve --frozen target/verify_rec_a.json --partitions 3 --port 17885 > /dev/null &
+LAZY_REC_PID=$!
+cargo run --release --offline -p lasagne-bench --bin rec-bench -- \
+    --check --addr 127.0.0.1:17885 --seed 0
+cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
+    --shutdown --addr 127.0.0.1:17885
+wait "$LAZY_REC_PID"
 
 echo "== rec: classification server refuses recommend typed =="
 cargo run --release --offline --bin lasagne-cli -- \

@@ -35,7 +35,9 @@
 //!
 //! `serve --partitions K` answers out of lazily materialized per-partition
 //! caches (DESIGN.md §14) instead of propagating the whole graph at load —
-//! same bits per row, O(partition) peak memory, mutations refused typed.
+//! same bits per row as the resident engine, quantized (`--quantized`) and
+//! `recommend` artifacts included, O(partition) peak memory; only streaming
+//! mutations are refused typed.
 
 use lasagne::prelude::*;
 use lasagne_obs::{TraceReport, TraceSink};
