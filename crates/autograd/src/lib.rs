@@ -62,6 +62,6 @@ pub use peval::{evaluate_program_partitioned, PevalError, RowPlan};
 pub use gradcheck::{grad_check, grad_check_owner, GradCheckReport};
 pub use ops_graph::{gat_attention, GatForward};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
-pub use schedule::{clip_grad_norm, ConstantLr, LinearWarmup, LrSchedule, StepDecay};
+pub use schedule::clip_grad_norm;
 pub use params::{ModelError, ParamId, ParamStore};
 pub use tape::{NodeId, Tape};

@@ -1,7 +1,7 @@
 //! Training utilities on top of the optimizers: global-norm gradient
-//! clipping and learning-rate schedules.
+//! clipping.
 
-use crate::{Optimizer, ParamId, ParamStore};
+use crate::{ParamId, ParamStore};
 
 /// Clip the *global* gradient norm across every parameter to `max_norm`
 /// (the `torch.nn.utils.clip_grad_norm_` semantics). Returns the norm
@@ -18,61 +18,9 @@ pub fn clip_grad_norm(store: &mut ParamStore, max_norm: f32) -> f32 {
     norm
 }
 
-/// A learning-rate schedule: maps the epoch index to a multiplier of the
-/// base rate.
-pub trait LrSchedule {
-    /// Multiplier applied to the base learning rate at `epoch`.
-    fn factor(&self, epoch: usize) -> f32;
-
-    /// Apply the schedule to an optimizer (call once per epoch).
-    fn apply(&self, opt: &mut dyn Optimizer, base_lr: f32, epoch: usize) {
-        opt.set_learning_rate(base_lr * self.factor(epoch));
-    }
-}
-
-/// Constant rate (the paper's setting — kept for explicitness).
-pub struct ConstantLr;
-
-impl LrSchedule for ConstantLr {
-    fn factor(&self, _epoch: usize) -> f32 {
-        1.0
-    }
-}
-
-/// Multiply the rate by `gamma` every `step` epochs.
-pub struct StepDecay {
-    /// Epochs between decays.
-    pub step: usize,
-    /// Multiplicative decay factor per step.
-    pub gamma: f32,
-}
-
-impl LrSchedule for StepDecay {
-    fn factor(&self, epoch: usize) -> f32 {
-        self.gamma.powi((epoch / self.step.max(1)) as i32)
-    }
-}
-
-/// Linear warmup over `warmup` epochs, then constant.
-pub struct LinearWarmup {
-    /// Warmup length in epochs.
-    pub warmup: usize,
-}
-
-impl LrSchedule for LinearWarmup {
-    fn factor(&self, epoch: usize) -> f32 {
-        if self.warmup == 0 || epoch >= self.warmup {
-            1.0
-        } else {
-            (epoch + 1) as f32 / self.warmup as f32
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sgd;
     use lasagne_tensor::Tensor;
 
     #[test]
@@ -109,31 +57,5 @@ mod tests {
         clip_grad_norm(&mut store, 2.5); // half of the global norm 5
         assert!((store.grad(a).get(0, 0) - 1.5).abs() < 1e-5);
         assert!((store.grad(b).get(0, 0) - 2.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn step_decay_halves_on_schedule() {
-        let s = StepDecay { step: 10, gamma: 0.5 };
-        assert_eq!(s.factor(0), 1.0);
-        assert_eq!(s.factor(9), 1.0);
-        assert_eq!(s.factor(10), 0.5);
-        assert_eq!(s.factor(25), 0.25);
-    }
-
-    #[test]
-    fn warmup_ramps_then_flattens() {
-        let s = LinearWarmup { warmup: 4 };
-        assert!((s.factor(0) - 0.25).abs() < 1e-6);
-        assert!((s.factor(3) - 1.0).abs() < 1e-6);
-        assert_eq!(s.factor(100), 1.0);
-    }
-
-    #[test]
-    fn schedules_drive_optimizers() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        StepDecay { step: 5, gamma: 0.1 }.apply(&mut opt, 0.1, 12);
-        assert!((opt.learning_rate() - 0.001).abs() < 1e-7);
-        ConstantLr.apply(&mut opt, 0.1, 12);
-        assert_eq!(opt.learning_rate(), 0.1);
     }
 }

@@ -3,19 +3,21 @@
 //! Three modes:
 //!
 //! * **Bench** (default): freeze a cora GCN, then replay a deterministic
-//!   edge-toggle script against the live engine at several compaction
-//!   cadences (`compact_every` ∈ {8, 64, 512} — from "almost every mutation
-//!   is a full recompute" to "almost every mutation is incremental").
-//!   Per-mutation latency is recorded as a function of dirty-set size and
-//!   written to `BENCH_streaming.json`.
+//!   edge-toggle script against the live engine. Per-mutation latency is
+//!   recorded as a function of dirty-set size and written to
+//!   `BENCH_streaming.json`.
 //! * **Drive** (`--drive --addr HOST:PORT`): replay the same script against
 //!   an already-running server over TCP, then dump every node's prediction
-//!   (class + probability bits) to `--out`. Used by `scripts/verify.sh`.
-//! * **Reference** (`--reference --frozen PATH`): replay the identical
-//!   script on a local engine forced to `compact_every = 1` — every
-//!   mutation takes the full-recompute (cold) path — and dump the same
+//!   (class + probability bits) to `--out`. Fails unless at least one
+//!   mutation took the incremental path (`"full_recompute": false`). Used by
+//!   `scripts/verify.sh`.
+//! * **Reference** (`--reference --frozen PATH`): a cold engine on the
+//!   script's final graph, with no mutation applied — replay the script on
+//!   the file's adjacency entries, build the final adjacency with
+//!   `Csr::from_coo`, re-derive the operators with
+//!   `FrozenGraph::operators`, run `Engine::new` — and dump the same
 //!   prediction format. `verify.sh` byte-compares the two dumps: the
-//!   incremental server must be bitwise indistinguishable from always-cold.
+//!   incremental server must be bitwise indistinguishable from cold.
 //!
 //! ```sh
 //! cargo run --release --bin streaming-bench                 # bench, cora GCN
@@ -26,15 +28,17 @@
 //!     --seed 7 --mutations 40 --out /tmp/reference.txt
 //! ```
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::time::Instant;
 
 use lasagne_bench::{connect_patiently, fail};
 use lasagne_datasets::{Dataset, DatasetId};
 use lasagne_gnn::{models, GraphContext, Hyper};
 use lasagne_serve::{freeze, Engine, FrozenModel, Mutation, Request};
+use lasagne_sparse::Csr;
 use lasagne_testkit::bench::percentile;
 use lasagne_testkit::rng::Rng;
 use lasagne_testkit::Json;
@@ -107,10 +111,10 @@ fn parse_args() -> Args {
     args
 }
 
-/// Load the engine from a frozen file, or freeze an untrained cora GCN
-/// (mutation latency does not care whether the weights are trained).
-fn build_engine(frozen: &Option<PathBuf>) -> Engine {
-    let frozen_model = match frozen {
+/// Load a frozen file, or freeze an untrained cora GCN (mutation latency
+/// does not care whether the weights are trained).
+fn load_frozen(frozen: &Option<PathBuf>) -> FrozenModel {
+    match frozen {
         Some(path) => FrozenModel::load(path)
             .unwrap_or_else(|e| fail(&format!("cannot load {}: {e}", path.display()))),
         None => {
@@ -121,8 +125,11 @@ fn build_engine(frozen: &Option<PathBuf>) -> Engine {
             freeze(&model, &ctx, ds.spec.name)
                 .unwrap_or_else(|e| fail(&format!("freeze failed: {e}")))
         }
-    };
-    Engine::new(frozen_model).unwrap_or_else(|e| fail(&format!("engine build failed: {e}")))
+    }
+}
+
+fn build_engine(frozen: FrozenModel) -> Engine {
+    Engine::new(frozen).unwrap_or_else(|e| fail(&format!("engine build failed: {e}")))
 }
 
 /// What one scripted edge toggle did.
@@ -211,6 +218,7 @@ fn run_drive(args: &Args) {
         fail("health reported no nodes");
     }
     let mut num_nodes = boot_nodes;
+    let mut incremental = 0usize;
     run_script(boot_nodes, args.seed, args.mutations, |m| {
         let request = match *m {
             Mutation::AddEdge { u, v } => Request::AddEdge { u, v },
@@ -220,6 +228,9 @@ fn run_drive(args: &Args) {
         let doc = client.call(&request).unwrap_or_else(|e| fail(&format!("mutation: {e}")));
         if doc.get("ok").and_then(Json::as_bool) == Some(true) {
             num_nodes = doc.get("num_nodes").and_then(Json::as_usize).unwrap_or(num_nodes);
+            if doc.get("full_recompute").and_then(Json::as_bool) == Some(false) {
+                incremental += 1;
+            }
             return Applied::Ok;
         }
         let message = doc
@@ -234,6 +245,10 @@ fn run_drive(args: &Args) {
             fail(&format!("unexpected mutation error: {message}"))
         }
     });
+    // A dump of an all-cold session would match the reference trivially.
+    if incremental == 0 {
+        fail("no scripted mutation took the incremental path (\"full_recompute\": false)");
+    }
     let dump = prediction_dump(
         |node| {
             let doc = client
@@ -257,28 +272,52 @@ fn run_drive(args: &Args) {
     if stats.get("model_version").and_then(Json::as_usize) < Some(1) {
         fail("stats model_version must be >= 1");
     }
-    println!("drive ok: {} scripted mutations, {} nodes dumped", args.mutations, num_nodes);
+    println!(
+        "drive ok: {} scripted mutations ({incremental} incremental), {} nodes dumped",
+        args.mutations, num_nodes
+    );
 }
 
-/// Identical script on a local always-cold engine (`compact_every = 1`
-/// forces a from-scratch recompute for every mutation), same dump format.
+/// The identical script replayed on the frozen adjacency's entry set, then
+/// one cold engine on the final graph — no mutation is ever applied to an
+/// engine — and the same dump format.
 fn run_reference(args: &Args) {
     if args.frozen.is_none() {
         fail("--reference needs --frozen PATH (the same file the server loaded)");
     }
-    let mut engine = build_engine(&args.frozen);
-    engine.set_compact_every(1);
-    let boot_nodes = engine.num_nodes();
-    run_script(boot_nodes, args.seed, args.mutations, |m| match engine.apply_mutation(m) {
-        Ok(report) => {
-            if !report.full {
-                fail("reference engine must take the full path on every mutation");
+    let mut frozen = load_frozen(&args.frozen);
+    let Some(graph) = frozen.graph.as_mut() else {
+        fail("frozen model carries no graph binding")
+    };
+    let n = graph.adjacency.rows();
+    let mut entries: BTreeMap<(u32, u32), f32> = (0..n)
+        .flat_map(|i| graph.adjacency.row(i).map(move |(j, v)| ((i as u32, j), v)))
+        .collect();
+    run_script(n, args.seed, args.mutations, |m| match *m {
+        Mutation::AddEdge { u, v } => {
+            let (u, v) = (u as u32, v as u32);
+            if entries.contains_key(&(u, v)) {
+                return Applied::Duplicate;
+            }
+            entries.insert((u, v), 1.0);
+            entries.insert((v, u), 1.0);
+            Applied::Ok
+        }
+        Mutation::RemoveEdge { u, v } => {
+            let (u, v) = (u as u32, v as u32);
+            if entries.remove(&(u, v)).is_none() || entries.remove(&(v, u)).is_none() {
+                fail(&format!("reference: edge {u}-{v} does not exist"));
             }
             Applied::Ok
         }
-        Err(e) if is_duplicate_error(&e.to_string()) => Applied::Duplicate,
-        Err(e) => fail(&format!("reference mutation: {e}")),
+        Mutation::AddNode { .. } => fail("reference: the script adds no nodes"),
     });
+    let coo: Vec<(u32, u32, f32)> = entries.iter().map(|(&(r, c), &v)| (r, c, v)).collect();
+    graph.adjacency = Csr::from_coo(n, n, &coo);
+    let operators =
+        graph.operators().unwrap_or_else(|e| fail(&format!("reference operators: {e}")));
+    frozen.program.sparse = operators.into_iter().map(Rc::new).collect();
+    let engine = build_engine(frozen);
     let dump = prediction_dump(
         |node| {
             let p = engine.predict(node).unwrap_or_else(|e| fail(&format!("predict {node}: {e}")));
@@ -287,7 +326,7 @@ fn run_reference(args: &Args) {
         engine.num_nodes(),
     );
     write_out(&args.out, &dump);
-    println!("reference ok: {} scripted mutations, {} nodes dumped", args.mutations, boot_nodes);
+    println!("reference ok: {} scripted mutations, {n} nodes dumped", args.mutations);
 }
 
 /// Latency-vs-dirty-set-size buckets (the last bucket catches full
@@ -302,74 +341,63 @@ const BUCKETS: &[(usize, &str)] = &[
 
 fn run_bench(args: &Args) {
     let mutations = if args.smoke { 30 } else { 200 };
-    let mut settings: Vec<Json> = Vec::new();
-    // compact_every doubles as the mutation-rate knob: how many live
-    // mutations the engine absorbs before folding the delta back in.
-    for &compact_every in &[8usize, 64, 512] {
-        let mut engine = build_engine(&args.frozen);
-        engine.set_compact_every(compact_every);
-        let num_nodes = engine.num_nodes();
-        let mut latencies_us: Vec<f64> = Vec::with_capacity(mutations);
-        let mut bucket_us: Vec<Vec<f64>> = vec![Vec::new(); BUCKETS.len()];
-        let mut fulls = 0usize;
-        run_script(num_nodes, args.seed, mutations, |m| {
-            let start = Instant::now();
-            match engine.apply_mutation(m) {
-                Ok(report) => {
-                    let us = start.elapsed().as_secs_f64() * 1e6;
-                    latencies_us.push(us);
-                    if report.full {
-                        fulls += 1;
-                    }
-                    let slot = BUCKETS
-                        .iter()
-                        .position(|&(cap, _)| report.dirty_rows <= cap)
-                        .unwrap_or(BUCKETS.len() - 1);
-                    bucket_us[slot].push(us);
-                    Applied::Ok
+    let mut engine = build_engine(load_frozen(&args.frozen));
+    let num_nodes = engine.num_nodes();
+    let mut latencies_us: Vec<f64> = Vec::with_capacity(mutations);
+    let mut bucket_us: Vec<Vec<f64>> = vec![Vec::new(); BUCKETS.len()];
+    let mut fulls = 0usize;
+    run_script(num_nodes, args.seed, mutations, |m| {
+        let start = Instant::now();
+        match engine.apply_mutation(m) {
+            Ok(report) => {
+                let us = start.elapsed().as_secs_f64() * 1e6;
+                latencies_us.push(us);
+                if report.full {
+                    fulls += 1;
                 }
-                Err(e) if is_duplicate_error(&e.to_string()) => Applied::Duplicate,
-                Err(e) => fail(&format!("bench mutation: {e}")),
+                let slot = BUCKETS
+                    .iter()
+                    .position(|&(cap, _)| report.dirty_rows <= cap)
+                    .unwrap_or(BUCKETS.len() - 1);
+                bucket_us[slot].push(us);
+                Applied::Ok
             }
-        });
-        latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let mean = latencies_us.iter().sum::<f64>() / latencies_us.len().max(1) as f64;
-        let p50 = percentile(&latencies_us, 0.50);
-        let p99 = percentile(&latencies_us, 0.99);
-        println!(
-            "compact_every={compact_every:>4}  mutations={:>4}  full={fulls:>4}  \
-             p50={p50:>9.1}us  p99={p99:>9.1}us  mean={mean:>9.1}us",
-            latencies_us.len()
-        );
-        let buckets: Vec<Json> = BUCKETS
-            .iter()
-            .zip(&bucket_us)
-            .filter(|(_, us)| !us.is_empty())
-            .map(|(&(_, label), us)| {
-                let mean = us.iter().sum::<f64>() / us.len() as f64;
-                println!("    dirty {label:>7}: n={:>4}  mean={mean:>9.1}us", us.len());
-                Json::Obj(vec![
-                    ("dirty_rows".into(), Json::Str(label.into())),
-                    ("mutations".into(), Json::Num(us.len() as f64)),
-                    ("mean_us".into(), Json::Num(mean)),
-                ])
-            })
-            .collect();
-        settings.push(Json::Obj(vec![
-            ("compact_every".into(), Json::Num(compact_every as f64)),
-            ("mutations".into(), Json::Num(latencies_us.len() as f64)),
-            ("full_recomputes".into(), Json::Num(fulls as f64)),
-            ("p50_us".into(), Json::Num(p50)),
-            ("p99_us".into(), Json::Num(p99)),
-            ("mean_us".into(), Json::Num(mean)),
-            ("by_dirty_rows".into(), Json::Arr(buckets)),
-        ]));
-    }
+            Err(e) if is_duplicate_error(&e.to_string()) => Applied::Duplicate,
+            Err(e) => fail(&format!("bench mutation: {e}")),
+        }
+    });
+    latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let mean = latencies_us.iter().sum::<f64>() / latencies_us.len().max(1) as f64;
+    let p50 = percentile(&latencies_us, 0.50);
+    let p99 = percentile(&latencies_us, 0.99);
+    println!(
+        "mutations={:>4}  full={fulls:>4}  p50={p50:>9.1}us  p99={p99:>9.1}us  mean={mean:>9.1}us",
+        latencies_us.len()
+    );
+    let buckets: Vec<Json> = BUCKETS
+        .iter()
+        .zip(&bucket_us)
+        .filter(|(_, us)| !us.is_empty())
+        .map(|(&(_, label), us)| {
+            let mean = us.iter().sum::<f64>() / us.len() as f64;
+            println!("    dirty {label:>7}: n={:>4}  mean={mean:>9.1}us", us.len());
+            Json::Obj(vec![
+                ("dirty_rows".into(), Json::Str(label.into())),
+                ("mutations".into(), Json::Num(us.len() as f64)),
+                ("mean_us".into(), Json::Num(mean)),
+            ])
+        })
+        .collect();
     let doc = Json::Obj(vec![
         ("bench".into(), Json::Str("streaming".into())),
         ("smoke".into(), Json::Bool(args.smoke)),
         ("seed".into(), Json::Num(args.seed as f64)),
-        ("settings".into(), Json::Arr(settings)),
+        ("mutations".into(), Json::Num(latencies_us.len() as f64)),
+        ("full_recomputes".into(), Json::Num(fulls as f64)),
+        ("p50_us".into(), Json::Num(p50)),
+        ("p99_us".into(), Json::Num(p99)),
+        ("mean_us".into(), Json::Num(mean)),
+        ("by_dirty_rows".into(), Json::Arr(buckets)),
     ]);
     let out = args.out.clone().unwrap_or_else(|| PathBuf::from("BENCH_streaming.json"));
     std::fs::write(&out, format!("{doc}\n"))

@@ -135,12 +135,6 @@ impl LasagneConfig {
         self.hidden_dims.len() + 1
     }
 
-    /// Builder: swap the aggregator.
-    pub fn with_aggregator(mut self, aggregator: AggregatorKind) -> Self {
-        self.aggregator = aggregator;
-        self
-    }
-
     /// Builder: swap the base convolution.
     pub fn with_base(mut self, base: BaseConv) -> Self {
         self.base = base;

@@ -118,11 +118,6 @@ impl GcFm {
         }
     }
 
-    /// FM latent dimension.
-    pub fn latent_dim(&self) -> usize {
-        self.k
-    }
-
     /// Read class `class`'s `D(layer) × k` latent block back (for the
     /// reference-path test).
     pub fn latent(&self, store: &ParamStore, class: usize, layer: usize) -> Tensor {

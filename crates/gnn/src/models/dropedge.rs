@@ -45,11 +45,6 @@ impl DropEdgeGcn {
             store,
         }
     }
-
-    /// Edge keep probability.
-    pub fn edge_keep(&self) -> f32 {
-        self.keep
-    }
 }
 
 impl NodeClassifier for DropEdgeGcn {

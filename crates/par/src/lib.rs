@@ -177,18 +177,6 @@ pub fn csr_chunk_boundaries(indptr: &[usize], target_nnz: usize) -> Vec<usize> {
     bounds
 }
 
-/// Run `f` over the rows of a CSR structure, partitioned by
-/// [`csr_chunk_boundaries`] with the default nnz budget — the load-balanced
-/// counterpart of [`parallel_for_rows`] for matrices whose per-row nnz is
-/// skewed (power-law graphs make even-row splits badly imbalanced).
-pub fn parallel_for_csr_rows<F>(indptr: &[usize], f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let bounds = csr_chunk_boundaries(indptr, DEFAULT_CSR_CHUNK_NNZ);
-    run_job(bounds.len() - 1, &|c| f(bounds[c]..bounds[c + 1]));
-}
-
 /// Split `data` (a row-major `rows × width` buffer) into fixed chunks of
 /// `chunk_rows` rows and call `f(first_row, chunk_slice)` on each in
 /// parallel. The disjoint-write half of the determinism contract is

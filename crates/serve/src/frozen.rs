@@ -108,6 +108,37 @@ pub struct FrozenGraph {
     pub features_ops: Vec<usize>,
 }
 
+impl FrozenGraph {
+    /// Derive each `program.sparse` operator from `adjacency` by its
+    /// [`SparseKind`], with the calls `GraphContext::new` makes, so each is
+    /// bitwise what a cold build on this adjacency computes. The streaming
+    /// engine re-derives its operators here after every mutation. Fails
+    /// typed when an operator has no recorded derivation.
+    pub fn operators(&self) -> ServeResult<Vec<Csr>> {
+        let with_loops = self.adjacency.with_self_loops();
+        self.kinds
+            .iter()
+            .map(|kind| match kind {
+                SparseKind::Sym => Ok(with_loops.sym_normalize()),
+                SparseKind::Rw => Ok(with_loops.rw_normalize()),
+                SparseKind::Loops => Ok(with_loops.clone()),
+                SparseKind::Adj => Ok(self.adjacency.clone()),
+                SparseKind::Opaque => Err(opaque_operator()),
+            })
+            .collect()
+    }
+}
+
+/// The refusal for re-deriving a [`SparseKind::Opaque`] operator: there is
+/// nothing exact to rebuild it from, so graph mutations are unsupported.
+pub(crate) fn opaque_operator() -> ServeError {
+    ServeError::Mismatch(
+        "model uses a sparse operator with no recorded derivation from the adjacency; \
+         graph mutations are unsupported"
+            .into(),
+    )
+}
+
 /// How one named weight is stored in the frozen file: exact f32 (the
 /// default — bitwise-faithful to training) or quantized (opt-in, produced
 /// by [`FrozenModel::quantize`]; approximate, with the documented per-mode

@@ -19,8 +19,8 @@
 //!    panic isolation per request, and latency/batch counters surfaced via
 //!    `stats` and `lasagne-obs`.
 //! 4. **Streaming mutations** ([`Mutation`], DESIGN.md §11) — `add_edge` /
-//!    `remove_edge` / `add_node` against the live engine. Edge toggles hit a
-//!    delta adjacency and re-derive only the dirty k-hop rows of the
+//!    `remove_edge` / `add_node` against the live engine. Edge toggles edit
+//!    a plain CSR adjacency and re-derive only the dirty k-hop rows of the
 //!    propagation cache; the result is bitwise what a cold reload of the
 //!    mutated graph would compute, a property the test harness proves.
 //! 5. **Overload contract** (DESIGN.md §12) — bounded admission with typed
@@ -44,6 +44,7 @@
 //! ```
 
 mod client;
+mod delta;
 mod engine;
 mod error;
 mod export;
@@ -67,4 +68,4 @@ pub use protocol::{
 };
 pub use quant::{QuantMatrix, QuantMode};
 pub use server::{Server, ServerConfig, ServerEngine};
-pub use streaming::{Mutation, MutationReport, DEFAULT_COMPACT_EVERY};
+pub use streaming::{Mutation, MutationReport};

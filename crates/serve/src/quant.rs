@@ -202,11 +202,6 @@ impl QuantMatrix {
         (self.rows, self.cols)
     }
 
-    /// Payload bytes (excluding scales) — the footprint the format saves.
-    pub fn payload_len(&self) -> usize {
-        self.data.len()
-    }
-
     /// Dequantize the whole matrix — the f32 weights an engine binds at
     /// load: a plain multiply per element (i8) or a bit conversion (f16),
     /// no data-dependent branches, so it is deterministic.

@@ -5,15 +5,16 @@
 //! because the graph is frozen. This module un-freezes it without giving up
 //! the exactness story. A [`Mutation`] flows through three stages:
 //!
-//! 1. **Delta adjacency** — the raw symmetric adjacency lives in a
-//!    [`DeltaCsr`]; edge toggles are buffer updates, compaction folds them
-//!    back every `compact_every` mutations.
+//! 1. **Edge edit** — the raw symmetric adjacency is a plain [`Csr`]. An
+//!    edge toggle is checked and then builds the next one, both directions
+//!    at once, in one O(nnz) copy ([`Csr::with_sym_edge`]); `add_node`
+//!    appends an empty row and column (both in `delta.rs`).
 //! 2. **Operator rebuild** — every derived sparse operator (`Â`, the
-//!    random-walk operator, `A+I`, `A`) is rebuilt from the merged
-//!    adjacency with the *same calls* `GraphContext::new` makes. That is
-//!    O(nnz) and bitwise-equal to a cold reload by construction; what it
-//!    buys is knowing the exact set of operator rows that changed, which is
-//!    tiny for a single edge.
+//!    random-walk operator, `A+I`, `A`) is re-derived from the edited
+//!    adjacency by [`FrozenGraph::operators`], the *same calls*
+//!    `GraphContext::new` makes. That is O(nnz) and bitwise-equal to a cold
+//!    reload by construction; what it buys is knowing the exact set of
+//!    operator rows that changed, which is tiny for a single edge.
 //! 3. **Dirty schedule** — the one evaluator's forward closure
 //!    ([`lasagne_autograd::dirty_rows`], DESIGN.md §10): changed operator
 //!    rows seed a per-op dirty set pushed through the program's dependency
@@ -22,25 +23,22 @@
 //!    with the same op kernel full evaluation uses, which is bitwise per
 //!    row ([`lasagne_autograd::eval_dirty`]); ops that read a dirty operand
 //!    whole (`SumAll`, `SumRows`, `GatAggregate`, a dirty matmul weight),
-//!    oversized dirty sets (> half an op's rows), compaction, and
-//!    `add_node` fall back to full re-evaluation — which is the cold path
-//!    itself, so exactness holds on every branch.
+//!    oversized dirty sets (> half an op's rows) and `add_node` fall back
+//!    to full re-evaluation — which is the cold path itself, so exactness
+//!    holds on every branch.
 
 use std::time::Instant;
 
 use lasagne_autograd::{
     dirty_rows, eval_all, eval_dirty, leaf_value, Operand, Program, ProgramOp, Resident,
 };
-use lasagne_sparse::{Csr, DeltaCsr, DeltaError};
+use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
+use crate::delta;
 use crate::engine::Engine;
 use crate::error::{ServeError, ServeResult};
-use crate::frozen::{FrozenGraph, SparseKind};
-
-/// Mutations applied after every this many mutations by default (tunable
-/// via [`Engine::set_compact_every`] / the CLI `--compact-every` flag).
-pub const DEFAULT_COMPACT_EVERY: usize = 256;
+use crate::frozen::{opaque_operator, FrozenGraph, SparseKind};
 
 /// A graph mutation. Edges are undirected: both CSR directions are applied
 /// atomically, keeping the adjacency symmetric (the invariant every
@@ -90,36 +88,19 @@ struct Outcome {
 
 /// Everything the engine needs to replay mutations: the program (ops owned,
 /// sparse table as plain `Csr` so the engine stays `Send`), the per-op value
-/// cache, and the delta adjacency. Feature growth from `add_node` mutates
-/// the `Constant` ops listed in `features_ops` directly, so a subsequent
-/// full evaluation is *the* cold evaluation of the grown graph.
+/// cache, and the live graph binding. Feature growth from `add_node`
+/// mutates the `Constant` ops listed in `graph.features_ops` directly, so a
+/// subsequent full evaluation is *the* cold evaluation of the grown graph.
 pub(crate) struct StreamingState {
     ops: Vec<ProgramOp>,
     output: usize,
     sparse: Vec<Csr>,
-    kinds: Vec<SparseKind>,
-    features_ops: Vec<usize>,
+    /// The live graph: every mutation replaces its adjacency.
+    graph: FrozenGraph,
     weights: Vec<(String, Tensor)>,
     /// One cached tensor per op — the full-graph evaluation (leaves hold a
     /// placeholder; they live in `ops` and `weights`).
     values: Vec<Tensor>,
-    raw: DeltaCsr,
-    compact_every: usize,
-    since_compact: usize,
-}
-
-fn map_delta(e: DeltaError) -> ServeError {
-    match e {
-        DeltaError::DuplicateEdge { row, col } => {
-            ServeError::BadRequest(format!("edge {row}-{col} already exists"))
-        }
-        DeltaError::MissingEdge { row, col } => {
-            ServeError::BadRequest(format!("edge {row}-{col} does not exist"))
-        }
-        DeltaError::OutOfRange { row, col, rows, .. } => {
-            ServeError::UnknownNode { node: row.max(col) as usize, num_nodes: rows }
-        }
-    }
 }
 
 impl StreamingState {
@@ -154,45 +135,27 @@ impl StreamingState {
             ops: program.ops,
             output: program.output,
             sparse,
-            kinds: graph.kinds,
-            features_ops: graph.features_ops,
+            graph,
             weights,
             values,
-            raw: DeltaCsr::new(graph.adjacency),
-            compact_every: DEFAULT_COMPACT_EVERY,
-            since_compact: 0,
         })
     }
 
     /// Refuse mutations when any sparse operator has no known derivation —
     /// there would be nothing exact to rebuild it from.
     fn check_mutable(&self) -> ServeResult<()> {
-        if self.kinds.contains(&SparseKind::Opaque) {
-            return Err(ServeError::Mismatch(
-                "model uses a sparse operator with no recorded derivation from the adjacency; \
-                 graph mutations are unsupported"
-                    .into(),
-            ));
+        if self.graph.kinds.contains(&SparseKind::Opaque) {
+            return Err(opaque_operator());
         }
         Ok(())
     }
 
-    /// Rebuild every derived operator from the merged adjacency — the exact
-    /// `GraphContext::new` call sequence, so each operator is bitwise what a
-    /// cold reload would compute. Returns `A + I` for seed derivation.
-    fn rebuild_sparse(&mut self) -> Csr {
-        let adj = self.raw.to_csr();
-        let with_loops = adj.with_self_loops();
-        for (slot, kind) in self.sparse.iter_mut().zip(&self.kinds) {
-            *slot = match kind {
-                SparseKind::Sym => with_loops.sym_normalize(),
-                SparseKind::Rw => with_loops.rw_normalize(),
-                SparseKind::Loops => with_loops.clone(),
-                SparseKind::Adj => adj.clone(),
-                SparseKind::Opaque => unreachable!("opaque operators rejected by check_mutable"),
-            };
-        }
-        with_loops
+    /// Install the edited adjacency and re-derive every operator from it,
+    /// so each is bitwise what a cold reload would compute.
+    fn set_adjacency(&mut self, adjacency: Csr) -> ServeResult<()> {
+        self.graph.adjacency = adjacency;
+        self.sparse = self.graph.operators()?;
+        Ok(())
     }
 
     /// Re-evaluate every op from scratch against the current operators —
@@ -213,38 +176,15 @@ impl StreamingState {
 
     fn edge_mutation(&mut self, u: usize, v: usize, add: bool) -> ServeResult<Outcome> {
         self.check_mutable()?;
-        let n = self.raw.rows();
-        if u >= n || v >= n {
-            return Err(ServeError::UnknownNode { node: u.max(v), num_nodes: n });
-        }
-        if u == v {
-            return Err(ServeError::BadRequest(
-                "self-loops are managed by the propagation operators; u and v must differ".into(),
-            ));
-        }
-        let (cu, cv) = (u as u32, v as u32);
-        if add {
-            self.raw.insert(cu, cv, 1.0).map_err(map_delta)?;
-            self.raw.insert(cv, cu, 1.0).expect("mirror insert on a symmetric adjacency");
-        } else {
-            self.raw.remove(cu, cv).map_err(map_delta)?;
-            self.raw.remove(cv, cu).expect("mirror remove on a symmetric adjacency");
-        }
-        self.since_compact += 1;
-        if self.since_compact >= self.compact_every {
-            self.raw.compact();
-            self.since_compact = 0;
-            self.rebuild_sparse();
-            self.full_recompute()?;
-            return Ok(Outcome { rows: None, node: None });
-        }
+        let next = delta::toggle_edge(&self.graph.adjacency, u, v, add)?;
+        self.set_adjacency(next)?;
         self.incremental(u, v)
     }
 
     fn add_node(&mut self, features: &[f32]) -> ServeResult<Outcome> {
         self.check_mutable()?;
-        let n = self.raw.rows();
-        let &first = self.features_ops.first().ok_or_else(|| {
+        let n = self.graph.adjacency.rows();
+        let &first = self.graph.features_ops.first().ok_or_else(|| {
             ServeError::BadRequest(
                 "model carries no feature-table binding; 'add_node' is unsupported".into(),
             )
@@ -273,7 +213,7 @@ impl StreamingState {
         }
         for (i, op) in self.ops.iter().enumerate() {
             if let ProgramOp::Constant { value } = op {
-                if value.rows() == n && !self.features_ops.contains(&i) {
+                if value.rows() == n && !self.graph.features_ops.contains(&i) {
                     return Err(ServeError::BadRequest(format!(
                         "program constant {i} is pinned to the frozen node set; \
                          'add_node' is unsupported for this model"
@@ -281,9 +221,7 @@ impl StreamingState {
                 }
             }
         }
-        let id = self.raw.add_node();
-        let features_ops = self.features_ops.clone();
-        for fi in features_ops {
+        for &fi in &self.graph.features_ops {
             if let ProgramOp::Constant { value } = &mut self.ops[fi] {
                 let mut data = value.as_slice().to_vec();
                 data.extend_from_slice(features);
@@ -291,35 +229,32 @@ impl StreamingState {
                     .map_err(|e| ServeError::Internal(format!("grow features: {e}")))?;
             }
         }
-        self.since_compact += 1;
-        if self.since_compact >= self.compact_every {
-            self.raw.compact();
-            self.since_compact = 0;
-        }
+        // Node `n` arrives isolated: an empty row and column.
+        let grown = delta::with_isolated_node(&self.graph.adjacency);
         // Every op's row count changes, so there is no incremental path:
-        // rebuild the operators and run the cold evaluation of the grown
+        // re-derive the operators and run the cold evaluation of the grown
         // graph (its feature constants are already the grown ones).
-        self.rebuild_sparse();
+        self.set_adjacency(grown)?;
         self.full_recompute()?;
-        Ok(Outcome { rows: None, node: Some(id) })
+        Ok(Outcome { rows: None, node: Some(n) })
     }
 
     /// The incremental path for a single edge toggle on `u — v`.
     fn incremental(&mut self, u: usize, v: usize) -> ServeResult<Outcome> {
-        let with_loops = self.rebuild_sparse();
         // Changed-row seeds per operator. Â's row i changes iff i's own row
         // structure changed (i ∈ {u,v}) or a neighbor's degree did (i
-        // adjacent to u or v) — the post-mutation with-loops rows of u and v
+        // adjacent to u or v) — u, v and their post-mutation neighbors
         // cover both for a single-edge change (on delete, v itself covers
         // u's lost neighbor and vice versa). Rw/Loops/Adj rows only change
         // for u and v: their other rows keep identical entries and degrees.
         let mut sym_seed: Vec<usize> = Vec::new();
         for &node in &[u, v] {
-            sym_seed.extend(with_loops.row_indices(node).iter().map(|&j| j as usize));
+            sym_seed.extend(self.graph.adjacency.row_indices(node).iter().map(|&j| j as usize));
             sym_seed.push(node);
         }
         let edge_seed = vec![u, v];
         let changed: Vec<(Operand, Vec<usize>)> = self
+            .graph
             .kinds
             .iter()
             .enumerate()
@@ -350,15 +285,6 @@ impl Engine {
     /// Whether this model was frozen with a graph binding (mutations work).
     pub fn supports_mutation(&self) -> bool {
         self.streaming.is_some()
-    }
-
-    /// Compact the delta adjacency (and take the full-recompute fallback)
-    /// every `n` mutations. Clamped to ≥ 1; `1` makes every mutation a
-    /// cold recompute — the reference the equivalence harness diffs against.
-    pub fn set_compact_every(&mut self, n: usize) {
-        if let Some(st) = self.streaming.as_mut() {
-            st.compact_every = n.max(1);
-        }
     }
 
     /// Apply one graph mutation, patching the propagation cache either
@@ -398,7 +324,7 @@ impl Engine {
                 }
             }
         }
-        self.meta.num_nodes = st.raw.rows();
+        self.meta.num_nodes = st.graph.adjacency.rows();
         let report = MutationReport {
             dirty_rows: outcome.rows.as_ref().map_or(self.meta.num_nodes, Vec::len),
             full: outcome.rows.is_none(),

@@ -201,26 +201,56 @@ fn lasagne_mean_streaming_bitwise_equivalent() {
     assert_streaming_matches_cold("Lasagne-Mean", model.as_ref(), 10);
 }
 
-/// Compaction is a full-recompute fallback; forcing it after every mutation
-/// must leave the cache just as bitwise-exact as the incremental path.
+/// A refused mutation changes nothing: a duplicate `add_edge`, a missing
+/// `remove_edge`, a self-loop and an out-of-range endpoint each fail typed
+/// and leave every cached logit and probability bitwise as it was, and a
+/// valid toggle afterwards still matches a cold engine.
 #[test]
-fn compact_every_mutation_still_bitwise_equivalent() {
+fn refused_mutations_leave_the_cache_bitwise_unchanged() {
     let (g, features, labels) = sparse_ctx(17);
-    lasagne_par::set_threads(1);
     let model = models::Gcn::new(IN_DIM, CLASSES, &tiny_hyper(), 5);
-    let ctx = GraphContext::new(&g, features.clone(), labels.clone(), CLASSES);
-    let mut engine =
-        Engine::new(freeze(&model, &ctx, "tiny").expect("freeze")).expect("live engine");
-    engine.set_compact_every(1);
     let mut edges: BTreeSet<(u32, u32)> = g.edges().iter().copied().collect();
-    let mut rng = Rng::seed_from_u64(29);
-    for step in 0..6 {
-        let mutation = pick_edge_toggle(&mut rng, &mut edges);
-        let report = engine.apply_mutation(&mutation).expect("mutation");
-        assert!(report.full, "step {step}: compact_every=1 must force the full path");
-        let got = engine_bits(&engine, NODES);
+    let &(a, b) = edges.iter().next().expect("graph has an edge");
+    let (c, d) = (0..NODES as u32)
+        .flat_map(|u| (u + 1..NODES as u32).map(move |v| (u, v)))
+        .find(|e| !edges.contains(e))
+        .expect("graph is not complete");
+    let refused = [
+        (Mutation::AddEdge { u: a as usize, v: b as usize }, "bad_request", "already exists"),
+        (Mutation::RemoveEdge { u: c as usize, v: d as usize }, "bad_request", "does not exist"),
+        (Mutation::AddEdge { u: 3, v: 3 }, "bad_request", "self-loops"),
+        (Mutation::RemoveEdge { u: 0, v: NODES }, "unknown_node", "unknown node"),
+    ];
+    edges.remove(&(a, b));
+    for &threads in &[1usize, 4] {
+        lasagne_par::set_threads(threads);
+        let ctx = GraphContext::new(&g, features.clone(), labels.clone(), CLASSES);
+        let mut engine =
+            Engine::new(freeze(&model, &ctx, "tiny").expect("freeze")).expect("live engine");
+        let before = engine_bits(&engine, NODES);
+        for (mutation, kind, message) in &refused {
+            let err = engine.apply_mutation(mutation).expect_err("mutation must be refused");
+            assert_eq!(err.kind(), *kind, "@ {threads} thread(s): {mutation:?}");
+            assert!(
+                err.to_string().contains(message),
+                "@ {threads} thread(s): {mutation:?} answered '{err}'"
+            );
+            assert_eq!(engine.num_nodes(), NODES, "@ {threads} thread(s): {mutation:?}");
+            assert_eq!(
+                engine_bits(&engine, NODES),
+                before,
+                "@ {threads} thread(s): refused {mutation:?} changed the cache"
+            );
+        }
+        engine
+            .apply_mutation(&Mutation::RemoveEdge { u: a as usize, v: b as usize })
+            .expect("valid removal after the refusals");
         let want = cold_bits(&model, NODES, &edges, &features, &labels);
-        assert_eq!(got, want, "step {step} ({mutation:?}): post-compaction cache differs");
+        assert_eq!(
+            engine_bits(&engine, NODES),
+            want,
+            "@ {threads} thread(s): toggle after the refusals differs from cold"
+        );
     }
 }
 

@@ -179,29 +179,6 @@ impl Csr {
         }
     }
 
-    /// Replace this matrix's contents in place with new CSR arrays,
-    /// validating the same invariants as [`Csr::from_parts`]. This is the
-    /// compaction path of the streaming delta layer; like
-    /// [`Csr::values_mut`], it drops the cached transpose — the structure
-    /// itself just changed, so a stale transpose would be worse than a stale
-    /// reweighting.
-    pub fn replace_parts(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<u32>,
-        values: Vec<f32>,
-    ) {
-        let next = Csr::from_parts(rows, cols, indptr, indices, values);
-        self.rows = next.rows;
-        self.cols = next.cols;
-        self.indptr = next.indptr;
-        self.indices = next.indices;
-        self.values = next.values;
-        self.t_cache = OnceLock::new();
-    }
-
     /// The `n x n` sparse identity.
     pub fn identity(n: usize) -> Csr {
         Csr {

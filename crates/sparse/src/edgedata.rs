@@ -4,8 +4,8 @@
 //! holds the feature vector of the `e`-th stored entry of a companion
 //! [`Csr`] — the entry at flat position `e` in the CSR's `indices`/`values`
 //! arrays. Alignment is the whole contract: every structural change to the
-//! companion (transpose, delta compaction, `replace_parts`) must be mirrored
-//! by the matching row permutation here, and every mismatch is a typed
+//! companion (a transpose, say) must be mirrored by the matching row
+//! permutation here, and every mismatch is a typed
 //! [`EdgeDataError`], never a silent misread.
 
 use crate::Csr;

@@ -19,11 +19,9 @@
 //! ```
 
 mod csr;
-mod delta;
 mod edgedata;
 mod norm;
 mod structure;
 
 pub use csr::Csr;
-pub use delta::{DeltaCsr, DeltaError};
 pub use edgedata::{EdgeData, EdgeDataError};

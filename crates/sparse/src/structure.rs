@@ -1,6 +1,7 @@
 //! Structural operations the sampling baselines are built from:
 //! edge dropout (DropEdge), induced subgraphs (ClusterGCN, GraphSAINT,
-//! inductive splits) and row/column slices (FastGCN layer sampling).
+//! inductive splits) and row/column slices (FastGCN layer sampling) — plus
+//! the undirected edge edit the streaming server applies (DESIGN.md §11).
 
 use crate::Csr;
 use lasagne_tensor::TensorRng;
@@ -46,6 +47,54 @@ impl Csr {
             }
         }
         Csr::from_coo(self.rows(), self.cols(), &coo)
+    }
+
+    /// This square matrix with the mirrored entries `(u, v)` and `(v, u)`
+    /// set to `value` — inserted where absent, overwritten where present —
+    /// or, for `None`, removed where present; `u == v` edits the one
+    /// diagonal entry. One O(nnz) copy that splices the two edited rows, so
+    /// the result is bitwise `from_coo` over the edited entry set.
+    pub fn with_sym_edge(&self, u: u32, v: u32, value: Option<f32>) -> Csr {
+        assert_eq!(self.rows(), self.cols(), "with_sym_edge: must be square");
+        let n = self.rows();
+        assert!(
+            (u as usize) < n && (v as usize) < n,
+            "with_sym_edge: ({u},{v}) outside {n}x{n}"
+        );
+        let (ptr, idx, val) = (self.indptr(), self.indices(), self.values());
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(idx.len() + 2);
+        let mut values = Vec::with_capacity(idx.len() + 2);
+        indptr.push(0);
+        for i in 0..n {
+            let (lo, hi) = (ptr[i], ptr[i + 1]);
+            // Row u edits column v and row v column u; every other row is
+            // copied whole. `[head, tail)` is the edited entry, if present.
+            let edit = if i == u as usize {
+                Some(v)
+            } else if i == v as usize {
+                Some(u)
+            } else {
+                None
+            };
+            let (head, tail) = match edit {
+                None => (hi, hi),
+                Some(c) => {
+                    let at = lo + idx[lo..hi].partition_point(|&j| j < c);
+                    (at, if at < hi && idx[at] == c { at + 1 } else { at })
+                }
+            };
+            indices.extend_from_slice(&idx[lo..head]);
+            values.extend_from_slice(&val[lo..head]);
+            if let (Some(c), Some(x)) = (edit, value) {
+                indices.push(c);
+                values.push(x);
+            }
+            indices.extend_from_slice(&idx[tail..hi]);
+            values.extend_from_slice(&val[tail..hi]);
+            indptr.push(indices.len());
+        }
+        Csr::from_parts(n, n, indptr, indices, values)
     }
 
     /// Induced square submatrix on `nodes` (which must be square-compatible):
@@ -188,6 +237,32 @@ mod tests {
             let expect: f32 = (0..6).map(|i| d[(i, j)] * d[(i, j)]).sum();
             assert!((norms[j] - expect).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn sym_edge_inserts_and_removes_both_directions() {
+        let m = ring(4);
+        let added = m.with_sym_edge(0, 2, Some(5.0));
+        let mut coo: Vec<(u32, u32, f32)> = (0..4)
+            .flat_map(|i| m.row(i).map(move |(j, v)| (i as u32, j, v)))
+            .collect();
+        coo.extend([(0, 2, 5.0), (2, 0, 5.0)]);
+        assert_eq!(added, Csr::from_coo(4, 4, &coo));
+        assert_eq!(added.with_sym_edge(2, 0, None), m);
+        // Removing an absent pair is the identity.
+        assert_eq!(m.with_sym_edge(0, 2, None), m);
+    }
+
+    #[test]
+    fn sym_edge_overwrites_present_entries_and_edits_the_diagonal_once() {
+        let m = ring(3);
+        let w = m.with_sym_edge(1, 0, Some(9.0));
+        assert_eq!(w.nnz(), m.nnz());
+        assert_eq!(w.row(0).collect::<Vec<_>>(), vec![(1, 9.0), (2, 1.0)]);
+        assert_eq!(w.row(1).collect::<Vec<_>>(), vec![(0, 9.0), (2, 1.0)]);
+        let d = m.with_sym_edge(2, 2, Some(3.0));
+        assert_eq!(d.nnz(), m.nnz() + 1);
+        assert_eq!(d.row(2).collect::<Vec<_>>(), vec![(0, 1.0), (1, 1.0), (2, 3.0)]);
     }
 
     #[test]

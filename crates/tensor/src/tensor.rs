@@ -220,11 +220,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume and return the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// A new tensor holding the selected rows, in the given order
     /// (duplicates allowed — this is a gather, not a slice).
     pub fn gather_rows(&self, idx: &[usize]) -> Tensor {

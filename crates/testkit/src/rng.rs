@@ -85,12 +85,6 @@ impl Rng {
         result
     }
 
-    /// Next 32-bit output (upper half of the 64-bit output, which has the
-    /// best statistical quality in the \*\* scrambler).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Split off an independent child stream. The child is seeded through a
     /// splitmix64 avalanche of a fresh output, so parent and child streams
     /// are decorrelated.

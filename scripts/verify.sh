@@ -162,12 +162,14 @@ echo "== overload soak: 30s flood at 4x the knee with chaos clients, hot swap mi
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --soak --duration-s 30
 
-echo "== streaming: live mutated server is bitwise-equal to an always-cold engine =="
+echo "== streaming: live mutated server is bitwise-equal to a cold engine on the final graph =="
 # The drive replays a scripted mutation session over TCP against a server
-# running the incremental path, then dumps every node's prediction bits.
-# The reference replays the identical script on a local engine pinned to
-# compact_every=1 (every mutation is a from-scratch recompute). cmp of the
-# two dumps is the end-to-end exactness check of DESIGN.md §11.
+# running the incremental path, then dumps every node's prediction bits; it
+# fails unless some mutation answered "full_recompute": false. The
+# reference mutates no engine: it replays the script on the frozen file's
+# adjacency entries, builds the final adjacency with Csr::from_coo,
+# re-derives the operators and dumps a cold Engine::new. cmp of the two
+# dumps is the end-to-end exactness check of DESIGN.md §11.
 cargo run --release --offline --bin lasagne-cli -- \
     serve --frozen target/verify_frozen_a.json --port 17879 > /dev/null &
 STREAM_PID=$!

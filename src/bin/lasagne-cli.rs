@@ -75,7 +75,7 @@ fn usage() -> ! {
     eprintln!("                   [--resume PATH] [--max-recoveries N] [--clip-norm X] [--threads N] [--export PATH]");
     eprintln!("                   [--export-quantized PATH] [--quant-mode i8|f16]");
     eprintln!("                   [--trace-out PATH] [--trace-summary] [--trace-deterministic]");
-    eprintln!("       lasagne-cli serve --frozen PATH [--quantized] [--partitions K] [--port N] [--host ADDR] [--max-batch N] [--compact-every N]");
+    eprintln!("       lasagne-cli serve --frozen PATH [--quantized] [--partitions K] [--port N] [--host ADDR] [--max-batch N]");
     eprintln!("                  [--queue-capacity N] [--deadline-ms N] [--max-conns N] [--max-request-bytes N] [--idle-timeout-ms N]");
     eprintln!("       lasagne-cli rec [--epochs N] [--seed N] [--k N] [--export PATH] [--threads N]");
     eprintln!("       lasagne-cli --list");
@@ -110,7 +110,6 @@ struct ServeArgs {
     port: u16,
     max_batch: usize,
     threads: Option<usize>,
-    compact_every: Option<usize>,
     queue_capacity: usize,
     deadline_ms: u64,
     max_conns: usize,
@@ -126,7 +125,6 @@ fn parse_serve_args(argv: &[String]) -> ServeArgs {
     let mut port: u16 = 7878;
     let mut max_batch: usize = 64;
     let mut threads: Option<usize> = None;
-    let mut compact_every: Option<usize> = None;
     let defaults = lasagne_serve::ServerConfig::default();
     let mut queue_capacity = defaults.queue_capacity;
     let mut deadline_ms = defaults.deadline_ms;
@@ -161,11 +159,6 @@ fn parse_serve_args(argv: &[String]) -> ServeArgs {
             }
             "--threads" => {
                 threads = Some(
-                    value.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| bad_value(flag, value)),
-                )
-            }
-            "--compact-every" => {
-                compact_every = Some(
                     value.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| bad_value(flag, value)),
                 )
             }
@@ -213,7 +206,6 @@ fn parse_serve_args(argv: &[String]) -> ServeArgs {
         port,
         max_batch,
         threads,
-        compact_every,
         queue_capacity,
         deadline_ms,
         max_conns,
@@ -261,21 +253,14 @@ fn run_serve(args: ServeArgs) -> ! {
                 eprintln!("error: cannot build partition-lazy engine: {e}");
                 std::process::exit(1);
             });
-            if args.compact_every.is_some() {
-                eprintln!("error: --compact-every applies to streaming mutations, which partition-lazy serving refuses; drop --partitions or --compact-every");
-                std::process::exit(1);
-            }
             println!("partition-lazy serving: {} partitions, nothing materialized yet", lazy.num_parts());
             lazy.into()
         }
         None => {
-            let mut engine = Engine::new(frozen).unwrap_or_else(|e| {
+            let engine = Engine::new(frozen).unwrap_or_else(|e| {
                 eprintln!("error: cannot build inference engine: {e}");
                 std::process::exit(1);
             });
-            if let Some(n) = args.compact_every {
-                engine.set_compact_every(n);
-            }
             if engine.supports_mutation() {
                 println!("streaming mutations enabled (add_edge / remove_edge / add_node)");
             }
