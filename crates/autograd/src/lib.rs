@@ -58,7 +58,7 @@ pub use eval::{
     Operands, Resident, RowDep,
 };
 pub use export::{ExportError, Program, ProgramOp};
-pub use peval::{evaluate_program_partitioned, PevalError, RowPlan};
+pub use peval::{evaluate_program_partitioned, PevalError, RowCache, RowPlan};
 pub use gradcheck::{grad_check, grad_check_owner, GradCheckReport};
 pub use ops_graph::{gat_attention, GatForward};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};

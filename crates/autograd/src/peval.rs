@@ -5,14 +5,24 @@
 //! The resident schedule materializes **every** intermediate of the program
 //! over all `N` graph nodes — O(graph) memory. [`RowPlan`] evaluates any
 //! subset of output rows while materializing only the rows each
-//! instruction actually contributes to them, so a partition sweep peaks at
-//! O(partition + halo), and the answer is **bitwise** equal to the
-//! corresponding rows of the resident evaluation. A backward walk of
-//! [`row_deps`] from the requested rows assigns each instruction its
-//! demanded rows — row `r` itself, the SpMM halo, the gathered index, or
-//! the whole operand — and a forward pass runs the shared op kernel
-//! [`op_rows`] on exactly those rows. The subset bitwise rules (monotone
-//! SpMM column slices, strict-`>` `MaxStack`) live in that kernel.
+//! instruction actually contributes to them, and the answer is **bitwise**
+//! equal to the corresponding rows of the resident evaluation. A backward
+//! walk of [`row_deps`] from the requested rows assigns each instruction
+//! its demanded rows — row `r` itself, the SpMM halo, the gathered index,
+//! or the whole operand — and a forward pass runs the shared op kernel
+//! [`op_rows`] on exactly those rows, dropping each intermediate after its
+//! last reader. The subset bitwise rules (monotone SpMM column slices,
+//! strict-`>` `MaxStack`) live in that kernel.
+//!
+//! Only an SpMM's demand crosses partitions: its halo. A [`RowCache`] keeps
+//! the computed rows of every instruction an SpMM reads (its *kept*
+//! instructions) across evaluations, and the walk drops the rows the cache
+//! holds from such an instruction's demand before passing demand on to its
+//! inputs, so a partition sweep through one cache computes each of those
+//! rows once. By the subset rules a kept row is the row a later evaluation
+//! would recompute, so the bits do not change. The counters
+//! `peval.rows_computed` and `peval.rows_reused` count the rows of kept
+//! instructions an evaluation computed and found in its cache.
 //!
 //! A whole-operand dependency on a graph-sized non-leaf — `SumAll`/`SumRows`
 //! over activations, GAT's attention — is not row-local: plans over such
@@ -23,6 +33,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
@@ -82,6 +93,9 @@ fn positions(union: &[usize], wanted: &[usize]) -> Vec<usize> {
         .collect()
 }
 
+/// Source of plan identities, so a [`RowCache`] knows whose rows it holds.
+static NEXT_PLAN: AtomicU64 = AtomicU64::new(0);
+
 /// The rows of one instruction the demand schedule computes.
 #[derive(Debug, Clone)]
 enum Demand {
@@ -91,19 +105,38 @@ enum Demand {
     All,
 }
 
+/// One demand walk: what the forward pass computes and when it may drop it.
+struct Walk {
+    /// Rows of each instruction to compute (`None`: nothing to compute).
+    demand: Vec<Option<Demand>>,
+    /// The halo each subset SpMM reads.
+    halos: Vec<Option<Vec<usize>>>,
+    /// The last instruction that reads each one, after which it is dropped.
+    last_reader: Vec<Option<usize>>,
+    /// Rows of kept instructions demanded and not held by the cache.
+    computed: u64,
+    /// Rows of kept instructions demanded and held by the cache.
+    reused: u64,
+}
+
 /// A validated row-local evaluation plan for one program against one weight
 /// table. Construction performs shape inference and rejects programs whose
 /// output rows cannot be computed without materializing a graph-sized
 /// intermediate; [`RowPlan::eval_rows`] then evaluates any output row
-/// subset, bitwise equal to the resident path. The plan is stateless after
-/// construction (`eval_rows` takes `&self`), so callers can cache one plan
-/// and sweep partitions — or threads — over it.
+/// subset, bitwise equal to the resident path. The plan is immutable after
+/// construction (evaluation takes `&self`), so callers can cache one plan
+/// and sweep partitions — or threads — over it; rows kept across
+/// evaluations live in a caller-owned [`RowCache`].
 pub struct RowPlan<'a> {
     ops: Cow<'a, [ProgramOp]>,
     sparse: Vec<Cow<'a, Csr>>,
     weights: Cow<'a, [(String, Tensor)]>,
     output: usize,
     shapes: Vec<(usize, usize)>,
+    /// The graph-sized non-leaves a reachable SpMM reads: the instructions
+    /// a [`RowCache`] keeps rows of.
+    kept: Vec<bool>,
+    id: u64,
 }
 
 impl<'a> RowPlan<'a> {
@@ -163,7 +196,8 @@ impl<'a> RowPlan<'a> {
         }
 
         // Validate: every operand a reachable instruction reads whole must
-        // be materializable.
+        // be materializable. An operand a reachable SpMM reads that is not
+        // (so it is never demanded whole) is kept.
         let mut reachable = vec![false; ops.len()];
         let mut stack = vec![output];
         while let Some(i) = stack.pop() {
@@ -171,16 +205,20 @@ impl<'a> RowPlan<'a> {
                 stack.extend(ops[i].inputs());
             }
         }
+        let mut kept = vec![false; ops.len()];
         for (i, op) in ops.iter().enumerate().filter(|&(i, _)| reachable[i]) {
             for (operand, dep) in row_deps(op) {
-                if let (Operand::Op(j), RowDep::Whole) = (operand, dep) {
-                    if !full_ok[j] {
+                match (operand, dep) {
+                    (Operand::Op(j), RowDep::Whole) if !full_ok[j] => {
                         return Err(PevalError::NotRowLocal { node: i, op: op.name() });
                     }
+                    (Operand::Op(j), RowDep::Neighbors(_)) => kept[j] |= !full_ok[j],
+                    _ => {}
                 }
             }
         }
-        Ok(RowPlan { ops, sparse, weights, output, shapes })
+        let id = NEXT_PLAN.fetch_add(1, Ordering::Relaxed);
+        Ok(RowPlan { ops, sparse, weights, output, shapes, kept, id })
     }
 
     /// Output shape `(rows, cols)` of the planned program.
@@ -190,17 +228,37 @@ impl<'a> RowPlan<'a> {
 
     /// The demand closure of output rows `rows`: walking [`row_deps`]
     /// backwards, the rows of each non-leaf instruction the forward pass
-    /// must compute (leaves are served from the plan whole), and the halo
-    /// each subset SpMM reads.
-    fn demand(&self, rows: &[usize]) -> (Vec<Option<Demand>>, Vec<Option<Vec<usize>>>) {
-        let mut demand: Vec<Option<Demand>> = vec![None; self.ops.len()];
-        let mut halos: Vec<Option<Vec<usize>>> = vec![None; self.ops.len()];
-        demand[self.output] = Some(Demand::Rows(rows.to_vec()));
-        for i in (0..self.ops.len()).rev() {
-            let d = match demand[i].take() {
+    /// must compute (leaves are served from the plan whole), the halo each
+    /// subset SpMM reads, and each instruction's last reader. A kept
+    /// instruction's demand first loses the rows `cache` holds; one left
+    /// with no rows is not computed and demands nothing of its inputs.
+    fn walk(&self, rows: &[usize], cache: Option<&RowCache>) -> Walk {
+        let len = self.ops.len();
+        let mut w = Walk {
+            demand: vec![None; len],
+            halos: vec![None; len],
+            last_reader: vec![None; len],
+            computed: 0,
+            reused: 0,
+        };
+        w.demand[self.output] = Some(Demand::Rows(rows.to_vec()));
+        for i in (0..len).rev() {
+            let d = match w.demand[i].take() {
                 Some(Demand::Rows(mut r)) => {
                     r.sort_unstable();
                     r.dedup();
+                    if self.kept[i] {
+                        let demanded = r.len();
+                        if let Some(cache) = cache {
+                            r.retain(|&row| !cache.holds(i, row));
+                        }
+                        w.computed += r.len() as u64;
+                        w.reused += (demanded - r.len()) as u64;
+                        // Every row held: its readers read the cache.
+                        if r.is_empty() && cache.is_some() {
+                            continue;
+                        }
+                    }
                     Demand::Rows(r)
                 }
                 Some(Demand::All) => Demand::All,
@@ -211,32 +269,49 @@ impl<'a> RowPlan<'a> {
                 if self.ops[j].is_leaf() {
                     continue;
                 }
+                w.last_reader[j].get_or_insert(i);
                 let wanted = match (&d, dep) {
                     (Demand::All, _) | (_, RowDep::Whole) => {
-                        demand[j] = Some(Demand::All);
+                        w.demand[j] = Some(Demand::All);
                         continue;
                     }
                     (Demand::Rows(r), RowDep::Same) => r.clone(),
                     (Demand::Rows(r), RowDep::Neighbors(m)) => {
-                        halos[i].insert(neighbors(&self.sparse[m], r)).clone()
+                        w.halos[i].insert(neighbors(&self.sparse[m], r)).clone()
                     }
                     (Demand::Rows(r), RowDep::Gathered(idx)) => r.iter().map(|&p| idx[p]).collect(),
                 };
-                match &mut demand[j] {
+                match &mut w.demand[j] {
                     Some(Demand::Rows(have)) => have.extend(wanted),
                     Some(Demand::All) => {}
                     slot @ None => *slot = Some(Demand::Rows(wanted)),
                 }
             }
-            demand[i] = Some(d);
+            w.demand[i] = Some(d);
         }
-        (demand, halos)
+        w
     }
 
     /// Evaluate the program restricted to output rows `rows` (any order,
     /// repeats allowed). Returns a `rows.len() × cols` tensor whose row `r`
     /// is bitwise equal to row `rows[r]` of the resident evaluation.
     pub fn eval_rows(&self, rows: &[usize]) -> Result<Tensor, PevalError> {
+        self.run(rows, None)
+    }
+
+    /// [`RowPlan::eval_rows`] through `cache`: rows of kept instructions the
+    /// cache holds are read, not recomputed, and the rows this evaluation
+    /// computes are added to it. Same bits as `eval_rows`. A cache handed
+    /// to a plan other than the one that filled it is emptied first.
+    pub fn eval_rows_cached(
+        &self,
+        rows: &[usize],
+        cache: &mut RowCache,
+    ) -> Result<Tensor, PevalError> {
+        self.run(rows, Some(cache))
+    }
+
+    fn run(&self, rows: &[usize], mut cache: Option<&mut RowCache>) -> Result<Tensor, PevalError> {
         let (out_rows, out_cols) = self.output_shape();
         if let Some(&row) = rows.iter().find(|&&r| r >= out_rows) {
             return Err(PevalError::RowOutOfRange { row, rows: out_rows });
@@ -244,31 +319,107 @@ impl<'a> RowPlan<'a> {
         if rows.is_empty() {
             return Ok(Tensor::zeros(0, out_cols));
         }
-        let (demand, halos) = self.demand(rows);
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.bind(self);
+        }
+        let mut walk = self.walk(rows, cache.as_deref());
+        lasagne_obs::counter_add("peval.rows_computed", walk.computed);
+        lasagne_obs::counter_add("peval.rows_reused", walk.reused);
         let mut vals: Vec<Option<Tensor>> = vec![None; self.ops.len()];
-        for (i, d) in demand.iter().enumerate() {
-            if let (Some(d), false) = (d, self.ops[i].is_leaf()) {
-                let only = match d {
-                    Demand::Rows(r) => Some(r.as_slice()),
-                    Demand::All => None,
-                };
-                let src = Demanded { plan: self, demand: &demand, halos: &halos, vals: &vals };
-                let value = op_rows(&self.ops[i], i, only, &src);
-                vals[i] = Some(value);
+        for i in 0..self.ops.len() {
+            let only = match (&walk.demand[i], self.ops[i].is_leaf()) {
+                (Some(Demand::Rows(r)), false) => Some(r.as_slice()),
+                (Some(Demand::All), false) => None,
+                _ => continue,
+            };
+            let src = Demanded { plan: self, walk: &walk, vals: &vals, cache: cache.as_deref() };
+            let value = op_rows(&self.ops[i], i, only, &src);
+            match (cache.as_deref_mut(), only) {
+                (Some(cache), Some(r)) if self.kept[i] => cache.keep(i, self.shapes[i], r, &value),
+                _ => vals[i] = Some(value),
+            }
+            walk.halos[i] = None;
+            for j in self.ops[i].inputs() {
+                if walk.last_reader[j] == Some(i) {
+                    vals[j] = None;
+                }
             }
         }
-        let src = Demanded { plan: self, demand: &demand, halos: &halos, vals: &vals };
+        let src = Demanded { plan: self, walk: &walk, vals: &vals, cache: cache.as_deref() };
         Ok(src.rows(self.output, Some(rows)).into_owned())
     }
 }
 
-/// The demand schedule's operands: leaves from the plan, every other
-/// instruction from the rows (or whole value) its demand computed.
+/// Rows of a [`RowPlan`]'s kept instructions — the non-leaves its SpMMs
+/// read — carried from one evaluation to the next. Each kept instruction
+/// gets an `N × w` tensor on its first write and a per-row flag; a row's
+/// flag is set only after its values are written, so a cache left behind
+/// by a panicking evaluation holds only finished rows. Memory is bounded by
+/// `N ×` the sum of the kept widths, however many evaluations share it.
+#[derive(Default)]
+pub struct RowCache {
+    /// Identity of the plan the rows belong to.
+    plan: Option<u64>,
+    /// One slot per instruction, filled on its first write.
+    slots: Vec<Option<Kept>>,
+}
+
+/// The kept rows of one instruction.
+struct Kept {
+    value: Tensor,
+    done: Vec<bool>,
+}
+
+impl RowCache {
+    /// An empty cache; it allocates nothing until an evaluation writes to it.
+    pub fn new() -> RowCache {
+        RowCache::default()
+    }
+
+    /// Tie the cache to `plan`, emptying it if it holds another plan's rows.
+    fn bind(&mut self, plan: &RowPlan<'_>) {
+        if self.plan != Some(plan.id) {
+            self.slots = (0..plan.ops.len()).map(|_| None).collect();
+            self.plan = Some(plan.id);
+        }
+    }
+
+    fn holds(&self, i: usize, row: usize) -> bool {
+        self.slots[i].as_ref().is_some_and(|k| k.done[row])
+    }
+
+    /// Write `value`'s rows as rows `rows` of instruction `i` (shape
+    /// `shape`), then flag them.
+    fn keep(&mut self, i: usize, (n, w): (usize, usize), rows: &[usize], value: &Tensor) {
+        let kept = self.slots[i]
+            .get_or_insert_with(|| Kept { value: Tensor::zeros(n, w), done: vec![false; n] });
+        for (k, &r) in rows.iter().enumerate() {
+            debug_assert!(!kept.done[r], "peval: row {r} of instruction {i} kept twice");
+            kept.value.row_mut(r).copy_from_slice(value.row(k));
+        }
+        for &r in rows {
+            kept.done[r] = true;
+        }
+    }
+
+    /// Rows `wanted` (all held) of kept instruction `i`, `w` columns wide.
+    fn rows(&self, i: usize, w: usize, wanted: &[usize]) -> Tensor {
+        match &self.slots[i] {
+            Some(kept) => kept.value.gather_rows(wanted),
+            // Never written: nothing was demanded of it yet.
+            None => Tensor::zeros(0, w),
+        }
+    }
+}
+
+/// The demand schedule's operands: leaves from the plan, kept instructions
+/// from the cache, every other instruction from the rows (or whole value)
+/// its demand computed.
 struct Demanded<'p> {
     plan: &'p RowPlan<'p>,
-    demand: &'p [Option<Demand>],
-    halos: &'p [Option<Vec<usize>>],
+    walk: &'p Walk,
     vals: &'p [Option<Tensor>],
+    cache: Option<&'p RowCache>,
 }
 
 impl Operands for Demanded<'_> {
@@ -283,15 +434,22 @@ impl Operands for Demanded<'_> {
     }
 
     fn halo(&self, i: usize, m: usize, rows: &[usize]) -> Cow<'_, [usize]> {
-        match &self.halos[i] {
+        match &self.walk.halos[i] {
             Some(cols) => Cow::Borrowed(cols),
             None => Cow::Owned(neighbors(&self.plan.sparse[m], rows)),
         }
     }
 
     fn rows(&self, j: usize, rows: Option<&[usize]>) -> Cow<'_, Tensor> {
-        match (rows, &self.demand[j], &self.vals[j]) {
-            (Some(wanted), Some(Demand::Rows(union)), Some(v)) => {
+        match (rows, self.cache, &self.walk.demand[j], &self.vals[j]) {
+            (Some(wanted), Some(cache), ..) if self.plan.kept[j] => {
+                Cow::Owned(cache.rows(j, self.plan.shapes[j].1, wanted))
+            }
+            // A row-aligned consumer usually wants exactly the rows computed.
+            (Some(wanted), _, Some(Demand::Rows(union)), Some(v)) if wanted == union => {
+                Cow::Borrowed(v)
+            }
+            (Some(wanted), _, Some(Demand::Rows(union)), Some(v)) => {
                 Cow::Owned(v.gather_rows(&positions(union, wanted)))
             }
             (Some(wanted), ..) => Cow::Owned(self.whole(j).gather_rows(wanted)),
@@ -301,10 +459,10 @@ impl Operands for Demanded<'_> {
 }
 
 /// Evaluate `program` over a full partition sweep: each part's rows are
-/// computed with [`RowPlan::eval_rows`] — peak additional memory
-/// O(largest partition + halo) — and scattered into the `N × cols` output,
-/// which is bitwise equal to the resident evaluation. `parts` must cover
-/// every output row exactly once (the `partition_bfs` contract).
+/// computed with [`RowPlan::eval_rows_cached`] through one [`RowCache`], so
+/// each kept row is computed once, and scattered into the `N × cols`
+/// output, which is bitwise equal to the resident evaluation. `parts` must
+/// cover every output row exactly once (the `partition_bfs` contract).
 pub fn evaluate_program_partitioned(
     program: &Program,
     weights: &[(String, Tensor)],
@@ -327,8 +485,9 @@ pub fn evaluate_program_partitioned(
         return Err(PevalError::BadPartition(format!("row {missing} in no part")));
     }
     let mut out = Tensor::zeros(n, cols);
+    let mut cache = RowCache::new();
     for part in parts {
-        let rows = plan.eval_rows(part)?;
+        let rows = plan.eval_rows_cached(part, &mut cache)?;
         for (local, &r) in part.iter().enumerate() {
             out.as_mut_slice()[r * cols..(r + 1) * cols].copy_from_slice(rows.row(local));
         }
@@ -423,6 +582,20 @@ mod tests {
             evaluate_program_partitioned(&program, &weights, &missing),
             Err(PevalError::BadPartition(_))
         ));
+    }
+
+    #[test]
+    fn a_cache_handed_to_another_plan_starts_over() {
+        let (small, small_w) = toy_program(12, 5);
+        let (large, large_w) = toy_program(40, 6);
+        let (a, b) = (RowPlan::new(&small, &small_w).unwrap(), RowPlan::new(&large, &large_w).unwrap());
+        let mut cache = RowCache::new();
+        for (plan, rows) in [(&a, vec![3, 1]), (&b, vec![39, 2, 20]), (&a, vec![0, 11, 3])] {
+            let got = plan.eval_rows_cached(&rows, &mut cache).unwrap();
+            let want = plan.eval_rows(&rows).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "rows {rows:?}");
+        }
     }
 
     #[test]

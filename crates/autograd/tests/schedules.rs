@@ -15,6 +15,11 @@
 //!   matmul weight in half the programs, so `0 · ∞` NaNs flow through every
 //!   schedule and a subset that treated a zero multiplier differently from
 //!   the whole product would show;
+//! * **shared cache**: a random sequence of row subsets evaluated through
+//!   one `RowCache` equals the tape's rows, bitwise; all rows through the
+//!   same cache then compute each kept row (an SpMM operand's) at most once
+//!   over the whole sequence, and a second pass over all rows computes none,
+//!   as the `peval.rows_computed` counter shows;
 //! * **dirty**: after random rows of the input features change, the dirty
 //!   schedule's patched cache equals a cold all-rows evaluation, bitwise —
 //!   every instruction, not just the output;
@@ -23,17 +28,23 @@
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
+use std::sync::Mutex;
 
 use lasagne_autograd::{
     dirty_rows, eval_all, eval_dirty, NodeId, Operand, Operands, ParamId, ParamStore, PevalError,
-    Program, ProgramOp, Resident, RowPlan, Tape,
+    Program, ProgramOp, Resident, RowCache, RowPlan, Tape,
 };
+use lasagne_obs::TraceSink;
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 use lasagne_testkit::Rng;
 
 /// Programs per property and thread count.
 const CASES: u64 = 48;
+
+/// Held by the tests that evaluate row plans: their `peval.*` counters are
+/// process-global, and one test reads them.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -226,6 +237,7 @@ fn variant(op: &ProgramOp) -> String {
 
 #[test]
 fn demand_subsets_match_the_all_rows_schedule_bitwise() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let mut seen: BTreeSet<String> = BTreeSet::new();
     // Zero-heavy (≥ ¼ exact zeros) and dense `MatMul` left operands seen.
     let mut densities: BTreeSet<bool> = BTreeSet::new();
@@ -307,6 +319,71 @@ fn demand_subsets_match_the_all_rows_schedule_bitwise() {
     }
     assert_eq!(densities.len(), 2, "MatMul left operands must be both zero-heavy and dense");
     assert!(grouped, "no generated program summed more than one column group");
+}
+
+#[test]
+fn a_shared_row_cache_computes_each_kept_row_once_and_keeps_the_bits() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1, 4] {
+        lasagne_par::set_threads(threads);
+        for seed in 0..CASES {
+            let (program, weights, taped) = random_program(seed, None, seed % 2 == 1);
+            let n = taped.rows();
+            // The kept instructions: the distinct operands SpMMs read (every
+            // pool node is an `n`-row non-leaf).
+            let kept: BTreeSet<usize> = program
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    ProgramOp::SpMM { x, .. } => Some(*x),
+                    _ => None,
+                })
+                .collect();
+            let plan = RowPlan::new(&program, &weights).expect("row-local program plans");
+            let mut cache = RowCache::new();
+            let mut rng = Rng::seed_from_u64(seed ^ 0xCAC4E);
+            let sink = TraceSink::start(true);
+            let mut subsets: Vec<Vec<usize>> = (0..rng.range_usize(1, 6))
+                .map(|_| {
+                    if rng.next_f32() < 0.5 {
+                        let len = rng.range_usize(1, n + 3);
+                        (0..len).map(|_| rng.index(n)).collect()
+                    } else {
+                        let lo = rng.index(n);
+                        (lo..rng.range_usize(lo + 1, n + 1)).collect()
+                    }
+                })
+                .collect();
+            subsets.push((0..n).collect());
+            for rows in &subsets {
+                let got = plan.eval_rows_cached(rows, &mut cache).expect("rows in range");
+                assert_eq!(
+                    bits(&got),
+                    bits(&taped.gather_rows(rows)),
+                    "seed {seed}, threads {threads}: subset {rows:?} through the cache"
+                );
+            }
+            let sweep = sink.finish();
+            let computed = sweep.counter("peval.rows_computed").unwrap_or(0);
+            assert!(
+                computed <= (kept.len() * n) as u64,
+                "seed {seed}, threads {threads}: {computed} kept rows computed, but only {} exist",
+                kept.len() * n
+            );
+            let sink = TraceSink::start(true);
+            let again = plan.eval_rows_cached(&(0..n).collect::<Vec<_>>(), &mut cache);
+            let again_report = sink.finish();
+            assert_eq!(bits(&again.expect("rows in range")), bits(&taped), "seed {seed}: second pass");
+            assert_eq!(
+                again_report.counter("peval.rows_computed"),
+                Some(0),
+                "seed {seed}, threads {threads}: a second pass over all rows recomputed kept rows"
+            );
+            let reused = again_report.counter("peval.rows_reused").unwrap_or(0);
+            assert_eq!(reused > 0, !kept.is_empty(), "seed {seed}: {reused} kept rows reused");
+        }
+    }
+    lasagne_par::set_threads(1);
 }
 
 #[test]

@@ -13,9 +13,12 @@
 //!   `N×H` tensor, the O(graph) memory profile every pre-partitioning code
 //!   path has; or
 //! * **partitioned**: plans once with [`lasagne_autograd::RowPlan`] and
-//!   sweeps the node set in `PARTS` contiguous partitions — peak memory is
-//!   O(partition + halo), the logits come out bitwise identical (pinned by
-//!   the partition-equivalence suites, not re-proven here).
+//!   sweeps the node set in `PARTS` contiguous partitions through one
+//!   [`lasagne_autograd::RowCache`], as `LazyEngine` does — each row of an
+//!   SpMM operand is computed once, so peak memory is `N ×` the SpMM
+//!   operands' widths plus one partition's working set, and the logits come
+//!   out bitwise identical (pinned by the partition-equivalence suites, not
+//!   re-proven here).
 //!
 //! The orchestrator records both cells per size into `BENCH_scale.json` and
 //! **fails** (exit 1) if partitioned peak RSS is not strictly below resident
@@ -30,7 +33,7 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
 
-use lasagne_autograd::{ProgramOp, RowPlan};
+use lasagne_autograd::{ProgramOp, RowCache, RowPlan};
 use lasagne_bench::fail;
 use lasagne_graph::generators::{dc_sbm, DcSbmConfig};
 use lasagne_sparse::Csr;
@@ -196,11 +199,13 @@ fn run_resident(w: &Workload) -> (f64, f32) {
     (seconds, logits.get(w.nodes - 1, 0))
 }
 
-/// Partitioned cell: one row-demand plan, swept in PARTS contiguous blocks.
+/// Partitioned cell: one row-demand plan, swept in PARTS contiguous blocks
+/// through one row cache.
 fn run_partitioned(w: &Workload) -> (f64, f32) {
     let plan = RowPlan::from_parts(&w.ops, vec![&w.ahat], &w.weights, w.output)
         .unwrap_or_else(|e| fail(&format!("partitioned plan: {e}")));
     let cap = w.nodes.div_ceil(PARTS);
+    let mut cache = RowCache::new();
     let eval = Instant::now();
     let mut rows_done = 0usize;
     let mut last = 0.0f32;
@@ -212,7 +217,7 @@ fn run_partitioned(w: &Workload) -> (f64, f32) {
         }
         let rows: Vec<usize> = (lo..hi).collect();
         let block = plan
-            .eval_rows(&rows)
+            .eval_rows_cached(&rows, &mut cache)
             .unwrap_or_else(|e| fail(&format!("partition {part} evaluation: {e}")));
         assert_eq!(block.shape(), (rows.len(), CLASSES), "partition output shape");
         rows_done += rows.len();

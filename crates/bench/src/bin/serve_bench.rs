@@ -23,13 +23,15 @@
 //! * **Check** (`--check`): a protocol conformance drive for an already
 //!   running server at `--addr HOST:PORT` — used by `scripts/verify.sh`.
 //!   Sends well-formed, malformed, and out-of-range requests and asserts
-//!   the typed responses; exits non-zero on any surprise.
+//!   the typed responses, and checks that `health` and `stats` describe
+//!   the artifact the server was started from (`--frozen PATH`: its node
+//!   count and whether it is quantized); exits non-zero on any surprise.
 //!
 //! ```sh
 //! cargo run --release --bin serve-bench                          # bench, cora GCN
 //! cargo run --release --bin serve-bench -- --smoke               # quick CI smoke
 //! cargo run --release --bin serve-bench -- --soak --duration-s 30
-//! cargo run --release --bin serve-bench -- --check --addr 127.0.0.1:7878
+//! cargo run --release --bin serve-bench -- --check --addr 127.0.0.1:7878 --frozen model.json
 //! ```
 
 use std::path::PathBuf;
@@ -59,7 +61,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!("usage: serve-bench [--frozen PATH] [--out PATH] [--smoke]");
     eprintln!("       serve-bench --soak [--duration-s N] [--smoke]");
-    eprintln!("       serve-bench --check --addr HOST:PORT");
+    eprintln!("       serve-bench --check --addr HOST:PORT --frozen PATH");
     eprintln!("       serve-bench --shutdown --addr HOST:PORT");
     std::process::exit(2);
 }
@@ -745,8 +747,11 @@ fn run_soak(args: &Args) {
     }
 }
 
-/// Protocol conformance drive against a live server (verify.sh stage).
-fn run_check(addr: &str) {
+/// Protocol conformance drive against a live server serving the artifact
+/// at `frozen` (verify.sh stage).
+fn run_check(addr: &str, frozen: &std::path::Path) {
+    let model = FrozenModel::load(frozen)
+        .unwrap_or_else(|e| fail(&format!("cannot load {}: {e}", frozen.display())));
     let mut client = connect_patiently(addr);
     let expect = |cond: bool, what: &str| {
         if !cond {
@@ -757,7 +762,10 @@ fn run_check(addr: &str) {
     // 1. Health names the model and its degradation state.
     let health = client.call_ok(&Request::Health).unwrap_or_else(|e| fail(&e.to_string()));
     let num_nodes = health.get("num_nodes").and_then(Json::as_usize).unwrap_or(0);
-    expect(num_nodes > 0, "health must report num_nodes > 0");
+    expect(
+        num_nodes == model.meta.num_nodes,
+        &format!("health reports {num_nodes} nodes, the artifact has {}", model.meta.num_nodes),
+    );
     let status = health.get("status").and_then(Json::as_str).unwrap_or("");
     expect(
         matches!(status, "ok" | "degraded" | "draining"),
@@ -817,9 +825,13 @@ fn run_check(addr: &str) {
             &format!("stats must carry numeric '{field}'"),
         );
     }
+    let quantized = stats.get("quantized").and_then(Json::as_bool);
     expect(
-        stats.get("quantized").and_then(Json::as_bool).is_some(),
-        "stats must carry boolean 'quantized'",
+        quantized == Some(model.is_quantized()),
+        &format!(
+            "stats must carry 'quantized': {}, got {quantized:?}",
+            model.is_quantized()
+        ),
     );
 
     // 7. The server is still healthy after all the abuse.
@@ -835,7 +847,11 @@ fn main() {
             usage()
         };
         if args.check {
-            run_check(addr);
+            let Some(frozen) = &args.frozen else {
+                eprintln!("--check needs --frozen PATH, the artifact the server serves");
+                usage()
+            };
+            run_check(addr, frozen);
         }
         if args.shutdown {
             let mut client = connect_patiently(addr);

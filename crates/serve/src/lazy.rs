@@ -5,8 +5,15 @@
 //! plans the program once at load time for the one evaluator's demand
 //! schedule ([`lasagne_autograd::RowPlan`], DESIGN.md §10) and materializes
 //! logits **one partition at a time**, on first query of any node in that
-//! partition. Peak memory is O(partition + halo) per fault instead of
-//! O(graph), and partitions never touched stay unmaterialized.
+//! partition. Partitions never touched stay unmaterialized.
+//!
+//! Every fault evaluates through one [`RowCache`] the engine owns, so the
+//! rows a fault computes of the tensors an SpMM reads — the only demand
+//! that crosses partitions — are computed once per loaded engine, not once
+//! per fault. A warm engine therefore holds `N ×` (the sum of those
+//! tensors' widths) plus one fault's working set, still below the resident
+//! engine's table of every intermediate. The cache is empty at load, so
+//! loading gains no work.
 //!
 //! The exactness contract is inherited from the evaluator, not relaxed:
 //! every row served is bitwise identical to the resident engine's row
@@ -17,9 +24,9 @@
 //! attention softmax) are refused typed at load time, as are streaming
 //! mutations (the caches would go silently stale).
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-use lasagne_autograd::RowPlan;
+use lasagne_autograd::{RowCache, RowPlan};
 use lasagne_graph::{Graph, Partitioning};
 use lasagne_sparse::Csr;
 use lasagne_tensor::{Tensor, TensorRng};
@@ -55,6 +62,10 @@ pub struct LazyEngine {
     pos_in_part: Vec<u32>,
     /// Materialize-once slots; an evaluation failure is cached typed too.
     caches: Vec<OnceLock<ServeResult<PartCache>>>,
+    /// Rows of the plan's SpMM operands that earlier faults computed. A
+    /// row is flagged only once written, so the cache a panicking fault
+    /// leaves behind is still valid: a poisoned lock is recovered.
+    kept: Mutex<RowCache>,
     /// Whether the loaded file carried quantized weights.
     quantized: bool,
     /// Recommendation binding, as on the resident engine.
@@ -122,6 +133,7 @@ impl LazyEngine {
             part_of,
             pos_in_part,
             caches,
+            kept: Mutex::new(RowCache::new()),
             quantized,
             rec: frozen.rec,
         })
@@ -168,7 +180,9 @@ impl LazyEngine {
         self.caches[p]
             .get_or_init(|| {
                 lasagne_obs::span!("serve.engine.lazy_materialize");
-                let logits = self.plan.eval_rows(&self.parts[p])?;
+                let mut kept = self.kept.lock().unwrap_or_else(PoisonError::into_inner);
+                let logits = self.plan.eval_rows_cached(&self.parts[p], &mut kept)?;
+                drop(kept);
                 let probs = logits.softmax_rows();
                 Ok(PartCache { logits, probs })
             })

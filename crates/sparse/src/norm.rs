@@ -10,18 +10,33 @@ use crate::Csr;
 
 impl Csr {
     /// Add unit self-loops (`A + I`). Existing diagonal entries are summed
-    /// with the added 1, matching `Ã = A + I_N` from the paper.
+    /// with the added 1, matching `Ã = A + I_N` from the paper; explicit
+    /// zeros stay. Each row is already sorted, so the diagonal is merged in
+    /// place rather than re-sorting the entries.
     pub fn with_self_loops(&self) -> Csr {
         assert_eq!(self.rows(), self.cols(), "with_self_loops: must be square");
         let n = self.rows();
-        let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(self.nnz() + n);
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(self.nnz() + n);
+        let mut values = Vec::with_capacity(self.nnz() + n);
+        indptr.push(0);
         for i in 0..n {
-            for (j, v) in self.row(i) {
-                coo.push((i as u32, j, v));
+            let diag = i as u32;
+            let mut entries = self.row(i).peekable();
+            while let Some((j, v)) = entries.next_if(|&(j, _)| j < diag) {
+                indices.push(j);
+                values.push(v);
             }
-            coo.push((i as u32, i as u32, 1.0));
+            let on = entries.next_if(|&(j, _)| j == diag).map_or(1.0, |(_, v)| v + 1.0);
+            indices.push(diag);
+            values.push(on);
+            for (j, v) in entries {
+                indices.push(j);
+                values.push(v);
+            }
+            indptr.push(indices.len());
         }
-        Csr::from_coo(n, n, &coo)
+        Csr::from_parts(n, n, indptr, indices, values)
     }
 
     /// Symmetric GCN normalization with self-loops:
@@ -101,6 +116,49 @@ mod tests {
     fn self_loops_merge_with_existing_diagonal() {
         let m = Csr::from_coo(2, 2, &[(0, 0, 2.0)]).with_self_loops();
         assert_eq!(m.to_dense()[(0, 0)], 3.0);
+    }
+
+    /// `A + I` as `from_coo` builds it: every entry plus a unit diagonal,
+    /// sorted, duplicates summed.
+    fn self_loops_by_sort(m: &Csr) -> Csr {
+        let n = m.rows();
+        let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(m.nnz() + n);
+        for i in 0..n {
+            coo.extend(m.row(i).map(|(j, v)| (i as u32, j, v)));
+            coo.push((i as u32, i as u32, 1.0));
+        }
+        Csr::from_coo(n, n, &coo)
+    }
+
+    #[test]
+    fn self_loops_merge_bitwise_like_the_sorted_construction() {
+        let mut rng = lasagne_testkit::Rng::seed_from_u64(7);
+        for case in 0..200 {
+            let n = rng.range_usize(1, 24);
+            // Dense to empty rows; diagonals present in some matrices only.
+            let density = [0.0, 0.05, 0.3, 0.9][case % 4];
+            let with_diagonal = case % 3 != 0;
+            let mut coo = Vec::new();
+            for i in 0..n {
+                for j in 0..n {
+                    if (i != j || with_diagonal) && rng.next_f32() < density {
+                        let v = match rng.index(5) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => -1.0,
+                            _ => rng.range_f32(-2.0, 2.0),
+                        };
+                        coo.push((i as u32, j as u32, v));
+                    }
+                }
+            }
+            let m = Csr::from_coo(n, n, &coo);
+            let (got, want) = (m.with_self_loops(), self_loops_by_sort(&m));
+            assert_eq!(got.indptr(), want.indptr(), "case {case}");
+            assert_eq!(got.indices(), want.indices(), "case {case}");
+            let bits = |c: &Csr| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+        }
     }
 
     #[test]

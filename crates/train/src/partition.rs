@@ -23,7 +23,9 @@
 //!   full-graph eval: record the model's `Mode::Eval` forward once as a
 //!   frozen program, then evaluate it partition-by-partition through the
 //!   row-demand evaluator (`lasagne_autograd::peval`) — bitwise equal to
-//!   [`crate::evaluate`], with only O(partition + halo) live per part.
+//!   [`crate::evaluate`]. The parts share one row cache, so each row of a
+//!   tensor an SpMM reads is computed once; beyond those `N`-row tensors,
+//!   only one part's working set is live at a time.
 
 use std::path::{Path, PathBuf};
 
@@ -337,8 +339,9 @@ impl BatchStrategy for StreamedClusterBatches {
 /// Record `model`'s `Mode::Eval` forward over `ctx` once and export it as a
 /// frozen program plus its weight table. The recording itself evaluates the
 /// full graph (define-by-run); everything *after* — any number of
-/// [`evaluate_partitioned`] sweeps — is O(partition) per part. Models whose
-/// eval forward contains train-only ops fail typed.
+/// [`evaluate_partitioned`] sweeps — holds the tensors SpMMs read plus one
+/// part's working set. Models whose eval forward contains train-only ops
+/// fail typed.
 pub fn export_eval_program(
     model: &dyn NodeClassifier,
     ctx: &GraphContext,

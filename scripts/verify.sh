@@ -115,9 +115,10 @@ cargo run --release --offline --bin lasagne-cli -- \
 SERVE_PID=$!
 # The --check drive retries its connect, so no sleep-and-hope here; it
 # sends well-formed, malformed, and out-of-range requests and asserts
-# every typed response, then --shutdown stops the server cleanly.
+# every typed response and that health and stats describe the served file
+# (--frozen: node count, quantized), then --shutdown stops the server.
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --check --addr 127.0.0.1:17878
+    --check --addr 127.0.0.1:17878 --frozen target/verify_frozen_a.json
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17878
 wait "$SERVE_PID"
@@ -144,7 +145,7 @@ cargo run --release --offline --bin lasagne-cli -- \
     serve --frozen target/verify_quant_a.json --quantized --port 17880 > /dev/null &
 QUANT_PID=$!
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --check --addr 127.0.0.1:17880
+    --check --addr 127.0.0.1:17880 --frozen target/verify_quant_a.json
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17880
 wait "$QUANT_PID"
@@ -207,7 +208,7 @@ cargo run --release --offline --bin lasagne-cli -- \
     serve --frozen target/verify_frozen_a.json --partitions 4 --port 17881 > /dev/null &
 LAZY_PID=$!
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --check --addr 127.0.0.1:17881
+    --check --addr 127.0.0.1:17881 --frozen target/verify_frozen_a.json
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17881
 wait "$LAZY_PID"
@@ -215,7 +216,7 @@ cargo run --release --offline --bin lasagne-cli -- \
     serve --frozen target/verify_quant_a.json --quantized --partitions 4 --port 17884 > /dev/null &
 LAZY_QUANT_PID=$!
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --check --addr 127.0.0.1:17884
+    --check --addr 127.0.0.1:17884 --frozen target/verify_quant_a.json
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17884
 wait "$LAZY_QUANT_PID"
