@@ -8,9 +8,11 @@
 //! (FNV-1a 64 over the canonical body bytes, atomic tmp+rename publish),
 //! so torn writes and bit flips are detected before a single weight binds.
 //!
-//! The codec round-trips every `f32` exactly and emits insertion-ordered
-//! objects, so exporting the same trained model twice produces
-//! **byte-identical** files — verified in `scripts/verify.sh` with `cmp`.
+//! Every tensor and sparse payload is one string of hex words (each
+//! element's little-endian bytes), so every `f32` round-trips bit for bit,
+//! and objects are insertion-ordered, so exporting the same trained model
+//! twice produces **byte-identical** files — verified in
+//! `scripts/verify.sh` with `cmp`.
 
 use std::path::Path;
 use std::rc::Rc;
@@ -247,13 +249,20 @@ fn usize_arr(j: &Json, k: &str, what: &str) -> ServeResult<Vec<usize>> {
         .collect()
 }
 
+/// A payload of 32-bit words stored as one hex-word string.
+fn hex_words<T>(j: &Json, k: &str, what: &str, from_le: fn([u8; 4]) -> T) -> ServeResult<Vec<T>> {
+    field(j, k, what)?
+        .to_hex_words(from_le)
+        .ok_or_else(|| ServeError::Parse(format!("{what}: field '{k}' not a string of hex words")))
+}
+
 fn csr_to_json(m: &Csr) -> Json {
     Json::Obj(vec![
         ("rows".into(), num(m.rows())),
         ("cols".into(), num(m.cols())),
         ("indptr".into(), Json::Arr(m.indptr().iter().map(|&p| num(p)).collect())),
-        ("indices".into(), Json::Arr(m.indices().iter().map(|&c| num(c as usize)).collect())),
-        ("values".into(), Json::from_f32s(m.values().iter().copied())),
+        ("indices".into(), Json::hex_words(m.indices().iter().map(|c| c.to_le_bytes()))),
+        ("values".into(), Json::hex_words(m.values().iter().map(|v| v.to_le_bytes()))),
     ])
 }
 
@@ -261,11 +270,8 @@ fn csr_from_json(j: &Json) -> ServeResult<Csr> {
     let rows = usize_field(j, "rows", "sparse")?;
     let cols = usize_field(j, "cols", "sparse")?;
     let indptr = usize_arr(j, "indptr", "sparse")?;
-    let indices: Vec<u32> =
-        usize_arr(j, "indices", "sparse")?.into_iter().map(|c| c as u32).collect();
-    let values = field(j, "values", "sparse")?
-        .to_f32s()
-        .ok_or_else(|| ServeError::Parse("sparse: 'values' not a number array".into()))?;
+    let indices = hex_words(j, "indices", "sparse", u32::from_le_bytes)?;
+    let values = hex_words(j, "values", "sparse", f32::from_le_bytes)?;
     if indptr.len() != rows + 1
         || indptr.first() != Some(&0)
         || indptr.last() != Some(&indices.len())
@@ -274,6 +280,10 @@ fn csr_from_json(j: &Json) -> ServeResult<Csr> {
         || indices.iter().any(|&c| c as usize >= cols)
     {
         return Err(ServeError::Mismatch("sparse: inconsistent CSR arrays".into()));
+    }
+    // `recommend`'s mask and `Csr::edge_position` binary-search each row.
+    if indptr.windows(2).any(|w| indices[w[0]..w[1]].windows(2).any(|c| c[0] >= c[1])) {
+        return Err(ServeError::Mismatch("sparse: a row's columns are not strictly ascending".into()));
     }
     Ok(Csr::from_parts(rows, cols, indptr, indices, values))
 }
@@ -410,8 +420,7 @@ fn op_from_json(j: &Json, n_ops: usize, n_sparse: usize) -> ServeResult<ProgramO
         "sum_all" => ProgramOp::SumAll { x: node("x")? },
         "sum_rows" => ProgramOp::SumRows { x: node("x")? },
         "sum_cols" => {
-            // Artifacts from before grouped sums carry no count: one group.
-            let groups = if j.get("groups").is_some() { usize_field(j, "groups", tag)? } else { 1 };
+            let groups = usize_field(j, "groups", tag)?;
             if groups == 0 {
                 return Err(ServeError::Mismatch("sum_cols: zero groups".into()));
             }
@@ -762,14 +771,71 @@ mod tests {
     }
 
     #[test]
-    fn grouped_sum_cols_round_trips_and_old_artifacts_read_as_one_group() {
+    fn sparse_and_constant_payloads_round_trip_bitwise() {
+        let mut rng = lasagne_testkit::rng::Rng::seed_from_u64(17);
+        let word = |rng: &mut lasagne_testkit::rng::Rng| rng.next_u64() as u32;
+        for case in 0..40 {
+            let rows = rng.index(6);
+            // Columns up to 2^32, so any u32 word is a valid index.
+            let cols = 1usize << 32;
+            let (mut indptr, mut indices) = (vec![0], Vec::new());
+            for _ in 0..rows {
+                let mut row: Vec<u32> = (0..rng.index(8)).map(|_| word(&mut rng)).collect();
+                if case % 4 == 0 {
+                    row.extend([0, u32::MAX]);
+                }
+                row.sort_unstable();
+                row.dedup();
+                indices.extend(row);
+                indptr.push(indices.len());
+            }
+            // Every f32 bit pattern: NaN payloads, ±0, ±inf, subnormals.
+            let mut values: Vec<f32> = (0..indices.len()).map(|_| f32::from_bits(word(&mut rng))).collect();
+            for (v, special) in values.iter_mut().zip([0x7fc0_0001, 0x8000_0000, 0xff80_0000, 0x0000_0001]) {
+                *v = f32::from_bits(special);
+            }
+            let m = Csr::from_parts(rows, cols, indptr, indices, values);
+            let text = csr_to_json(&m).to_string();
+            let back = csr_from_json(&Json::parse(&text).unwrap()).expect("round trip");
+            assert_eq!(back.indptr(), m.indptr());
+            assert_eq!(back.indices(), m.indices());
+            let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&m));
+
+            let (r, c) = (rng.index(5), rng.index(5));
+            let data: Vec<f32> = (0..r * c).map(|_| f32::from_bits(word(&mut rng))).collect();
+            let op = ProgramOp::Constant { value: Tensor::from_vec(r, c, data.clone()).unwrap() };
+            let text = op_to_json(&op).to_string();
+            let ProgramOp::Constant { value } = op_from_json(&Json::parse(&text).unwrap(), 1, 0).unwrap() else {
+                panic!("a constant")
+            };
+            assert_eq!(value.shape(), (r, c));
+            let got: Vec<u32> = value.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, data.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn rows_whose_columns_do_not_strictly_ascend_are_a_mismatch() {
+        let sparse = |indptr: &str, indices: &[u32]| {
+            let words = Json::hex_words(indices.iter().map(|c| c.to_le_bytes()));
+            let values = Json::hex_words(indices.iter().map(|_| 1f32.to_le_bytes()));
+            let text = format!(r#"{{"rows":2,"cols":9,"indptr":{indptr},"indices":{words},"values":{values}}}"#);
+            csr_from_json(&Json::parse(&text).unwrap())
+        };
+        assert!(sparse("[0,2,3]", &[3, 5, 0]).is_ok());
+        for (indptr, indices) in [("[0,2,3]", &[5, 3, 0][..]), ("[0,2,3]", &[3, 3, 0]), ("[0,1,4]", &[0, 0, 0, 0])] {
+            let err = sparse(indptr, indices).unwrap_err();
+            assert!(matches!(err, ServeError::Mismatch(_)), "{indptr} {indices:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn grouped_sum_cols_round_trips_and_needs_its_group_count() {
         let op = ProgramOp::SumCols { x: 1, groups: 7 };
         assert_eq!(op_from_json(&op_to_json(&op), 2, 0).expect("round trip"), op);
-        // Artifacts written before grouped sums carry no count.
-        assert_eq!(
-            parse(r#"{"op": "sum_cols", "x": 0}"#).expect("old form"),
-            ProgramOp::SumCols { x: 0, groups: 1 }
-        );
+        // Only artifacts of earlier format versions left the count out.
+        assert!(matches!(parse(r#"{"op": "sum_cols", "x": 0}"#), Err(ServeError::Parse(_))));
         assert!(matches!(
             parse(r#"{"op": "sum_cols", "x": 0, "groups": 0}"#),
             Err(ServeError::Mismatch(_))

@@ -15,9 +15,10 @@
 //!
 //! Both encodings are byte-deterministic pure functions of the f32 input,
 //! so quantized exports stay `cmp`-equal across runs like every other
-//! artifact. On the wire the payload rides as lowercase hex inside the
-//! workspace JSON codec — bytes, not JSON numbers, so the envelope
-//! checksum covers the exact quantized values.
+//! artifact. On the wire the payload bytes and the i8 scales ride as hex
+//! words ([`Json::hex_words`], the spelling of every artifact payload) —
+//! bytes, not JSON numbers, so the envelope checksum covers the exact
+//! quantized values.
 //!
 //! Exactness escape hatch: quantization never touches the default path.
 //! f32 weights remain the format default; a quantized file is produced
@@ -131,31 +132,6 @@ pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    let b = s.as_bytes();
-    if !b.len().is_multiple_of(2) {
-        return None;
-    }
-    let nibble = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            _ => None,
-        }
-    };
-    b.chunks(2).map(|p| Some((nibble(p[0])? << 4) | nibble(p[1])?)).collect()
-}
-
 impl QuantMatrix {
     /// Quantize a tensor. Deterministic: the same input always produces the
     /// same scales and bytes.
@@ -234,8 +210,8 @@ impl QuantMatrix {
             ("quant".into(), Json::Str(self.mode.as_str().into())),
             ("rows".into(), Json::Num(self.rows as f64)),
             ("cols".into(), Json::Num(self.cols as f64)),
-            ("scales".into(), Json::from_f32s(self.scales.iter().copied())),
-            ("data".into(), Json::Str(hex_encode(&self.data))),
+            ("scales".into(), Json::hex_words(self.scales.iter().map(|s| s.to_le_bytes()))),
+            ("data".into(), Json::hex_words(self.data.iter().map(|&b| [b]))),
         ])
     }
 
@@ -248,11 +224,13 @@ impl QuantMatrix {
             .ok_or_else(|| parse("unknown or missing 'quant' mode"))?;
         let rows = j.get("rows").and_then(Json::as_usize).ok_or_else(|| parse("bad 'rows'"))?;
         let cols = j.get("cols").and_then(Json::as_usize).ok_or_else(|| parse("bad 'cols'"))?;
-        let scales = j.get("scales").and_then(Json::to_f32s).ok_or_else(|| parse("bad 'scales'"))?;
+        let scales = j
+            .get("scales")
+            .and_then(|s| s.to_hex_words(f32::from_le_bytes))
+            .ok_or_else(|| parse("bad 'scales' hex payload"))?;
         let data = j
             .get("data")
-            .and_then(Json::as_str)
-            .and_then(hex_decode)
+            .and_then(|d| d.to_hex_words(|[b]: [u8; 1]| b))
             .ok_or_else(|| parse("bad 'data' hex payload"))?;
         let bytes_per_value = match mode {
             QuantMode::I8 => 1,
@@ -364,8 +342,49 @@ mod tests {
 
     #[test]
     fn hex_codec_rejects_garbage() {
-        assert_eq!(hex_decode("0g"), None);
-        assert_eq!(hex_decode("abc"), None);
-        assert_eq!(hex_decode("ab0f"), Some(vec![0xab, 0x0f]));
+        // A 1×2 i8 matrix: one scale word and two payload bytes.
+        let with = |scales: &str, data: &str| {
+            QuantMatrix::from_json(&Json::Obj(vec![
+                ("quant".into(), Json::Str("i8".into())),
+                ("rows".into(), Json::Num(1.0)),
+                ("cols".into(), Json::Num(2.0)),
+                ("scales".into(), Json::Str(scales.into())),
+                ("data".into(), Json::Str(data.into())),
+            ]))
+        };
+        let q = with("0000803f", "ab0f").expect("well-formed");
+        assert_eq!((q.scales.clone(), q.data.clone()), (vec![1.0], vec![0xab, 0x0f]));
+        for (scales, data) in [
+            ("0000803f", "0g0f"),
+            ("0000803f", "ab0"),
+            ("0000803f", "AB0F"),
+            ("0000803", "ab0f"),
+            ("0000803F", "ab0f"),
+        ] {
+            assert!(matches!(with(scales, data), Err(ServeError::Parse(_))), "{scales} {data}");
+        }
+        // Whole words that do not fill the shape are a mismatch.
+        assert!(matches!(with("0000803f", "ab0f00"), Err(ServeError::Mismatch(_))));
+        assert!(matches!(with("", "ab0f"), Err(ServeError::Mismatch(_))));
+    }
+
+    #[test]
+    fn json_round_trip_is_bitwise() {
+        // Scales of every kind of bit pattern: the i8 payload dequantizes
+        // through them, so they must come back exactly.
+        let mut rng = lasagne_testkit::rng::Rng::seed_from_u64(8);
+        for _ in 0..50 {
+            let (rows, cols) = (1 + rng.index(9), 1 + rng.index(9));
+            let mut q = QuantMatrix::quantize(&Tensor::zeros(rows, cols), QuantMode::I8);
+            q.scales = (0..rows).map(|_| f32::from_bits(rng.next_u64() as u32)).collect();
+            q.data = (0..rows * cols).map(|_| rng.next_u64() as u8).collect();
+            let back = QuantMatrix::from_json(&Json::parse(&q.to_json().to_string()).unwrap()).unwrap();
+            let bits = |m: &QuantMatrix| m.scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&q));
+            assert_eq!(back.data, q.data);
+            let f16 = QuantMatrix { mode: QuantMode::F16, scales: Vec::new(), data: [q.data.clone(), q.data.clone()].concat(), ..q };
+            let back = QuantMatrix::from_json(&Json::parse(&f16.to_json().to_string()).unwrap()).unwrap();
+            assert_eq!(back.data, f16.data);
+        }
     }
 }

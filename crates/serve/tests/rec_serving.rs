@@ -367,3 +367,30 @@ fn classifier_server_refuses_recommend_over_the_wire() {
     client.call_ok(&Request::Predict { node: 0 }).expect("predict");
     client.call_ok(&Request::Shutdown).expect("shutdown ack");
 }
+
+/// Checksum-valid artifacts whose interaction rows are not strictly
+/// ascending: user 0 holding item 0 `items + 1` times (its mask is longer
+/// than the item list), and user 0 holding `[5, 3]` (a binary search of
+/// that row misses item 5). Both engines refuse them at load.
+#[test]
+fn unsorted_interaction_rows_are_refused_at_load_by_both_engines() {
+    let ds = RecDataset::generate(&small_cfg(), 13);
+    let ctx = rec_ctx(&ds);
+    let model = trained_model(&ds, &ctx);
+    let repeated = vec![0u32; ds.items + 1];
+    let descending = vec![5u32, 3];
+    for (what, row) in [("repeated", repeated), ("descending", descending)] {
+        let mut indptr = vec![0, row.len()];
+        indptr.resize(ds.users + 1, row.len());
+        let values = vec![1.0; row.len()];
+        let interacted = Csr::from_parts(ds.users, ds.items, indptr, row, values);
+        let rec = FrozenRec { items: ds.items, users: ds.users, interacted };
+        let path = temp_path(what);
+        freeze_rec(&model, &ctx, "rec-tiny", rec).expect("freeze_rec").save(&path).expect("save");
+        let resident = Engine::load_path(&path).err().unwrap_or_else(|| panic!("{what} loaded"));
+        assert_eq!(resident.kind(), "mismatch", "{what}: {resident}");
+        let lazy = LazyEngine::load_path(&path, 2).err().unwrap_or_else(|| panic!("{what} loaded"));
+        assert_eq!(lazy.kind(), "mismatch", "{what}: {lazy}");
+        let _ = std::fs::remove_file(path);
+    }
+}

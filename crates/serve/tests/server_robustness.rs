@@ -428,7 +428,7 @@ fn ill_fitting_artifacts(tag: &str) -> Vec<(&'static str, std::path::PathBuf)> {
         match k.as_str() {
             "rows" => *v = Json::Num(2f64.powi(63)),
             "cols" => *v = Json::Num(2.0),
-            "data" => *v = Json::Arr(Vec::new()),
+            "data" => *v = Json::Str(String::new()),
             _ => {}
         }
     }
@@ -463,4 +463,120 @@ fn swapping_in_ill_fitting_weights_answers_typed_and_keeps_the_old_model() {
     }
     assert_eq!(server.model_version(), 1);
     assert_healthy(&addr);
+}
+
+/// The member `key` of a JSON object.
+fn member<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(fields) = obj else { panic!("'{key}' of a non-object") };
+    &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no '{key}'")).1
+}
+
+/// `tiny_frozen`'s body with `edit` applied to one payload string:
+/// `data` of the first weight or of the first program constant, or
+/// `values` or `indices` of the first sparse operator. Published under a
+/// valid checksum.
+fn edited_artifact(tag: &str, payload: &str, edit: fn(&str) -> Json) -> std::path::PathBuf {
+    let mut body = tiny_frozen().to_json();
+    let (owner, key) = match payload {
+        "weight data" => ("weights", "data"),
+        "sparse values" => ("sparse", "values"),
+        "sparse indices" => ("sparse", "indices"),
+        _ => ("program", "data"),
+    };
+    let target = match member(&mut body, owner) {
+        Json::Arr(items) => &mut items[0],
+        program => {
+            let Json::Arr(ops) = member(program, "ops") else { panic!("ops array") };
+            let constant = ops
+                .iter_mut()
+                .find(|op| op.get("op").and_then(Json::as_str) == Some("constant"))
+                .expect("a program constant");
+            member(constant, "value")
+        }
+    };
+    let v = member(target, key);
+    *v = edit(v.as_str().expect("a hex-word string"));
+    let path = std::env::temp_dir().join(format!("lasagne-serve-hex-{tag}-{}.json", std::process::id()));
+    lasagne_train::atomic_write_envelope(&path, body).expect("save edited artifact");
+    path
+}
+
+#[test]
+fn malformed_payloads_fail_typed_on_both_engines() {
+    type Edit = fn(&str) -> Json;
+    let edits: [(&str, &str, Edit); 5] = [
+        ("odd-length", "parse", |s| Json::Str(s[1..].to_string())),
+        ("upper-case", "parse", |s| Json::Str(s.to_uppercase())),
+        ("non-hex", "parse", |s| Json::Str(format!("{}g", &s[1..]))),
+        ("array", "parse", |s| Json::Arr(vec![Json::Num(s.len() as f64)])),
+        ("one-word-short", "mismatch", |s| Json::Str(s[8..].to_string())),
+    ];
+    for payload in ["weight data", "constant data", "sparse values", "sparse indices"] {
+        for (what, kind, edit) in edits {
+            let tag = format!("{}-{what}", payload.replace(' ', "-"));
+            let path = edited_artifact(&tag, payload, edit);
+            let resident = Engine::load_path(&path).err().unwrap_or_else(|| panic!("{tag} loaded"));
+            assert_eq!(resident.kind(), kind, "{tag}: {resident}");
+            let lazy = LazyEngine::load_path(&path, 2).err().unwrap_or_else(|| panic!("{tag} loaded"));
+            assert_eq!(lazy.kind(), kind, "{tag}: {lazy}");
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// `j` as format v2 spelled it: every tensor `data` and sparse `values`
+/// and `indices` element as a JSON number.
+fn v2_spelling(j: Json) -> Json {
+    let numbers = |k: &str, v: &Json| match k {
+        "data" | "values" => v.to_hex_words(f32::from_le_bytes).map(Json::from_f32s),
+        "indices" => v
+            .to_hex_words(u32::from_le_bytes)
+            .map(|c| Json::Arr(c.into_iter().map(|c| Json::Num(c as f64)).collect())),
+        _ => None,
+    };
+    match j {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| {
+                    let v = numbers(&k, &v).unwrap_or_else(|| v2_spelling(v));
+                    (k, v)
+                })
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(v2_spelling).collect()),
+        other => other,
+    }
+}
+
+#[test]
+fn v1_and_v2_artifacts_are_refused_naming_their_version() {
+    let body = v2_spelling(tiny_frozen().to_json());
+    let path = |v: u32| {
+        std::env::temp_dir().join(format!("lasagne-serve-v{v}-{}.json", std::process::id()))
+    };
+    // v2: checksummed, in the exact layout v2 writers used.
+    let text = body.to_string();
+    let checksum = format!("{:016x}", lasagne_train::fnv1a64(text.as_bytes()));
+    let v2 = format!(r#"{{"format_version":2,"checksum":"{checksum}","body":{text}}}"#);
+    std::fs::write(path(2), v2).expect("write v2");
+    // v1: no envelope, the body's fields at the top level.
+    let Json::Obj(mut fields) = body else { panic!("body is an object") };
+    fields.insert(0, ("format_version".into(), Json::Num(1.0)));
+    std::fs::write(path(1), Json::Obj(fields).to_string()).expect("write v1");
+    for version in [1, 2] {
+        let errs = [
+            FrozenModel::load(&path(version)).err(),
+            Engine::load_path(&path(version)).err(),
+            LazyEngine::load_path(&path(version), 2).err(),
+        ];
+        for err in errs {
+            let err = err.unwrap_or_else(|| panic!("v{version} loaded"));
+            assert_eq!(err.kind(), "mismatch", "v{version}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("unsupported format version {version}")), "{msg}");
+            assert!(msg.contains("re-export"), "{msg}");
+        }
+        let _ = std::fs::remove_file(path(version));
+    }
 }

@@ -12,6 +12,11 @@
 //! * **Objects preserve insertion order** (`Vec<(String, Json)>`, not a
 //!   map), so serialization is deterministic and checkpoints diff cleanly.
 //! * Non-finite floats serialize as `null`, matching `serde_json`.
+//! * **Hex words** ([`Json::hex_words`]) spell a whole numeric payload as
+//!   one string: each element's little-endian bytes, two lowercase hex
+//!   digits per byte. Artifacts store every tensor and sparse payload this
+//!   way, so NaN payloads survive and a reader decodes one string instead
+//!   of parsing one number node per element.
 
 use std::fmt;
 
@@ -121,6 +126,43 @@ impl Json {
             .collect()
     }
 
+    /// A string of hex words: every element's little-endian bytes, two
+    /// lowercase hex digits per byte (`[u8; 4]` words take 8 digits each).
+    pub fn hex_words<const N: usize>(words: impl IntoIterator<Item = [u8; N]>) -> Json {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let words = words.into_iter();
+        let mut out = String::with_capacity(words.size_hint().0 * 2 * N);
+        for word in words {
+            for b in word {
+                out.push(DIGITS[(b >> 4) as usize] as char);
+                out.push(DIGITS[(b & 0xf) as usize] as char);
+            }
+        }
+        Json::Str(out)
+    }
+
+    /// Decode a [`Json::hex_words`] string, building each element from its
+    /// `N` little-endian bytes with `from_le`. `None` unless this is a
+    /// string of whole `N`-byte words in lowercase hex digits.
+    pub fn to_hex_words<const N: usize, T>(&self, from_le: impl Fn([u8; N]) -> T) -> Option<Vec<T>> {
+        let digits = self.as_str()?.as_bytes();
+        if !digits.len().is_multiple_of(2 * N) {
+            return None;
+        }
+        let mut valid = true;
+        let words = digits
+            .chunks_exact(2 * N)
+            .map(|chunk| {
+                let mut word = [0u8; N];
+                for (group, bytes) in chunk.chunks(8).zip(word.chunks_mut(4)) {
+                    valid &= decode_hex_group(group, bytes);
+                }
+                from_le(word)
+            })
+            .collect();
+        valid.then_some(words)
+    }
+
     /// Append the compact form to `out`, handing `out` to `f` whenever it
     /// has grown past [`CHUNK`] bytes.
     fn write(&self, out: &mut String, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -163,7 +205,7 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// anything else after the value is an error).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -176,6 +218,56 @@ impl Json {
 
 /// Bytes [`Json`]'s `Display` buffers between formatter writes.
 const CHUNK: usize = 1 << 16;
+
+/// `0x01` in every byte of a `u64`.
+const ONES: u64 = 0x0101_0101_0101_0101;
+/// `0x80` in every byte of a `u64`.
+const HIGHS: u64 = ONES * 0x80;
+
+/// Decode up to 8 hex digits into `out`, two digits per byte, all eight
+/// at once in one `u64` (missing digits read as `0`). False unless every
+/// digit is lowercase hex. Inlined into each caller's [`Json::to_hex_words`].
+#[inline]
+fn decode_hex_group(digits: &[u8], out: &mut [u8]) -> bool {
+    let x = match <[u8; 8]>::try_from(digits) {
+        Ok(group) => u64::from_le_bytes(group),
+        // A short group (a quantized byte is one): its digits, then `0`s.
+        Err(_) => digits.iter().rev().fold(ONES * b'0' as u64, |x, &d| (x << 8) | d as u64),
+    };
+    // While every byte is below 0x80, adding `0x80 - c` sets a byte's high
+    // bit exactly when the byte is at least `c`, with no carry between
+    // bytes.
+    let at_least = |c: u8| x.wrapping_add(ONES * (0x80 - c as u64)) & HIGHS;
+    let digit = at_least(b'0') & !at_least(b'9' + 1);
+    let letter = at_least(b'a') & !at_least(b'f' + 1);
+    // A digit's value is its low nibble, a letter's its low nibble + 9.
+    let nibbles = (x & (ONES * 0xf)) + (letter >> 7) * 9;
+    // Join each even nibble (high) with the odd one after it (low), then
+    // pack the four bytes at even positions together.
+    let bytes = ((nibbles << 4) | (nibbles >> 8)) & 0x00ff_00ff_00ff_00ff;
+    let bytes = (bytes | (bytes >> 8)) & 0x0000_ffff_0000_ffff;
+    let bytes = (bytes | (bytes >> 16)) as u32;
+    out.copy_from_slice(&bytes.to_le_bytes()[..out.len()]);
+    x & HIGHS == 0 && digit | letter == HIGHS
+}
+
+/// Offset of the first `"` or `\` in `bytes`, eight bytes at a time.
+fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+    // A byte of `x ^ (ONES * c)` is zero where `x` holds `c`. The zero-byte
+    // test may also flag bytes above a zero byte, never below, so its
+    // lowest flag is the first match.
+    let zeros = |y: u64| y.wrapping_sub(ONES) & !y & HIGHS;
+    let mut chunks = bytes.chunks_exact(8);
+    for (i, chunk) in chunks.by_ref().enumerate() {
+        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let found = zeros(x ^ (ONES * b'"' as u64)) | zeros(x ^ (ONES * b'\\' as u64));
+        if found != 0 {
+            return Some(8 * i + found.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = bytes.len() - chunks.remainder().len();
+    chunks.remainder().iter().position(|&b| b == b'"' || b == b'\\').map(|p| tail + p)
+}
 
 /// Compact serialization (`to_string` is the whole document). Tokens are
 /// pushed onto a `String` buffer that reaches the formatter a chunk at a
@@ -206,27 +298,34 @@ fn write_number(n: f64, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32)).unwrap();
-            }
-            c => out.push(c),
+    // Runs of bytes that need no escape are copied whole. Every escaped
+    // byte is ASCII, so each run ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            b => fmt::Write::write_fmt(out, format_args!("\\u{b:04x}")).unwrap(),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 const MAX_DEPTH: u32 = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: u32,
@@ -340,79 +439,61 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by \uXXXX low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&cp) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            // hex4 leaves pos one past the digits; undo the
-                            // unconditional advance below.
-                            self.pos -= 1;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Consume one multi-byte UTF-8 scalar. The input is a
-                    // &str, so slicing exactly the scalar's bytes (length
-                    // from the leading byte) is valid UTF-8 — crucially,
-                    // never re-validate the whole remaining input per
-                    // character, which made long strings quadratic.
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + len])
-                        .expect("input was a str");
-                    out.push(s.chars().next().unwrap());
-                    self.pos += len;
-                }
+            // Copy the run up to the next quote or backslash in one go. Both
+            // are ASCII, so the run ends on a char boundary of the input.
+            let Some(run) = quote_or_backslash(&self.bytes[self.pos..]) else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            // A backslash: decode one escape.
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{08}'),
+                Some(b'f') => out.push('\u{0c}'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    self.pos += 1;
+                    let cp = self.hex4()?;
+                    // Surrogate pairs: a high surrogate must be
+                    // followed by \uXXXX low surrogate.
+                    let c = if (0xD800..0xDC00).contains(&cp) {
+                        if self.bytes[self.pos..].starts_with(b"\\u") {
+                            self.pos += 2;
+                            let lo = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err(self.err("invalid low surrogate"));
+                            }
+                            let combined =
+                                0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                            char::from_u32(combined)
+                        } else {
+                            return Err(self.err("unpaired high surrogate"));
+                        }
+                    } else if (0xDC00..0xE000).contains(&cp) {
+                        return Err(self.err("unpaired low surrogate"));
+                    } else {
+                        char::from_u32(cp)
+                    };
+                    match c {
+                        Some(c) => out.push(c),
+                        None => return Err(self.err("invalid unicode escape")),
+                    }
+                    // hex4 leaves pos one past the digits; undo the
+                    // unconditional advance below.
+                    self.pos -= 1;
+                }
+                _ => return Err(self.err("invalid escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -578,6 +659,144 @@ mod tests {
     fn non_finite_serializes_as_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+    }
+
+    #[test]
+    fn hex_words_round_trip_every_bit_pattern() {
+        let mut rng = crate::rng::Rng::seed_from_u64(3);
+        let mut bits: Vec<u32> = (0..4000).map(|_| rng.next_u64() as u32).collect();
+        // NaN payloads of both signs, ±0, ±inf, subnormals, extremes.
+        bits.extend([
+            0x7fc0_0000, 0xffc0_0001, 0x7f80_0001, 0xff80_1234, 0x0000_0000, 0x8000_0000,
+            0x7f80_0000, 0xff80_0000, 0x0000_0001, 0x807f_ffff, 0x7f7f_ffff, u32::MAX,
+        ]);
+        let f32s = Json::hex_words(bits.iter().map(|&b| f32::from_bits(b).to_le_bytes()));
+        let text = f32s.to_string();
+        assert_eq!(text.len(), 2 + 8 * bits.len());
+        assert!(text[1..text.len() - 1].bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()));
+        let back = Json::parse(&text).unwrap().to_hex_words(f32::from_le_bytes).unwrap();
+        assert_eq!(back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+        let words = Json::hex_words(bits.iter().map(|b| b.to_le_bytes()));
+        assert_eq!(round_trip(&words).to_hex_words(u32::from_le_bytes).unwrap(), bits);
+        // Little-endian bytes, in order.
+        assert_eq!(Json::hex_words([0x1234_abcdu32.to_le_bytes()]), Json::Str("cdab3412".into()));
+        assert_eq!(Json::hex_words([[0u8; 4]; 0]), Json::Str(String::new()));
+        assert_eq!(Json::Str(String::new()).to_hex_words(u32::from_le_bytes), Some(Vec::new()));
+    }
+
+    #[test]
+    fn hex_words_refuse_anything_but_whole_lowercase_words() {
+        let decode = |j: &Json| j.to_hex_words(u32::from_le_bytes);
+        assert_eq!(decode(&Json::Str("cdab3412".into())), Some(vec![0x1234_abcd]));
+        for bad in ["cdab341", "cdab34120", "CDAB3412", "cdab341g", "cdab 341", "cdab34-2", "cdab34é"] {
+            assert_eq!(decode(&Json::Str(bad.into())), None, "{bad}");
+        }
+        assert_eq!(decode(&Json::Arr(vec![Json::Num(1.0)])), None);
+        assert_eq!(decode(&Json::Num(1.0)), None);
+        assert_eq!(Json::Str("abc".into()).to_hex_words(|[b]: [u8; 1]| b), None);
+        assert_eq!(Json::Str("ab0f".into()).to_hex_words(|[b]: [u8; 1]| b), Some(vec![0xab, 0x0f]));
+    }
+
+    #[test]
+    fn every_byte_at_every_digit_position_decodes_or_is_refused() {
+        let value = |c: u8| "0123456789abcdef".find(c as char).map(|v| v as u8);
+        for len in [2, 8] {
+            for at in 0..len {
+                for c in 0..=255u8 {
+                    let mut digits = b"3f7a0c9e"[..len].to_vec();
+                    digits[at] = c;
+                    let mut out = vec![0u8; len / 2];
+                    let valid = decode_hex_group(&digits, &mut out);
+                    assert_eq!(valid, value(c).is_some(), "{c:#04x} at {at} of {len}");
+                    if valid {
+                        let want: Vec<u8> = digits
+                            .chunks(2)
+                            .map(|p| (value(p[0]).unwrap() << 4) | value(p[1]).unwrap())
+                            .collect();
+                        assert_eq!(out, want, "{c:#04x} at {at} of {len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_quote_scan_finds_the_first_quote_or_backslash() {
+        let mut rng = crate::rng::Rng::seed_from_u64(11);
+        for _ in 0..3000 {
+            // Mostly plain bytes (multi-byte UTF-8 included), sometimes a
+            // quote or a backslash, at every offset of the 8-byte words.
+            let bytes: Vec<u8> = (0..rng.index(40))
+                .map(|_| match rng.index(24) {
+                    0 => b'"',
+                    1 => b'\\',
+                    2 => 0x22 ^ 0x80,
+                    3 => 0x5c ^ 0x01,
+                    _ => rng.next_u64() as u8,
+                })
+                .collect();
+            let want = bytes.iter().position(|&b| b == b'"' || b == b'\\');
+            assert_eq!(quote_or_backslash(&bytes), want, "{bytes:?}");
+        }
+    }
+
+    /// The parser before runs were copied whole: one char at a time.
+    fn char_by_char(body: &str) -> String {
+        let mut out = String::new();
+        let mut chars = body.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next().unwrap() {
+                'n' => out.push('\n'),
+                't' => out.push('\t'),
+                'r' => out.push('\r'),
+                'b' => out.push('\u{08}'),
+                'f' => out.push('\u{0c}'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    let cp = u32::from_str_radix(&hex, 16).unwrap();
+                    if (0xD800..0xDC00).contains(&cp) {
+                        let lo: String = chars.by_ref().skip(2).take(4).collect();
+                        let lo = u32::from_str_radix(&lo, 16).unwrap();
+                        out.push(char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)).unwrap());
+                    } else {
+                        out.push(char::from_u32(cp).unwrap());
+                    }
+                }
+                c => out.push(c), // '"', '\\', '/'
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_long_string_parses_as_char_by_char() {
+        let mut rng = crate::rng::Rng::seed_from_u64(5);
+        let pieces = [
+            "a", "hex0", "é", "ünï", "🎉", "中文", "\\\"", "\\\\", "\\/", "\\n", "\\t", "\\r", "\\b",
+            "\\f", "\\u0041", "\\u00e9", "\\ud83c\\udf89", "\\u0001",
+        ];
+        let mut body = String::new();
+        while body.len() < (1 << 20) + 7 {
+            // Runs of random length, so escapes and multi-byte scalars land
+            // at both ends of the copied runs.
+            let piece = pieces[rng.index(pieces.len())];
+            for _ in 0..1 + rng.index(3) {
+                body.push_str(piece);
+            }
+        }
+        let parsed = Json::parse(&format!("\"{body}\"")).unwrap();
+        let expected = char_by_char(&body);
+        assert_eq!(parsed.as_str(), Some(expected.as_str()));
+        // The writer copies runs too; its output parses back to the value.
+        assert_eq!(round_trip(&parsed), parsed);
+        // A run that reaches the end of the input is unterminated.
+        let open = format!("\"{body}");
+        let e = Json::parse(&open).unwrap_err();
+        assert_eq!(e.offset, open.len(), "{e}");
     }
 
     #[test]

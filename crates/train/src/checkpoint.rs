@@ -1,26 +1,29 @@
 //! Crash-safe model checkpointing.
 //!
-//! Format **v2** (see DESIGN.md §7): every checkpoint is a JSON document
+//! Format **v3** (see DESIGN.md §7): every checkpoint is a JSON document
 //!
 //! ```json
-//! {"format_version":2,"checksum":"<fnv1a64 hex>","body":{...}}
+//! {"format_version":3,"checksum":"<fnv1a64 hex>","body":{...}}
 //! ```
 //!
 //! where `checksum` is the FNV-1a 64-bit hash of the serialized `body`,
 //! written as 16 lowercase hex digits, and the document has exactly this
 //! layout: no whitespace, keys in this order. The writer serializes the
 //! body once and splices it in; the loader hashes the body bytes as
-//! stored, then parses them. A version-2 document in any other layout is
+//! stored, then parses them. A version-3 document in any other layout is
 //! [`TrainError::Corrupt`], so any torn write or changed byte fails typed
-//! before a single weight is loaded. Writes go to a temp file first and
-//! are published with an atomic `rename`, and train-state saves rotate the
-//! previous file to a `.prev` generation so a corrupted latest checkpoint
-//! still leaves a loadable one behind.
+//! before a single weight is loaded; a document of any other version is
+//! [`TrainError::Mismatch`]. Every tensor's `data` is one string of hex
+//! words ([`Json::hex_words`]: each f32's little-endian bytes), so every
+//! bit pattern, NaN payloads included, survives. Writes go to a temp file
+//! first and are published with an atomic `rename`, and train-state saves
+//! rotate the previous file to a `.prev` generation so a corrupted latest
+//! checkpoint still leaves a loadable one behind.
 //!
 //! Two kinds of body are written:
 //!
 //! * `"kind":"params"` — just the weights ([`save_params`]/[`load_params`]),
-//!   for train-once/serve-later. Legacy v1 files (no checksum) still load.
+//!   for train-once/serve-later.
 //! * `"kind":"train_state"` — weights **plus** Adam moments, epoch/patience
 //!   counters, the current (possibly recovery-halved) learning rate, the
 //!   PRNG state and the epoch history ([`save_train_state`]/
@@ -38,7 +41,7 @@ use crate::error::{TrainError, TrainResult};
 use crate::trainer::EpochStats;
 
 /// Current on-disk format version.
-pub const FORMAT_VERSION: u64 = 2;
+pub const FORMAT_VERSION: u64 = 3;
 
 /// FNV-1a 64-bit hash — the checkpoint content checksum. Not cryptographic;
 /// it detects the accidental corruption (torn writes, bit rot) that kills
@@ -56,11 +59,11 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> TrainError {
     TrainError::Io(format!("{}: {e}", path.display()))
 }
 
-/// A v2 document's bytes up to its checksum digits: the serialization of
+/// A v3 document's bytes up to its checksum digits: the serialization of
 /// `{"format_version": FORMAT_VERSION, "checksum": "…`.
-const V2_HEAD: &[u8] = br#"{"format_version":2,"checksum":""#;
+const HEAD: &[u8] = br#"{"format_version":3,"checksum":""#;
 /// The bytes between the checksum digits and the body.
-const V2_BODY_KEY: &[u8] = br#"","body":"#;
+const BODY_KEY: &[u8] = br#"","body":"#;
 
 /// Serialize `body` under a checksum envelope and publish it atomically:
 /// write to `<path>.tmp`, then `rename` over `path` (a crash mid-write
@@ -80,14 +83,14 @@ pub fn atomic_write_envelope(path: &Path, body: Json) -> TrainResult<()> {
     };
     // Checkpoint sizes vary with the epoch timings they record, so the byte
     // count is zeroed in deterministic traces like a duration.
-    let len = V2_HEAD.len() + checksum.len() + V2_BODY_KEY.len() + body_text.len() + 1;
+    let len = HEAD.len() + checksum.len() + BODY_KEY.len() + body_text.len() + 1;
     lasagne_obs::counter_add_ns("envelope.bytes", len as u64);
     let tmp = sibling(path, "tmp");
     let write = || -> std::io::Result<()> {
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(V2_HEAD)?;
+        file.write_all(HEAD)?;
         file.write_all(checksum.as_bytes())?;
-        file.write_all(V2_BODY_KEY)?;
+        file.write_all(BODY_KEY)?;
         file.write_all(body_text.as_bytes())?;
         file.write_all(b"}")
     };
@@ -95,15 +98,15 @@ pub fn atomic_write_envelope(path: &Path, body: Json) -> TrainResult<()> {
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
 
-/// The stored checksum and body bytes of a v2 file in the layout
+/// The stored checksum and body bytes of a v3 file in the layout
 /// [`atomic_write_envelope`] writes; `None` for anything else.
-fn split_v2(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    let rest = bytes.strip_prefix(V2_HEAD)?;
+fn split_envelope(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    let rest = bytes.strip_prefix(HEAD)?;
     let (hex, rest) = (rest.get(..16)?, &rest[16..]);
     if !hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return None;
     }
-    let body = rest.strip_prefix(V2_BODY_KEY)?.strip_suffix(b"}")?;
+    let body = rest.strip_prefix(BODY_KEY)?.strip_suffix(b"}")?;
     let stored = u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
     Some((stored, body))
 }
@@ -122,13 +125,13 @@ pub fn previous_generation(path: &Path) -> PathBuf {
     sibling(path, "prev")
 }
 
-/// Read `path`, verify the checksum envelope, and return the body. Accepts
-/// legacy v1 documents (no checksum) for params-only checkpoints.
+/// Read `path`, verify the checksum envelope, and return the body.
 ///
-/// A v2 file in the writer's layout is one pass: hash the body bytes as
+/// A v3 file in the writer's layout is one pass: hash the body bytes as
 /// stored ([`TrainError::Corrupt`] on a mismatch), then parse them. Anything
-/// else is parsed whole: version 1 is returned as is, version 2 in any other
-/// layout is `Corrupt`, and other versions are [`TrainError::Mismatch`].
+/// else is parsed whole: version 3 in any other layout is `Corrupt`, and
+/// every other version, the v1 and v2 files of earlier builds included, is
+/// [`TrainError::Mismatch`], naming the version.
 pub fn read_envelope(path: &Path) -> TrainResult<Json> {
     let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
     lasagne_obs::counter_add_ns("envelope.bytes", bytes.len() as u64);
@@ -138,7 +141,7 @@ pub fn read_envelope(path: &Path) -> TrainResult<Json> {
         let text = std::str::from_utf8(b).map_err(|e| err(&e))?;
         Json::parse(text).map_err(|e| err(&e))
     };
-    if let Some((stored, body)) = split_v2(&bytes) {
+    if let Some((stored, body)) = split_envelope(&bytes) {
         let actual = {
             lasagne_obs::span!("envelope.verify");
             fnv1a64(body)
@@ -157,12 +160,15 @@ pub fn read_envelope(path: &Path) -> TrainResult<Json> {
         .and_then(Json::as_u64)
         .ok_or_else(|| TrainError::Parse("missing format_version".into()))?;
     match version {
-        1 => Ok(doc), // v1: the document itself is the body, no checksum.
         FORMAT_VERSION => Err(TrainError::Corrupt(format!(
-            "{}: format version 2 document is not in the checksummed layout",
+            "{}: format version 3 document is not in the checksummed layout",
             path.display()
         ))),
-        v => Err(TrainError::Mismatch(format!("unsupported format version {v}"))),
+        v => Err(TrainError::Mismatch(format!(
+            "{}: unsupported format version {v}; this build reads version 3 only, \
+             so re-export the file with it",
+            path.display()
+        ))),
     }
 }
 
@@ -170,11 +176,17 @@ pub fn read_envelope(path: &Path) -> TrainResult<Json> {
 // Tensor / param (de)serialization helpers
 // ---------------------------------------------------------------------------
 
+/// A tensor's `data`: one string of hex words, the f32s' little-endian
+/// bytes.
+fn data_to_json(t: &Tensor) -> Json {
+    Json::hex_words(t.as_slice().iter().map(|v| v.to_le_bytes()))
+}
+
 pub fn tensor_to_json(t: &Tensor) -> Json {
     Json::Obj(vec![
         ("rows".into(), Json::Num(t.rows() as f64)),
         ("cols".into(), Json::Num(t.cols() as f64)),
-        ("data".into(), Json::from_f32s(t.as_slice().iter().copied())),
+        ("data".into(), data_to_json(t)),
     ])
 }
 
@@ -184,7 +196,9 @@ pub fn tensor_from_json(j: &Json) -> TrainResult<Tensor> {
     };
     let rows = field("rows")?.as_usize().ok_or_else(|| TrainError::Parse("'rows' not an integer".into()))?;
     let cols = field("cols")?.as_usize().ok_or_else(|| TrainError::Parse("'cols' not an integer".into()))?;
-    let data = field("data")?.to_f32s().ok_or_else(|| TrainError::Parse("'data' not a number array".into()))?;
+    let data = field("data")?
+        .to_hex_words(f32::from_le_bytes)
+        .ok_or_else(|| TrainError::Parse("'data' not a string of f32 hex words".into()))?;
     // The document parsed; a declared shape its data does not fill is a
     // shape mismatch.
     Tensor::from_vec(rows, cols, data).map_err(|e| TrainError::Mismatch(e.to_string()))
@@ -195,7 +209,7 @@ pub fn named_param_to_json(name: &str, t: &Tensor) -> Json {
         ("name".into(), Json::Str(name.to_string())),
         ("rows".into(), Json::Num(t.rows() as f64)),
         ("cols".into(), Json::Num(t.cols() as f64)),
-        ("data".into(), Json::from_f32s(t.as_slice().iter().copied())),
+        ("data".into(), data_to_json(t)),
     ])
 }
 
@@ -262,7 +276,7 @@ fn params_array_from_json(j: &Json) -> TrainResult<Vec<(String, Tensor)>> {
 // Params-only checkpoints
 // ---------------------------------------------------------------------------
 
-/// Write every parameter of `store` to `path` (format v2: checksummed,
+/// Write every parameter of `store` to `path` (format v3: checksummed,
 /// atomically published).
 pub fn save_params(store: &ParamStore, path: &Path) -> TrainResult<()> {
     lasagne_obs::span!("checkpoint.save");
@@ -273,9 +287,9 @@ pub fn save_params(store: &ParamStore, path: &Path) -> TrainResult<()> {
     atomic_write_envelope(path, body)
 }
 
-/// Load a checkpoint written by [`save_params`] (or a legacy v1 file) into
-/// `store`. The store must already contain parameters with identical names
-/// and shapes (i.e. build the model with the same configuration first).
+/// Load a checkpoint written by [`save_params`] into `store`. The store
+/// must already contain parameters with identical names and shapes (i.e.
+/// build the model with the same configuration first).
 /// Also accepts a `train_state` checkpoint, loading just its weights.
 pub fn load_params(store: &mut ParamStore, path: &Path) -> TrainResult<()> {
     lasagne_obs::span!("checkpoint.load");
@@ -597,21 +611,140 @@ mod tests {
         assert!(matches!(err, TrainError::Io(_)));
     }
 
+    /// `body` in the v1 and v2 spelling: every tensor's `data` as one
+    /// JSON number per element.
+    fn with_decimal_data(body: Json) -> Json {
+        match body {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| match (k.as_str(), v.to_hex_words(f32::from_le_bytes)) {
+                        ("data", Some(data)) => (k, Json::from_f32s(data)),
+                        _ => (k, with_decimal_data(v)),
+                    })
+                    .collect(),
+            ),
+            Json::Arr(items) => Json::Arr(items.into_iter().map(with_decimal_data).collect()),
+            other => other,
+        }
+    }
+
+    /// Write `body` as a v2 file exactly as v2 writers did: checksummed,
+    /// in the canonical layout, with decimal tensor data.
+    fn write_v2(path: &Path, body: Json) {
+        let text = with_decimal_data(body).to_string();
+        let checksum = format!("{:016x}", fnv1a64(text.as_bytes()));
+        let doc = format!(r#"{{"format_version":2,"checksum":"{checksum}","body":{text}}}"#);
+        std::fs::write(path, doc).expect("write v2 file");
+    }
+
     #[test]
-    fn legacy_v1_files_still_load() -> TrainResult<()> {
+    fn v1_and_v2_documents_are_refused_naming_their_version() -> TrainResult<()> {
+        let store = sample_store(3);
         // A v1 checkpoint has the params at the top level and no checksum.
-        let path = temp_path("v1");
-        let src = sample_store(3);
-        let doc = Json::Obj(vec![
+        let v1 = temp_path("v1");
+        let v1_doc = Json::Obj(vec![
             ("format_version".into(), Json::Num(1.0)),
-            ("params".into(), store_params_to_json(&src)),
+            ("params".into(), store_params_to_json(&store)),
         ]);
-        std::fs::write(&path, doc.to_string()).map_err(|e| io_err(&path, e))?;
-        let mut dst = sample_store(4);
-        load_params(&mut dst, &path)?;
-        assert_eq!(src.value(ParamId::from_index(0)), dst.value(ParamId::from_index(0)));
+        std::fs::write(&v1, with_decimal_data(v1_doc).to_string()).map_err(|e| io_err(&v1, e))?;
+        let v2 = temp_path("v2");
+        write_v2(&v2, Json::Obj(vec![
+            ("kind".into(), Json::Str("params".into())),
+            ("params".into(), store_params_to_json(&store)),
+        ]));
+        let v2_state = temp_path("v2-state");
+        write_v2(&v2_state, sample_state(3).to_json());
+        // A healthy previous generation must not be loaded in its place.
+        save_train_state(&sample_state(4), &previous_generation(&v2_state))?;
+        let check = |version: u32, err: TrainError| {
+            let TrainError::Mismatch(m) = &err else { panic!("v{version}: {err:?}") };
+            let want = format!("unsupported format version {version}");
+            assert!(m.contains(&want) && m.contains("re-export"), "{m}");
+        };
+        for (version, path) in [(1, &v1), (2, &v2), (2, &v2_state)] {
+            check(version, load_params(&mut sample_store(4), path).unwrap_err());
+            check(version, load_train_state(path).unwrap_err());
+            check(version, load_train_state_with_fallback(path).unwrap_err());
+        }
+        // A partition store whose manifest is a v1 or v2 document.
+        let dir = std::env::temp_dir().join(format!("lasagne-ckpt-v2-store-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
+        let manifest = Json::Obj(vec![
+            ("kind".into(), Json::Str("partition_manifest".into())),
+            ("num_blocks".into(), Json::Num(1.0)),
+            ("nodes".into(), Json::Num(3.0)),
+            ("num_classes".into(), Json::Num(2.0)),
+            ("train_blocks".into(), Json::Arr(vec![Json::Num(0.0)])),
+        ]);
+        write_v2(&dir.join("manifest.json"), manifest.clone());
+        check(2, crate::PartitionStore::open(&dir).unwrap_err());
+        let Json::Obj(mut v1_manifest) = manifest else { unreachable!("an object") };
+        v1_manifest.insert(0, ("format_version".into(), Json::Num(1.0)));
+        std::fs::write(dir.join("manifest.json"), Json::Obj(v1_manifest).to_string())
+            .map_err(|e| io_err(&dir, e))?;
+        check(1, crate::PartitionStore::open(&dir).unwrap_err());
+        let _ = std::fs::remove_dir_all(&dir);
+        for p in [&v1, &v2, &v2_state, &previous_generation(&v2_state)] {
+            let _ = std::fs::remove_file(p);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn tensors_round_trip_every_bit_pattern() -> TrainResult<()> {
+        let mut rng = Rng::seed_from_u64(21);
+        for case in 0..60 {
+            let (rows, cols) = (rng.index(7), rng.index(7));
+            let mut bits: Vec<u32> = (0..rows * cols).map(|_| rng.next_u64() as u32).collect();
+            // NaN payloads, ±0, ±inf and subnormals, at the front.
+            let specials = [0x7fc0_0001, 0xffbf_ffff, 0x8000_0000, 0, 0x7f80_0000, 0xff80_0000, 0x0000_0001, 0x807f_ffff];
+            for (b, s) in bits.iter_mut().zip(specials.iter().cycle().skip(case)) {
+                *b = *s;
+            }
+            let t = Tensor::from_vec(rows, cols, bits.iter().map(|&b| f32::from_bits(b)).collect())
+                .expect("shape");
+            for json in [tensor_to_json(&t), named_param_to_json("w", &t)] {
+                let back = tensor_from_json(&Json::parse(&json.to_string()).expect("parses"))?;
+                assert_eq!(back.shape(), (rows, cols));
+                assert_eq!(back.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+            }
+        }
+        // A NaN weight, which a decimal file could not hold, saves and loads.
+        let path = temp_path("nan");
+        let mut store = sample_store(1);
+        store.value_mut(ParamId::from_index(0)).as_mut_slice()[5] = f32::from_bits(0x7fa0_0001);
+        save_params(&store, &path)?;
+        let mut back = sample_store(2);
+        load_params(&mut back, &path)?;
+        assert_eq!(back.value(ParamId::from_index(0)).as_slice()[5].to_bits(), 0x7fa0_0001);
         let _ = std::fs::remove_file(path);
         Ok(())
+    }
+
+    #[test]
+    fn malformed_data_fails_typed() {
+        let with_data = |rows: f64, data: Json| {
+            tensor_from_json(&Json::Obj(vec![
+                ("rows".into(), Json::Num(rows)),
+                ("cols".into(), Json::Num(1.0)),
+                ("data".into(), data),
+            ]))
+        };
+        assert!(with_data(2.0, Json::Str("0000803f00000040".into())).is_ok());
+        for bad in [
+            Json::Str("0000803f0000004".into()),
+            Json::Str("0000803F00000040".into()),
+            Json::Str("0000803f0000004x".into()),
+            Json::from_f32s([1.0, 2.0]),
+        ] {
+            let err = with_data(2.0, bad.clone()).unwrap_err();
+            assert!(matches!(err, TrainError::Parse(_)), "{bad}: {err}");
+        }
+        for rows in [1.0, 3.0] {
+            let err = with_data(rows, Json::Str("0000803f00000040".into())).unwrap_err();
+            assert!(matches!(err, TrainError::Mismatch(_)), "{rows}: {err}");
+        }
     }
 
     #[test]
@@ -678,8 +811,8 @@ mod tests {
         let path = temp_path("every-flip");
         save_params(&sample_store(5), &path)?;
         let pristine = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-        let version_digit = V2_HEAD.len() - br#","checksum":""#.len() - 1;
-        assert_eq!(pristine[version_digit], b'2');
+        let version_digit = HEAD.len() - br#","checksum":""#.len() - 1;
+        assert_eq!(pristine[version_digit], b'3');
         for at in 0..pristine.len() {
             for bit in 0..8 {
                 let mut bytes = pristine.clone();
@@ -716,17 +849,17 @@ mod tests {
         // body text, and each loaded before the loader hashed stored bytes.
         let spaced = text.replace(',', ", ").replace(':', ": ");
         for doc in [
-            format!(r#"{{"format_version": 2, "checksum": "{checksum}", "body": {spaced}}}"#),
-            format!(r#"{{"format_version":2,"checksum":"{checksum}","body":{text}}}"#) + "\n",
-            format!(r#"{{"checksum":"{checksum}","format_version":2,"body":{text}}}"#),
-            format!(r#"{{"format_version":2,"checksum":"{}","body":{text}}}"#, checksum.to_uppercase()),
+            format!(r#"{{"format_version": 3, "checksum": "{checksum}", "body": {spaced}}}"#),
+            format!(r#"{{"format_version":3,"checksum":"{checksum}","body":{text}}}"#) + "\n",
+            format!(r#"{{"checksum":"{checksum}","format_version":3,"body":{text}}}"#),
+            format!(r#"{{"format_version":3,"checksum":"{}","body":{text}}}"#, checksum.to_uppercase()),
         ] {
             std::fs::write(&path, &doc).map_err(|e| io_err(&path, e))?;
             let err = load_params(&mut sample_store(6), &path).unwrap_err();
             assert!(matches!(err, TrainError::Corrupt(_)), "{err}: {doc:.60}");
         }
         // The same body in the writer's layout loads.
-        let canonical = format!(r#"{{"format_version":2,"checksum":"{checksum}","body":{text}}}"#);
+        let canonical = format!(r#"{{"format_version":3,"checksum":"{checksum}","body":{text}}}"#);
         std::fs::write(&path, canonical).map_err(|e| io_err(&path, e))?;
         load_params(&mut sample_store(7), &path)?;
         let _ = std::fs::remove_file(path);

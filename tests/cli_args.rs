@@ -58,3 +58,19 @@ fn serve_rejects_bad_port() {
     let err = stderr(&out);
     assert!(err.contains("--port: invalid value '99999'"), "got:\n{err}");
 }
+
+#[test]
+fn serve_refuses_a_v2_artifact_with_a_typed_message() {
+    // A v2 document in the exact layout v2 writers used.
+    let body = r#"{"kind":"frozen_model","weights":[{"name":"w","rows":1,"cols":2,"data":[0.5,-1]}]}"#;
+    let checksum = format!("{:016x}", lasagne_train::fnv1a64(body.as_bytes()));
+    let path = std::env::temp_dir().join(format!("lasagne-cli-v2-{}.json", std::process::id()));
+    let doc = format!(r#"{{"format_version":2,"checksum":"{checksum}","body":{body}}}"#);
+    std::fs::write(&path, doc).expect("write v2 artifact");
+    let out = run(&["serve", "--frozen", path.to_str().expect("utf-8 path"), "--port", "0"]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("unsupported format version 2"), "got:\n{err}");
+    assert!(err.contains("re-export") && !err.contains("panicked"), "got:\n{err}");
+}
