@@ -28,11 +28,12 @@
 //! operand rows alone (a subset `MatMul` is the same dense product over the
 //! gathered left rows), plus two rules, both kept in [`op_rows`]:
 //!
-//! * a subset `SpMM` multiplies the monotone column slice
-//!   `m.slice(rows, cols)` — `cols` the sorted union of those rows'
-//!   neighbours — by exactly those operand rows; with the
-//!   ascending-from-+0.0 accumulation contract (DESIGN.md §8) each row sums
-//!   the same products in the same order;
+//! * a subset `SpMM` runs `Csr::spmm_rows`: each requested operator row
+//!   reads its operand rows in place, by their original index, from
+//!   wherever the schedule holds them ([`Operands::in_place`]) — no operator
+//!   slice, no gathered copy. With the ascending-from-+0.0 accumulation
+//!   contract (DESIGN.md §8) each row sums the same products in the same
+//!   order as the whole `spmm`;
 //! * `MaxStack` folds with strict `>` from the first part, so ties keep
 //!   the earliest layer.
 
@@ -253,11 +254,11 @@ pub trait Operands {
         }
     }
 
-    /// The operand rows a subset of SpMM instruction `i` over sparse
-    /// operator `m` reads: the sorted union of `m`'s column indices over
-    /// `rows`. A schedule that already walked them may hand them back.
-    fn halo(&self, _i: usize, m: usize, rows: &[usize]) -> Cow<'_, [usize]> {
-        Cow::Owned(neighbors(self.sparse(m), rows))
+    /// Operand `j` as a subset `SpMM` reads it in place: a tensor and, when
+    /// it holds only some of `j`'s rows, their sorted original indices
+    /// (`None`: its row `r` is row `r`).
+    fn in_place(&self, j: usize) -> (Cow<'_, Tensor>, Option<&[usize]>) {
+        (Cow::Borrowed(self.whole(j)), None)
     }
 }
 
@@ -278,13 +279,34 @@ pub fn leaf_value<'a>(
     }
 }
 
+/// The sorted distinct values of `rows`, all below `n`: one mark each in a
+/// bitset over `0..n`, then one scan of the marks — linear, no sort.
+pub(crate) fn sorted_distinct(n: usize, rows: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut marks = vec![0u64; n.div_ceil(64)];
+    for r in rows {
+        marks[r / 64] |= 1 << (r % 64);
+    }
+    let mut out = Vec::new();
+    for (w, &word) in marks.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    out
+}
+
 /// Sorted union of the column indices of `m`'s rows `rows`.
 pub(crate) fn neighbors(m: &Csr, rows: &[usize]) -> Vec<usize> {
-    let mut cols: Vec<usize> =
-        rows.iter().flat_map(|&r| m.row_indices(r)).map(|&c| c as usize).collect();
-    cols.sort_unstable();
-    cols.dedup();
-    cols
+    sorted_distinct(m.cols(), rows.iter().flat_map(|&r| m.row_indices(r)).map(|&c| c as usize))
+}
+
+/// Position of row `row` in the sorted row list `rows`. Demand-walk
+/// invariant: every row a consumer reads was propagated into its
+/// producer's list, so the lookup cannot miss.
+pub(crate) fn position(rows: &[usize], row: usize) -> usize {
+    rows.binary_search(&row).expect("demanded row missing from its producer's rows")
 }
 
 /// The op kernel: rows `rows` (any order, repeats allowed; `None` = all)
@@ -303,12 +325,12 @@ pub fn op_rows(op: &ProgramOp, i: usize, rows: Option<&[usize]>, src: &impl Oper
     match op {
         Constant { .. } | Param { .. } => at(i).into_owned(),
         MatMul { a, b } => at(*a).matmul(src.whole(*b)),
-        SpMM { m, x } => match rows {
-            None => src.sparse(*m).spmm(src.whole(*x)),
-            Some(r) => {
-                let cols = src.halo(i, *m, r);
-                src.sparse(*m).slice(r, &cols).spmm(&src.rows(*x, Some(&cols)))
-            }
+        SpMM { m, x } => match (rows, src.sparse(*m)) {
+            (None, m) => m.spmm(src.whole(*x)),
+            (Some(r), m) => match src.in_place(*x) {
+                (x, None) => m.spmm_rows(r, &x, |j| j),
+                (x, Some(ids)) => m.spmm_rows(r, &x, |j| position(ids, j)),
+            },
         },
         Add { a, b } => at(*a).add(&at(*b)),
         Sub { a, b } => at(*a).sub(&at(*b)),
@@ -524,6 +546,29 @@ mod tests {
             (GatAggregate { adj: 0, z: 0, ssrc: 3, sdst: 3, slope: 0.2 }, (4, 3)),
         ] {
             assert_eq!(check(case.clone(), &[(4, 4)]), Ok(want), "{case:?}");
+        }
+    }
+
+    #[test]
+    fn the_linear_halo_is_the_sorted_deduplicated_column_union() {
+        let mut rng = lasagne_tensor::TensorRng::seed_from_u64(11);
+        for case in 0..40 {
+            let (rows, cols) = (1 + rng.index(70), 1 + rng.index(200));
+            // Every third row empty; the others up to 12 entries.
+            let coo: Vec<(u32, u32, f32)> = (0..rows)
+                .filter(|r| r % 3 != 0)
+                .flat_map(|r| {
+                    let k = rng.index(cols.min(12) + 1);
+                    rng.sample_indices(cols, k).into_iter().map(move |c| (r as u32, c as u32, 1.0))
+                })
+                .collect();
+            let m = Csr::from_coo(rows, cols, &coo);
+            let demanded: Vec<usize> = (0..rng.index(2 * rows)).map(|_| rng.index(rows)).collect();
+            let mut want: Vec<usize> =
+                demanded.iter().flat_map(|&r| m.row_indices(r)).map(|&c| c as usize).collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(neighbors(&m, &demanded), want, "case {case}");
         }
     }
 

@@ -7,22 +7,25 @@
 //! subset of output rows while materializing only the rows each
 //! instruction actually contributes to them, and the answer is **bitwise**
 //! equal to the corresponding rows of the resident evaluation. A backward
-//! walk of [`row_deps`] from the requested rows assigns each instruction
-//! its demanded rows — row `r` itself, the SpMM halo, the gathered index,
-//! or the whole operand — and a forward pass runs the shared op kernel
-//! [`op_rows`] on exactly those rows, dropping each intermediate after its
-//! last reader. The subset bitwise rules (monotone SpMM column slices,
-//! strict-`>` `MaxStack`) live in that kernel.
+//! walk of [`row_deps`] from the requested rows (the `peval.walk` span)
+//! assigns each instruction its demanded rows — row `r` itself, the SpMM
+//! halo, the gathered index, or the whole operand — and a forward pass
+//! runs the shared op kernel [`op_rows`] on exactly those rows, dropping
+//! each intermediate after its last reader. The subset bitwise rules (SpMM
+//! operand rows read in place, strict-`>` `MaxStack`) live in that kernel;
+//! this schedule only says where an SpMM's operand rows are: a leaf, a
+//! whole value, the cache's kept tensor, or the rows its demand computed.
 //!
 //! Only an SpMM's demand crosses partitions: its halo. A [`RowCache`] keeps
 //! the computed rows of every instruction an SpMM reads (its *kept*
 //! instructions) across evaluations, and the walk drops the rows the cache
 //! holds from such an instruction's demand before passing demand on to its
 //! inputs, so a partition sweep through one cache computes each of those
-//! rows once. By the subset rules a kept row is the row a later evaluation
-//! would recompute, so the bits do not change. The counters
-//! `peval.rows_computed` and `peval.rows_reused` count the rows of kept
-//! instructions an evaluation computed and found in its cache.
+//! rows once, and an SpMM reads them in place from the cache. By the subset
+//! rules a kept row is the row a later evaluation would recompute, so the
+//! bits do not change. The counters `peval.rows_computed` and
+//! `peval.rows_reused` count the rows of kept instructions an evaluation
+//! computed and found in its cache.
 //!
 //! A whole-operand dependency on a graph-sized non-leaf — `SumAll`/`SumRows`
 //! over activations, GAT's attention — is not row-local: plans over such
@@ -39,7 +42,8 @@ use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
 use crate::eval::{
-    leaf_value, neighbors, op_rows, program_shapes, row_deps, Operand, Operands, RowDep,
+    leaf_value, neighbors, op_rows, position, program_shapes, row_deps, sorted_distinct, Operand,
+    Operands, RowDep,
 };
 use crate::export::{Program, ProgramOp};
 
@@ -83,23 +87,14 @@ impl fmt::Display for PevalError {
 
 impl std::error::Error for PevalError {}
 
-/// Positions of each `wanted` row inside the sorted `union` row list.
-/// Demand-walk invariant: every row a consumer asks for was propagated into
-/// the producer's union, so the lookup cannot miss.
-fn positions(union: &[usize], wanted: &[usize]) -> Vec<usize> {
-    wanted
-        .iter()
-        .map(|w| union.binary_search(w).expect("peval: demanded row missing from union"))
-        .collect()
-}
-
 /// Source of plan identities, so a [`RowCache`] knows whose rows it holds.
 static NEXT_PLAN: AtomicU64 = AtomicU64::new(0);
 
 /// The rows of one instruction the demand schedule computes.
 #[derive(Debug, Clone)]
 enum Demand {
-    /// These rows (sorted and deduplicated once all consumers merged in).
+    /// These rows (sorted and deduplicated, by one linear mark-and-scan,
+    /// once all consumers merged in).
     Rows(Vec<usize>),
     /// Every row (a consumer reads the instruction whole).
     All,
@@ -109,8 +104,6 @@ enum Demand {
 struct Walk {
     /// Rows of each instruction to compute (`None`: nothing to compute).
     demand: Vec<Option<Demand>>,
-    /// The halo each subset SpMM reads.
-    halos: Vec<Option<Vec<usize>>>,
     /// The last instruction that reads each one, after which it is dropped.
     last_reader: Vec<Option<usize>>,
     /// Rows of kept instructions demanded and not held by the cache.
@@ -228,15 +221,15 @@ impl<'a> RowPlan<'a> {
 
     /// The demand closure of output rows `rows`: walking [`row_deps`]
     /// backwards, the rows of each non-leaf instruction the forward pass
-    /// must compute (leaves are served from the plan whole), the halo each
-    /// subset SpMM reads, and each instruction's last reader. A kept
-    /// instruction's demand first loses the rows `cache` holds; one left
-    /// with no rows is not computed and demands nothing of its inputs.
+    /// must compute (leaves are served from the plan whole) and each
+    /// instruction's last reader. A kept instruction's demand first loses
+    /// the rows `cache` holds; one left with no rows is not computed and
+    /// demands nothing of its inputs.
     fn walk(&self, rows: &[usize], cache: Option<&RowCache>) -> Walk {
+        lasagne_obs::span!("peval.walk");
         let len = self.ops.len();
         let mut w = Walk {
             demand: vec![None; len],
-            halos: vec![None; len],
             last_reader: vec![None; len],
             computed: 0,
             reused: 0,
@@ -244,9 +237,8 @@ impl<'a> RowPlan<'a> {
         w.demand[self.output] = Some(Demand::Rows(rows.to_vec()));
         for i in (0..len).rev() {
             let d = match w.demand[i].take() {
-                Some(Demand::Rows(mut r)) => {
-                    r.sort_unstable();
-                    r.dedup();
+                Some(Demand::Rows(r)) => {
+                    let mut r = sorted_distinct(self.shapes[i].0, r);
                     if self.kept[i] {
                         let demanded = r.len();
                         if let Some(cache) = cache {
@@ -276,9 +268,7 @@ impl<'a> RowPlan<'a> {
                         continue;
                     }
                     (Demand::Rows(r), RowDep::Same) => r.clone(),
-                    (Demand::Rows(r), RowDep::Neighbors(m)) => {
-                        w.halos[i].insert(neighbors(&self.sparse[m], r)).clone()
-                    }
+                    (Demand::Rows(r), RowDep::Neighbors(m)) => neighbors(&self.sparse[m], r),
                     (Demand::Rows(r), RowDep::Gathered(idx)) => r.iter().map(|&p| idx[p]).collect(),
                 };
                 match &mut w.demand[j] {
@@ -322,7 +312,7 @@ impl<'a> RowPlan<'a> {
         if let Some(cache) = cache.as_deref_mut() {
             cache.bind(self);
         }
-        let mut walk = self.walk(rows, cache.as_deref());
+        let walk = self.walk(rows, cache.as_deref());
         lasagne_obs::counter_add("peval.rows_computed", walk.computed);
         lasagne_obs::counter_add("peval.rows_reused", walk.reused);
         let mut vals: Vec<Option<Tensor>> = vec![None; self.ops.len()];
@@ -338,7 +328,6 @@ impl<'a> RowPlan<'a> {
                 (Some(cache), Some(r)) if self.kept[i] => cache.keep(i, self.shapes[i], r, &value),
                 _ => vals[i] = Some(value),
             }
-            walk.halos[i] = None;
             for j in self.ops[i].inputs() {
                 if walk.last_reader[j] == Some(i) {
                     vals[j] = None;
@@ -402,12 +391,13 @@ impl RowCache {
         }
     }
 
-    /// Rows `wanted` (all held) of kept instruction `i`, `w` columns wide.
-    fn rows(&self, i: usize, w: usize, wanted: &[usize]) -> Tensor {
+    /// Kept instruction `i`'s `N × w` tensor, whose held rows its readers
+    /// read in place; `0 × w` while never written (nothing was demanded of
+    /// it yet).
+    fn value(&self, i: usize, w: usize) -> Cow<'_, Tensor> {
         match &self.slots[i] {
-            Some(kept) => kept.value.gather_rows(wanted),
-            // Never written: nothing was demanded of it yet.
-            None => Tensor::zeros(0, w),
+            Some(kept) => Cow::Borrowed(&kept.value),
+            None => Cow::Owned(Tensor::zeros(0, w)),
         }
     }
 }
@@ -433,24 +423,26 @@ impl Operands for Demanded<'_> {
         &self.plan.sparse[m]
     }
 
-    fn halo(&self, i: usize, m: usize, rows: &[usize]) -> Cow<'_, [usize]> {
-        match &self.walk.halos[i] {
-            Some(cols) => Cow::Borrowed(cols),
-            None => Cow::Owned(neighbors(&self.plan.sparse[m], rows)),
+    fn in_place(&self, j: usize) -> (Cow<'_, Tensor>, Option<&[usize]>) {
+        match (self.cache, &self.walk.demand[j], &self.vals[j]) {
+            (Some(cache), ..) if self.plan.kept[j] => (cache.value(j, self.plan.shapes[j].1), None),
+            (_, Some(Demand::Rows(union)), Some(v)) => (Cow::Borrowed(v), Some(union)),
+            _ => (Cow::Borrowed(self.whole(j)), None),
         }
     }
 
     fn rows(&self, j: usize, rows: Option<&[usize]>) -> Cow<'_, Tensor> {
         match (rows, self.cache, &self.walk.demand[j], &self.vals[j]) {
             (Some(wanted), Some(cache), ..) if self.plan.kept[j] => {
-                Cow::Owned(cache.rows(j, self.plan.shapes[j].1, wanted))
+                Cow::Owned(cache.value(j, self.plan.shapes[j].1).gather_rows(wanted))
             }
             // A row-aligned consumer usually wants exactly the rows computed.
             (Some(wanted), _, Some(Demand::Rows(union)), Some(v)) if wanted == union => {
                 Cow::Borrowed(v)
             }
             (Some(wanted), _, Some(Demand::Rows(union)), Some(v)) => {
-                Cow::Owned(v.gather_rows(&positions(union, wanted)))
+                let at: Vec<usize> = wanted.iter().map(|&r| position(union, r)).collect();
+                Cow::Owned(v.gather_rows(&at))
             }
             (Some(wanted), ..) => Cow::Owned(self.whole(j).gather_rows(wanted)),
             (None, ..) => Cow::Borrowed(self.whole(j)),

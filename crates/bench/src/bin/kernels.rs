@@ -292,19 +292,6 @@ fn main() {
             measure_seed(&cfg, &mut entries, "spmm_t_seed", format!("{label}_x{d}"), bytes, || {
                 a_hat_t.spmm_reference(&h)
             });
-            if di == 0 {
-                // The retired per-edge scatter kernel, for the record: the
-                // gather rewrite must not be slower even single-threaded.
-                measure(
-                    &cfg,
-                    &mut entries,
-                    "spmm_t_scatter",
-                    format!("{label}_x{d}"),
-                    bytes,
-                    false,
-                    || a_hat.spmm_t_scatter(&h),
-                );
-            }
         }
     }
 

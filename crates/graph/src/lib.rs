@@ -42,5 +42,5 @@ pub use algos::{
 };
 pub use error::GraphError;
 pub use graph::Graph;
-pub use partition::{OperatorBlock, PartitionBlock, Partitioning};
+pub use partition::{PartitionBlock, Partitioning};
 pub use stats::{degree_assortativity, degree_histogram, degree_stats, k_core, DegreeStats};

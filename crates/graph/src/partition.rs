@@ -1,5 +1,5 @@
 //! The partitioned-graph substrate: deterministic balanced parts with
-//! halo/ghost index maps and per-operator CSR blocks.
+//! halo/ghost index maps.
 //!
 //! [`Partitioning`] wraps [`partition_bfs`](crate::partition_bfs) into the
 //! structure out-of-core execution needs:
@@ -11,16 +11,12 @@
 //! * **halos** — per part, the sorted one-hop boundary (nodes outside the
 //!   core adjacent to it). A one-hop halo is exactly the ghost set a single
 //!   SpMM against a graph-local operator (Â, Ã_rw, A, A+I) needs: those
-//!   operators only couple a row to itself and its neighbors;
-//! * **operator blocks** — [`Partitioning::operator_block`] slices any CSR
-//!   operator to `core × touched-columns` with a sorted (monotone) column
-//!   remap. Because the SpMM kernel accumulates each output element over the
-//!   row's stored nonzeros in ascending-column order starting from +0.0, and
-//!   a monotone remap preserves that order, `block.spmm(gathered_x)` is
-//!   **bitwise** equal to the core rows of the full `m.spmm(x)` — the lemma
-//!   the partition-equivalence harness leans on (DESIGN.md §14).
+//!   operators only couple a row to itself and its neighbors.
+//!
+//! No operator is sliced per part: a part's rows of an SpMM are computed
+//! with `Csr::spmm_rows`, which reads the operand's core and halo rows in
+//! place, bitwise equal to those rows of the full product (DESIGN.md §14).
 
-use lasagne_sparse::Csr;
 use lasagne_tensor::TensorRng;
 
 use crate::error::GraphError;
@@ -58,18 +54,6 @@ impl PartitionBlock {
         out.extend_from_slice(&self.halo[j..]);
         out
     }
-}
-
-/// A CSR operator restricted to one part: the core rows with columns
-/// renumbered onto the sorted `cols` list (the rows other parts must ship
-/// over in a halo exchange).
-#[derive(Clone, Debug)]
-pub struct OperatorBlock {
-    /// Global column ids backing the block's local columns, sorted
-    /// ascending: local column `j` is global column `cols[j]`.
-    pub cols: Vec<usize>,
-    /// `core.len() × cols.len()` slice of the operator.
-    pub csr: Csr,
 }
 
 /// Deterministic balanced partitioning of a graph with ghost-node maps.
@@ -148,23 +132,6 @@ impl Partitioning {
     /// Owner map: `part_of()[v]` is the part index owning node `v`.
     pub fn part_of(&self) -> &[u32] {
         &self.part_of
-    }
-
-    /// Slice a CSR operator to part `p`: rows = the part's core, columns =
-    /// the sorted union of the core and every column those rows touch. For
-    /// graph-local operators the extra columns are a subset of the one-hop
-    /// halo; the column remap is monotone, so the block SpMM is bitwise
-    /// equal to the corresponding rows of the full SpMM (module docs).
-    pub fn operator_block(&self, m: &Csr, p: usize) -> OperatorBlock {
-        let core = &self.parts[p].core;
-        let mut cols: Vec<usize> = core.clone();
-        for &r in core {
-            cols.extend(m.row_indices(r).iter().map(|&c| c as usize));
-        }
-        cols.sort_unstable();
-        cols.dedup();
-        let csr = m.slice(core, &cols);
-        OperatorBlock { cols, csr }
     }
 }
 

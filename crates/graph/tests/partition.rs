@@ -1,7 +1,7 @@
 //! Property suite for the partitioner and the `Partitioning` layer
 //! (ISSUE 9 satellite): coverage, balance, determinism across thread
 //! counts, shadow-checked halos, k=1 degeneration, typed bad-k errors,
-//! and the operator-block SpMM bitwise lemma.
+//! and the core-rows SpMM bitwise lemma.
 
 use std::collections::BTreeSet;
 
@@ -130,11 +130,6 @@ fn k1_degenerates_to_the_resident_path() {
     assert_eq!(p.num_parts(), 1);
     assert_eq!(p.part(0).core, (0..120).collect::<Vec<_>>());
     assert!(p.part(0).halo.is_empty());
-    // The single operator block IS the resident operator.
-    let a_hat = g.normalized_adjacency();
-    let block = p.operator_block(&a_hat, 0);
-    assert_eq!(block.cols, (0..120).collect::<Vec<_>>());
-    assert_eq!(block.csr.to_dense().as_slice(), a_hat.to_dense().as_slice());
 }
 
 #[test]
@@ -154,30 +149,31 @@ fn bad_k_is_a_typed_error() {
 }
 
 #[test]
-fn operator_block_columns_stay_within_core_plus_halo() {
+fn graph_local_operator_columns_stay_within_core_plus_halo() {
     // For graph-local operators (Â couples a node to itself + neighbors)
-    // the touched columns are a subset of core ∪ halo — the halo exchange
-    // contract: one hop of ghosts suffices for one SpMM.
+    // the columns a part's core rows touch are a subset of core ∪ halo —
+    // the halo exchange contract: one hop of ghosts suffices for one SpMM.
     let g = sbm(200, 6);
     let a_hat = g.normalized_adjacency();
     let mut rng = TensorRng::seed_from_u64(70);
     let p = Partitioning::new(&g, 6, &mut rng).unwrap();
     for pi in 0..p.num_parts() {
-        let block = p.operator_block(&a_hat, pi);
         let locals: BTreeSet<usize> = p.part(pi).locals().into_iter().collect();
-        for &c in &block.cols {
-            assert!(locals.contains(&c), "block column {c} outside core ∪ halo");
+        for &r in &p.part(pi).core {
+            for &c in a_hat.row_indices(r) {
+                assert!(locals.contains(&(c as usize)), "column {c} outside core ∪ halo");
+            }
         }
     }
 }
 
 #[test]
-fn operator_block_spmm_is_bitwise_rows_of_full_spmm() {
-    // The lemma the out-of-core evaluator rests on: a monotone column remap
-    // preserves each row's stored-nonzero order, and SpMM accumulates each
-    // output element over exactly that order from +0.0 — so the block
-    // product equals the core rows of the full product bit for bit, at any
-    // thread count.
+fn core_rows_read_in_place_are_bitwise_rows_of_full_spmm() {
+    // The lemma the out-of-core evaluator rests on: SpMM accumulates each
+    // output element over the row's stored nonzeros in order from +0.0, and
+    // `spmm_rows` runs exactly that sum over the operand rows read in place
+    // — so a part's core rows equal those rows of the full product bit for
+    // bit, at any thread count.
     let g = sbm(180, 7);
     let n = g.num_nodes();
     for op in [g.normalized_adjacency(), g.adjacency().clone()] {
@@ -189,9 +185,7 @@ fn operator_block_spmm_is_bitwise_rows_of_full_spmm() {
             let mut rng = TensorRng::seed_from_u64(81);
             let p = Partitioning::new(&g, 5, &mut rng).unwrap();
             for pi in 0..p.num_parts() {
-                let block = p.operator_block(&op, pi);
-                let x_ghost = x.gather_rows(&block.cols);
-                let ours = block.csr.spmm(&x_ghost);
+                let ours = op.spmm_rows(&p.part(pi).core, &x, |j| j);
                 for (local, &row) in p.part(pi).core.iter().enumerate() {
                     for c in 0..9 {
                         assert_eq!(

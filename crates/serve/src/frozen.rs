@@ -272,20 +272,10 @@ fn csr_from_json(j: &Json) -> ServeResult<Csr> {
     let indptr = usize_arr(j, "indptr", "sparse")?;
     let indices = hex_words(j, "indices", "sparse", u32::from_le_bytes)?;
     let values = hex_words(j, "values", "sparse", f32::from_le_bytes)?;
-    if indptr.len() != rows + 1
-        || indptr.first() != Some(&0)
-        || indptr.last() != Some(&indices.len())
-        || indices.len() != values.len()
-        || indptr.windows(2).any(|w| w[0] > w[1])
-        || indices.iter().any(|&c| c as usize >= cols)
-    {
-        return Err(ServeError::Mismatch("sparse: inconsistent CSR arrays".into()));
-    }
-    // `recommend`'s mask and `Csr::edge_position` binary-search each row.
-    if indptr.windows(2).any(|w| indices[w[0]..w[1]].windows(2).any(|c| c[0] >= c[1])) {
-        return Err(ServeError::Mismatch("sparse: a row's columns are not strictly ascending".into()));
-    }
-    Ok(Csr::from_parts(rows, cols, indptr, indices, values))
+    // `recommend`'s mask and `Csr::edge_position` binary-search each row,
+    // so unsorted rows are refused with the rest.
+    Csr::try_from_parts(rows, cols, indptr, indices, values)
+        .map_err(|e| ServeError::Mismatch(format!("sparse: {e}")))
 }
 
 fn op_to_json(op: &ProgramOp) -> Json {

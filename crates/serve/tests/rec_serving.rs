@@ -368,25 +368,37 @@ fn classifier_server_refuses_recommend_over_the_wire() {
     client.call_ok(&Request::Shutdown).expect("shutdown ack");
 }
 
+/// The member `key` of a JSON object.
+fn member<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(fields) = obj else { panic!("'{key}' of a non-object") };
+    &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no '{key}'")).1
+}
+
 /// Checksum-valid artifacts whose interaction rows are not strictly
 /// ascending: user 0 holding item 0 `items + 1` times (its mask is longer
 /// than the item list), and user 0 holding `[5, 3]` (a binary search of
-/// that row misses item 5). Both engines refuse them at load.
+/// that row misses item 5). No `Csr` holds such rows, so each is written
+/// by editing the `interacted` arrays of a valid artifact's body and
+/// publishing it again under a valid checksum. Both engines refuse them at
+/// load.
 #[test]
 fn unsorted_interaction_rows_are_refused_at_load_by_both_engines() {
     let ds = RecDataset::generate(&small_cfg(), 13);
     let ctx = rec_ctx(&ds);
     let model = trained_model(&ds, &ctx);
+    let frozen = freeze_rec(&model, &ctx, "rec-tiny", frozen_rec_block(&ds)).expect("freeze_rec");
     let repeated = vec![0u32; ds.items + 1];
     let descending = vec![5u32, 3];
     for (what, row) in [("repeated", repeated), ("descending", descending)] {
         let mut indptr = vec![0, row.len()];
         indptr.resize(ds.users + 1, row.len());
-        let values = vec![1.0; row.len()];
-        let interacted = Csr::from_parts(ds.users, ds.items, indptr, row, values);
-        let rec = FrozenRec { items: ds.items, users: ds.users, interacted };
+        let mut body = frozen.to_json();
+        let interacted = member(member(&mut body, "rec"), "interacted");
+        *member(interacted, "indptr") = Json::Arr(indptr.iter().map(|&p| Json::Num(p as f64)).collect());
+        *member(interacted, "indices") = Json::hex_words(row.iter().map(|c| c.to_le_bytes()));
+        *member(interacted, "values") = Json::hex_words(row.iter().map(|_| 1f32.to_le_bytes()));
         let path = temp_path(what);
-        freeze_rec(&model, &ctx, "rec-tiny", rec).expect("freeze_rec").save(&path).expect("save");
+        lasagne_train::atomic_write_envelope(&path, body).expect("save edited artifact");
         let resident = Engine::load_path(&path).err().unwrap_or_else(|| panic!("{what} loaded"));
         assert_eq!(resident.kind(), "mismatch", "{what}: {resident}");
         let lazy = LazyEngine::load_path(&path, 2).err().unwrap_or_else(|| panic!("{what} loaded"));

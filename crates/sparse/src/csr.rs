@@ -19,38 +19,93 @@ use lasagne_tensor::Tensor;
 /// The hot path has a compile-time trip count for the autovectorizer.
 const CB: usize = 64;
 
-/// One output-row × one column-block of SpMM, full-width fast path:
-/// `acc[0..CB] += v · x[j, c0..c0+CB]` over the row's nonzeros in stored
-/// order — the same per-element accumulation sequence as the seed kernel,
-/// so bits are unchanged.
+/// One output row of SpMM: `out = Σ v · x[at(j)]` over the row's stored
+/// nonzeros `(idx, vals)` in stored order, where row `at(j)` of the
+/// row-major, `out.len()`-wide operand `x` holds operand row `j`. Each
+/// element accumulates from the zeroed `out` (`+0.0`) — the seed kernel's
+/// per-element sequence, so bits are unchanged. A narrow operand
+/// (`out.len() ≤ CB`) is one block: axpy straight into `out`. A wider one
+/// goes `CB` columns at a time through a stack accumulator, so the dense
+/// operand streams through cache in 256-byte segments instead of whole
+/// rows per nonzero.
 #[inline(always)]
-fn spmm_row_block(acc: &mut [f32; CB], idx: &[u32], vals: &[f32], x: &[f32], d: usize, c0: usize) {
-    for (&j, &v) in idx.iter().zip(vals) {
-        let seg = &x[j as usize * d + c0..j as usize * d + c0 + CB];
-        for cc in 0..CB {
-            acc[cc] += v * seg[cc];
+fn spmm_row(out: &mut [f32], idx: &[u32], vals: &[f32], x: &[f32], at: &impl Fn(usize) -> usize) {
+    let d = out.len();
+    if d <= CB {
+        for (&j, &v) in idx.iter().zip(vals) {
+            let base = at(j as usize) * d;
+            for (o, &xv) in out.iter_mut().zip(&x[base..base + d]) {
+                *o += v * xv;
+            }
+        }
+        return;
+    }
+    let mut c0 = 0;
+    while c0 < d {
+        let cw = (d - c0).min(CB);
+        let mut acc = [0.0f32; CB];
+        if cw == CB {
+            // Full-width block: a compile-time trip count for the
+            // autovectorizer.
+            for (&j, &v) in idx.iter().zip(vals) {
+                let base = at(j as usize) * d + c0;
+                let seg = &x[base..base + CB];
+                for cc in 0..CB {
+                    acc[cc] += v * seg[cc];
+                }
+            }
+        } else {
+            for (&j, &v) in idx.iter().zip(vals) {
+                let base = at(j as usize) * d + c0;
+                for (a, &xv) in acc[..cw].iter_mut().zip(&x[base..base + cw]) {
+                    *a += v * xv;
+                }
+            }
+        }
+        out[c0..c0 + cw].copy_from_slice(&acc[..cw]);
+        c0 += CB;
+    }
+}
+
+/// Why [`Csr::try_from_parts`] refused its arrays.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CsrError {
+    /// The arrays do not describe a `rows × cols` matrix (the detail says
+    /// how).
+    Inconsistent(&'static str),
+    /// Row `row`'s column indices do not strictly ascend.
+    Unsorted { row: usize },
+}
+
+impl std::fmt::Display for CsrError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CsrError::Inconsistent(what) => write!(f, "inconsistent CSR arrays: {what}"),
+            CsrError::Unsorted { row } => {
+                write!(f, "the columns of row {row} are not strictly ascending")
+            }
         }
     }
 }
 
-/// Edge-block variant (`cw < CB`): identical accumulation with a runtime
-/// bound.
+impl std::error::Error for CsrError {}
+
+/// Start loading `row` into cache: each of its 64-byte lines, and its last
+/// element's (the row need not start on a line). A no-op off x86-64.
+/// [`Csr::spmm_rows`] reads operand rows at random out of tensors larger
+/// than L2; without a prefetch, a cache miss per operand row takes longer
+/// than the row's multiply-adds.
 #[inline(always)]
-fn spmm_row_block_edge(
-    acc: &mut [f32],
-    idx: &[u32],
-    vals: &[f32],
-    x: &[f32],
-    d: usize,
-    c0: usize,
-) {
-    let cw = acc.len();
-    for (&j, &v) in idx.iter().zip(vals) {
-        let seg = &x[j as usize * d + c0..j as usize * d + c0 + cw];
-        for (a, &xv) in acc.iter_mut().zip(seg) {
-            *a += v * xv;
-        }
+fn prefetch(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    for p in row.iter().step_by(16).chain(row.last()) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch loads nothing architecturally and cannot
+        // fault; `p` is in bounds anyway.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((p as *const f32).cast()) };
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 /// Compressed-sparse-row matrix.
@@ -151,7 +206,47 @@ impl Csr {
         }
     }
 
-    /// Construct directly from CSR arrays, validating the invariants.
+    /// Construct directly from CSR arrays, or say which invariant (type
+    /// docs) they break. The one check of arrays that come from outside —
+    /// a file's sparse operators are read through it.
+    pub fn try_from_parts(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Result<Csr, CsrError> {
+        let inconsistent = |what| Err(CsrError::Inconsistent(what));
+        if indptr.len() != rows + 1 || indptr[0] != 0 {
+            return inconsistent("indptr is not rows + 1 offsets from 0");
+        }
+        if indices.len() != values.len() || indptr[rows] != indices.len() {
+            return inconsistent("indptr, indices and values disagree on the entry count");
+        }
+        if indptr.windows(2).any(|w| w[0] > w[1]) {
+            return inconsistent("indptr decreases");
+        }
+        if indices.iter().any(|&c| c as usize >= cols) {
+            return inconsistent("a column index is out of range");
+        }
+        let unsorted = |r: &usize| {
+            indices[indptr[*r]..indptr[r + 1]].windows(2).any(|c| c[0] >= c[1])
+        };
+        if let Some(row) = (0..rows).find(unsorted) {
+            return Err(CsrError::Unsorted { row });
+        }
+        Ok(Csr {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+            t_cache: OnceLock::new(),
+        })
+    }
+
+    /// Construct directly from CSR arrays; panics unless they meet the
+    /// invariants ([`Csr::try_from_parts`] says which they break).
     pub fn from_parts(
         rows: usize,
         cols: usize,
@@ -159,24 +254,8 @@ impl Csr {
         indices: Vec<u32>,
         values: Vec<f32>,
     ) -> Csr {
-        assert_eq!(indptr.len(), rows + 1, "from_parts: indptr length");
-        assert_eq!(indptr[0], 0, "from_parts: indptr[0]");
-        assert_eq!(indices.len(), values.len(), "from_parts: nnz mismatch");
-        assert_eq!(*indptr.last().unwrap(), indices.len(), "from_parts: total nnz");
-        for w in indptr.windows(2) {
-            assert!(w[0] <= w[1], "from_parts: indptr must be non-decreasing");
-        }
-        for &c in &indices {
-            assert!((c as usize) < cols, "from_parts: col {c} out of range");
-        }
-        Csr {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-            t_cache: OnceLock::new(),
-        }
+        Csr::try_from_parts(rows, cols, indptr, indices, values)
+            .unwrap_or_else(|e| panic!("from_parts: {e}"))
     }
 
     /// The `n x n` sparse identity.
@@ -319,38 +398,61 @@ impl Csr {
             lasagne_par::DEFAULT_CSR_CHUNK_NNZ,
             |i0, chunk| {
                 for (r, o_row) in chunk.chunks_mut(d).enumerate() {
-                    let i = i0 + r;
+                    let (lo, hi) = (indptr[i0 + r], indptr[i0 + r + 1]);
+                    spmm_row(o_row, &indices[lo..hi], &values[lo..hi], x, &|j| j);
+                }
+            },
+        );
+        out
+    }
+
+    /// Rows `rows` of `self · operand` (any order, repeats allowed),
+    /// bitwise equal to `self.spmm(operand).gather_rows(rows)`, reading the
+    /// operand in place: row `at(j)` of `x` holds operand row `j`, wherever
+    /// the caller keeps it (`x` may hold only the rows `rows` read). Each
+    /// output row runs [`Csr::spmm`]'s row body over the same stored
+    /// nonzeros in the same order, so no operator slice and no gathered
+    /// copy of the operand are built. Rows are fanned out in nnz-balanced
+    /// chunks, as `spmm`'s are, and while one row is summed the next row's
+    /// operand rows are prefetched.
+    pub fn spmm_rows(
+        &self,
+        rows: &[usize],
+        x: &Tensor,
+        at: impl Fn(usize) -> usize + Sync,
+    ) -> Tensor {
+        let d = x.cols();
+        let mut out = Tensor::zeros(rows.len(), d);
+        if d == 0 || rows.is_empty() {
+            return out;
+        }
+        lasagne_obs::span!("spmm");
+        // Prefix nnz over the demanded rows: the chunker's indptr.
+        let mut ptr = Vec::with_capacity(rows.len() + 1);
+        ptr.push(0);
+        for &r in rows {
+            assert!(r < self.rows, "spmm_rows: row {r} of {}", self.rows);
+            ptr.push(ptr[ptr.len() - 1] + self.row_nnz(r));
+        }
+        lasagne_obs::counter_add("spmm.nnz", ptr[rows.len()] as u64);
+        let x = x.as_slice();
+        let (indptr, indices, values) = (&self.indptr, &self.indices, &self.values);
+        lasagne_par::par_csr_row_chunks_mut(
+            out.as_mut_slice(),
+            d,
+            &ptr,
+            lasagne_par::DEFAULT_CSR_CHUNK_NNZ,
+            |k0, chunk| {
+                for (k, o_row) in chunk.chunks_mut(d).enumerate() {
+                    if let Some(&next) = rows.get(k0 + k + 1) {
+                        for &j in &indices[indptr[next]..indptr[next + 1]] {
+                            let base = at(j as usize) * d;
+                            prefetch(&x[base..base + d]);
+                        }
+                    }
+                    let i = rows[k0 + k];
                     let (lo, hi) = (indptr[i], indptr[i + 1]);
-                    let idx = &indices[lo..hi];
-                    let vals = &values[lo..hi];
-                    if d <= CB {
-                        // Narrow operand: the whole output row is one block,
-                        // so skip the block loop and the accumulate-then-copy
-                        // round trip — axpy straight into the (zeroed) output
-                        // row. Per-element accumulation order over the row's
-                        // nonzeros is unchanged, so bits are unchanged.
-                        for (&j, &v) in idx.iter().zip(vals) {
-                            let x_row = &x[j as usize * d..j as usize * d + d];
-                            for (o, &xv) in o_row.iter_mut().zip(x_row) {
-                                *o += v * xv;
-                            }
-                        }
-                        continue;
-                    }
-                    let mut c0 = 0;
-                    while c0 < d {
-                        let cw = (d - c0).min(CB);
-                        if cw == CB {
-                            let mut acc = [0.0f32; CB];
-                            spmm_row_block(&mut acc, idx, vals, x, d, c0);
-                            o_row[c0..c0 + CB].copy_from_slice(&acc);
-                        } else {
-                            let mut acc = [0.0f32; CB];
-                            spmm_row_block_edge(&mut acc[..cw], idx, vals, x, d, c0);
-                            o_row[c0..c0 + cw].copy_from_slice(&acc[..cw]);
-                        }
-                        c0 += CB;
-                    }
+                    spmm_row(o_row, &indices[lo..hi], &values[lo..hi], x, &at);
                 }
             },
         );
@@ -388,8 +490,8 @@ impl Csr {
     /// Gather form replaces the old per-edge scatter (which copied a dense
     /// row per *source* row and could not row-partition); the transposed
     /// rows list source rows in ascending order — the scatter's exact
-    /// accumulation order — so results are bitwise unchanged
-    /// ([`Csr::spmm_t_scatter`] stays around as the test reference).
+    /// accumulation order — so results are bitwise unchanged (the sparse
+    /// `par_equivalence` suite keeps a scatter loop as the reference).
     pub fn spmm_t(&self, dense: &Tensor) -> Tensor {
         assert_eq!(
             self.rows,
@@ -402,30 +504,6 @@ impl Csr {
         );
         lasagne_obs::span!("spmm_t");
         self.transposed().spmm(dense)
-    }
-
-    /// The original scatter-form `selfᵀ · dense`, kept (not wired anywhere)
-    /// as the independent reference implementation for the
-    /// gather-equals-scatter bitwise equivalence test.
-    #[doc(hidden)]
-    pub fn spmm_t_scatter(&self, dense: &Tensor) -> Tensor {
-        assert_eq!(self.rows, dense.rows(), "spmm_t_scatter: shape mismatch");
-        let d = dense.cols();
-        let mut out = Tensor::zeros(self.cols, d);
-        for i in 0..self.rows {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            let d_row = dense.row(i).to_vec(); // copy: out and dense may alias rows
-            for e in lo..hi {
-                let j = self.indices[e] as usize;
-                let v = self.values[e];
-                let o_row = out.row_mut(j);
-                for (o, &x) in o_row.iter_mut().zip(&d_row) {
-                    *o += v * x;
-                }
-            }
-        }
-        out
     }
 
     /// Sparse × dense-vector specialization (used by PageRank).
@@ -656,6 +734,30 @@ mod tests {
         let c = m.clone();
         assert_eq!(m, c, "cache must not affect equality");
         assert_eq!(c.transposed(), &c.transpose());
+    }
+
+    #[test]
+    fn try_from_parts_names_the_broken_invariant() {
+        let parts = |indptr: &[usize], indices: &[u32]| {
+            let values = vec![1.0; indices.len()];
+            Csr::try_from_parts(2, 9, indptr.to_vec(), indices.to_vec(), values)
+        };
+        let want = Csr::from_coo(2, 9, &[(0, 3, 1.0), (0, 5, 1.0), (1, 0, 1.0)]);
+        assert_eq!(parts(&[0, 2, 3], &[3, 5, 0]), Ok(want));
+        assert_eq!(parts(&[0, 2, 3], &[5, 3, 0]), Err(CsrError::Unsorted { row: 0 }));
+        assert_eq!(parts(&[0, 1, 4], &[0, 2, 2, 4]), Err(CsrError::Unsorted { row: 1 }));
+        let inconsistent: [(&[usize], &[u32]); 4] =
+            [(&[0, 2], &[0, 1]), (&[1, 2, 3], &[0, 1]), (&[0, 2, 1], &[0, 1]), (&[0, 1, 2], &[0, 9])];
+        for (indptr, indices) in inconsistent {
+            let got = parts(indptr, indices);
+            assert!(matches!(got, Err(CsrError::Inconsistent(_))), "{indptr:?} {indices:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn from_parts_refuses_a_repeated_column() {
+        let _ = Csr::from_parts(1, 4, vec![0, 2], vec![2, 2], vec![1.0; 2]);
     }
 
     #[test]

@@ -23,5 +23,5 @@ mod edgedata;
 mod norm;
 mod structure;
 
-pub use csr::Csr;
+pub use csr::{Csr, CsrError};
 pub use edgedata::{EdgeData, EdgeDataError};

@@ -18,6 +18,21 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The retired scatter-form `aᵀ · dense`: each source row `i` adds
+/// `v · dense[i]` into output row `j` for every stored `(i, j, v)`, rows in
+/// ascending order — the accumulation order the gather form reproduces.
+fn spmm_t_scatter(a: &Csr, dense: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(a.cols(), dense.cols());
+    for i in 0..a.rows() {
+        for (j, v) in a.row(i) {
+            for (o, &x) in out.row_mut(j as usize).iter_mut().zip(dense.row(i)) {
+                *o += v * x;
+            }
+        }
+    }
+    out
+}
+
 fn invariant(label: &str, compute: impl Fn() -> Vec<u32>) -> Result<(), String> {
     lasagne_par::set_threads(1);
     let baseline = compute();
@@ -55,7 +70,7 @@ fn sparse_kernels_bitwise_invariant_across_thread_counts() {
             // Gather (new) vs scatter (retired reference), bit for bit.
             lasagne_par::set_threads(1);
             let gather = a.spmm_t(&h);
-            let scatter = a.spmm_t_scatter(&h);
+            let scatter = spmm_t_scatter(&a, &h);
             if bits(&gather) != bits(&scatter) {
                 return Err("spmm_t gather != scatter bitwise".to_string());
             }
