@@ -28,12 +28,13 @@
 //! operand rows alone (a subset `MatMul` is the same dense product over the
 //! gathered left rows), plus two rules, both kept in [`op_rows`]:
 //!
-//! * a subset `SpMM` runs `Csr::spmm_rows`: each requested operator row
-//!   reads its operand rows in place, by their original index, from
-//!   wherever the schedule holds them ([`Operands::in_place`]) — no operator
-//!   slice, no gathered copy. With the ascending-from-+0.0 accumulation
-//!   contract (DESIGN.md §8) each row sums the same products in the same
-//!   order as the whole `spmm`;
+//! * a subset `SpMM` runs `Csr::spmm_rows` on the operand its schedule
+//!   holds whole ([`Operands::whole`]: a leaf, a resident value, or the
+//!   demand schedule's `N × w` cached tensor): each requested operator row
+//!   reads its operand rows in place, by their original index — no
+//!   operator slice, no gathered copy. With the ascending-from-+0.0
+//!   accumulation contract (DESIGN.md §8) each row sums the same products
+//!   in the same order as the whole `spmm`;
 //! * `MaxStack` folds with strict `>` from the first part, so ties keep
 //!   the earliest layer.
 
@@ -253,13 +254,6 @@ pub trait Operands {
             Some(r) => Cow::Owned(self.whole(j).gather_rows(r)),
         }
     }
-
-    /// Operand `j` as a subset `SpMM` reads it in place: a tensor and, when
-    /// it holds only some of `j`'s rows, their sorted original indices
-    /// (`None`: its row `r` is row `r`).
-    fn in_place(&self, j: usize) -> (Cow<'_, Tensor>, Option<&[usize]>) {
-        (Cow::Borrowed(self.whole(j)), None)
-    }
 }
 
 /// The value of leaf `op` — a `Constant`'s tensor or the named weight —
@@ -325,12 +319,9 @@ pub fn op_rows(op: &ProgramOp, i: usize, rows: Option<&[usize]>, src: &impl Oper
     match op {
         Constant { .. } | Param { .. } => at(i).into_owned(),
         MatMul { a, b } => at(*a).matmul(src.whole(*b)),
-        SpMM { m, x } => match (rows, src.sparse(*m)) {
-            (None, m) => m.spmm(src.whole(*x)),
-            (Some(r), m) => match src.in_place(*x) {
-                (x, None) => m.spmm_rows(r, &x, |j| j),
-                (x, Some(ids)) => m.spmm_rows(r, &x, |j| position(ids, j)),
-            },
+        SpMM { m, x } => match rows {
+            None => src.sparse(*m).spmm(src.whole(*x)),
+            Some(r) => src.sparse(*m).spmm_rows(r, src.whole(*x)),
         },
         Add { a, b } => at(*a).add(&at(*b)),
         Sub { a, b } => at(*a).sub(&at(*b)),

@@ -195,16 +195,6 @@ impl ParamStore {
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Tensor)> {
         self.values.iter().enumerate().map(|(i, t)| (ParamId(i), t))
     }
-
-    /// Sum of squared Frobenius norms of decayed parameters — the explicit
-    /// L2 term if a caller wants the loss value to include it.
-    pub fn l2_penalty(&self) -> f32 {
-        self.values
-            .iter()
-            .zip(&self.decay_mask)
-            .map(|(v, &m)| m * v.as_slice().iter().map(|x| x * x).sum::<f32>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -267,13 +257,5 @@ mod tests {
         s.accumulate_grad(a, &Tensor::full(1, 1, 3.0));
         s.accumulate_grad(b, &Tensor::full(1, 1, 4.0));
         assert!((s.grad_global_norm() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn l2_penalty_respects_mask() {
-        let mut s = ParamStore::new();
-        s.add("w", Tensor::full(1, 2, 2.0)); // contributes 8
-        s.add_with_decay("c", Tensor::full(1, 2, 3.0), false); // exempt
-        assert_eq!(s.l2_penalty(), 8.0);
     }
 }

@@ -12,20 +12,20 @@
 //! halo, the gathered index, or the whole operand — and a forward pass
 //! runs the shared op kernel [`op_rows`] on exactly those rows, dropping
 //! each intermediate after its last reader. The subset bitwise rules (SpMM
-//! operand rows read in place, strict-`>` `MaxStack`) live in that kernel;
-//! this schedule only says where an SpMM's operand rows are: a leaf, a
-//! whole value, the cache's kept tensor, or the rows its demand computed.
+//! operand rows read in place, strict-`>` `MaxStack`) live in that kernel.
 //!
-//! Only an SpMM's demand crosses partitions: its halo. A [`RowCache`] keeps
-//! the computed rows of every instruction an SpMM reads (its *kept*
-//! instructions) across evaluations, and the walk drops the rows the cache
-//! holds from such an instruction's demand before passing demand on to its
-//! inputs, so a partition sweep through one cache computes each of those
-//! rows once, and an SpMM reads them in place from the cache. By the subset
-//! rules a kept row is the row a later evaluation would recompute, so the
-//! bits do not change. The counters `peval.rows_computed` and
-//! `peval.rows_reused` count the rows of kept instructions an evaluation
-//! computed and found in its cache.
+//! Only an SpMM's demand crosses partitions: its halo. Every evaluation
+//! runs through a [`RowCache`], which keeps the computed rows of every
+//! instruction an SpMM reads (its *kept* instructions) in one `N × w`
+//! tensor each. The walk drops the rows the cache holds from such an
+//! instruction's demand before passing demand on to its inputs, so a
+//! partition sweep through one cache computes each of those rows once, and
+//! an SpMM reads them in place from the cache's tensor by their original
+//! row index. By the subset rules a kept row is the row a later evaluation
+//! would recompute, so the bits do not change. [`RowPlan::eval_rows`] is
+//! one evaluation through a fresh cache. The counters `peval.rows_computed`
+//! and `peval.rows_reused` count the rows of kept instructions an
+//! evaluation computed and found in its cache.
 //!
 //! A whole-operand dependency on a graph-sized non-leaf — `SumAll`/`SumRows`
 //! over activations, GAT's attention — is not row-local: plans over such
@@ -225,7 +225,7 @@ impl<'a> RowPlan<'a> {
     /// instruction's last reader. A kept instruction's demand first loses
     /// the rows `cache` holds; one left with no rows is not computed and
     /// demands nothing of its inputs.
-    fn walk(&self, rows: &[usize], cache: Option<&RowCache>) -> Walk {
+    fn walk(&self, rows: &[usize], cache: &RowCache) -> Walk {
         lasagne_obs::span!("peval.walk");
         let len = self.ops.len();
         let mut w = Walk {
@@ -241,13 +241,11 @@ impl<'a> RowPlan<'a> {
                     let mut r = sorted_distinct(self.shapes[i].0, r);
                     if self.kept[i] {
                         let demanded = r.len();
-                        if let Some(cache) = cache {
-                            r.retain(|&row| !cache.holds(i, row));
-                        }
+                        r.retain(|&row| !cache.holds(i, row));
                         w.computed += r.len() as u64;
                         w.reused += (demanded - r.len()) as u64;
                         // Every row held: its readers read the cache.
-                        if r.is_empty() && cache.is_some() {
+                        if r.is_empty() {
                             continue;
                         }
                     }
@@ -283,10 +281,12 @@ impl<'a> RowPlan<'a> {
     }
 
     /// Evaluate the program restricted to output rows `rows` (any order,
-    /// repeats allowed). Returns a `rows.len() × cols` tensor whose row `r`
-    /// is bitwise equal to row `rows[r]` of the resident evaluation.
+    /// repeats allowed): [`RowPlan::eval_rows_cached`] through a fresh
+    /// [`RowCache`], so it holds `N ×` the kept widths while it runs and
+    /// keeps nothing afterwards. Returns a `rows.len() × cols` tensor whose
+    /// row `r` is bitwise equal to row `rows[r]` of the resident evaluation.
     pub fn eval_rows(&self, rows: &[usize]) -> Result<Tensor, PevalError> {
-        self.run(rows, None)
+        self.eval_rows_cached(rows, &mut RowCache::new())
     }
 
     /// [`RowPlan::eval_rows`] through `cache`: rows of kept instructions the
@@ -298,10 +298,6 @@ impl<'a> RowPlan<'a> {
         rows: &[usize],
         cache: &mut RowCache,
     ) -> Result<Tensor, PevalError> {
-        self.run(rows, Some(cache))
-    }
-
-    fn run(&self, rows: &[usize], mut cache: Option<&mut RowCache>) -> Result<Tensor, PevalError> {
         let (out_rows, out_cols) = self.output_shape();
         if let Some(&row) = rows.iter().find(|&&r| r >= out_rows) {
             return Err(PevalError::RowOutOfRange { row, rows: out_rows });
@@ -309,10 +305,8 @@ impl<'a> RowPlan<'a> {
         if rows.is_empty() {
             return Ok(Tensor::zeros(0, out_cols));
         }
-        if let Some(cache) = cache.as_deref_mut() {
-            cache.bind(self);
-        }
-        let walk = self.walk(rows, cache.as_deref());
+        cache.bind(self);
+        let walk = self.walk(rows, cache);
         lasagne_obs::counter_add("peval.rows_computed", walk.computed);
         lasagne_obs::counter_add("peval.rows_reused", walk.reused);
         let mut vals: Vec<Option<Tensor>> = vec![None; self.ops.len()];
@@ -322,10 +316,10 @@ impl<'a> RowPlan<'a> {
                 (Some(Demand::All), false) => None,
                 _ => continue,
             };
-            let src = Demanded { plan: self, walk: &walk, vals: &vals, cache: cache.as_deref() };
+            let src = Demanded { plan: self, walk: &walk, vals: &vals, cache };
             let value = op_rows(&self.ops[i], i, only, &src);
-            match (cache.as_deref_mut(), only) {
-                (Some(cache), Some(r)) if self.kept[i] => cache.keep(i, self.shapes[i], r, &value),
+            match only {
+                Some(r) if self.kept[i] => cache.keep(i, self.shapes[i], r, &value),
                 _ => vals[i] = Some(value),
             }
             for j in self.ops[i].inputs() {
@@ -334,7 +328,7 @@ impl<'a> RowPlan<'a> {
                 }
             }
         }
-        let src = Demanded { plan: self, walk: &walk, vals: &vals, cache: cache.as_deref() };
+        let src = Demanded { plan: self, walk: &walk, vals: &vals, cache };
         Ok(src.rows(self.output, Some(rows)).into_owned())
     }
 }
@@ -349,8 +343,9 @@ impl<'a> RowPlan<'a> {
 pub struct RowCache {
     /// Identity of the plan the rows belong to.
     plan: Option<u64>,
-    /// One slot per instruction, filled on its first write.
-    slots: Vec<Option<Kept>>,
+    /// One slot per instruction: `0 × w` with no flags until its first
+    /// write, `N × w` from then on.
+    slots: Vec<Kept>,
 }
 
 /// The kept rows of one instruction.
@@ -366,38 +361,35 @@ impl RowCache {
     }
 
     /// Tie the cache to `plan`, emptying it if it holds another plan's rows.
+    /// An empty slot allocates nothing.
     fn bind(&mut self, plan: &RowPlan<'_>) {
         if self.plan != Some(plan.id) {
-            self.slots = (0..plan.ops.len()).map(|_| None).collect();
+            let empty = |&(_, w): &(usize, usize)| Kept {
+                value: Tensor::zeros(0, w),
+                done: Vec::new(),
+            };
+            self.slots = plan.shapes.iter().map(empty).collect();
             self.plan = Some(plan.id);
         }
     }
 
     fn holds(&self, i: usize, row: usize) -> bool {
-        self.slots[i].as_ref().is_some_and(|k| k.done[row])
+        self.slots[i].done.get(row) == Some(&true)
     }
 
     /// Write `value`'s rows as rows `rows` of instruction `i` (shape
     /// `shape`), then flag them.
     fn keep(&mut self, i: usize, (n, w): (usize, usize), rows: &[usize], value: &Tensor) {
-        let kept = self.slots[i]
-            .get_or_insert_with(|| Kept { value: Tensor::zeros(n, w), done: vec![false; n] });
+        let kept = &mut self.slots[i];
+        if kept.done.is_empty() {
+            *kept = Kept { value: Tensor::zeros(n, w), done: vec![false; n] };
+        }
         for (k, &r) in rows.iter().enumerate() {
             debug_assert!(!kept.done[r], "peval: row {r} of instruction {i} kept twice");
             kept.value.row_mut(r).copy_from_slice(value.row(k));
         }
         for &r in rows {
             kept.done[r] = true;
-        }
-    }
-
-    /// Kept instruction `i`'s `N × w` tensor, whose held rows its readers
-    /// read in place; `0 × w` while never written (nothing was demanded of
-    /// it yet).
-    fn value(&self, i: usize, w: usize) -> Cow<'_, Tensor> {
-        match &self.slots[i] {
-            Some(kept) => Cow::Borrowed(&kept.value),
-            None => Cow::Owned(Tensor::zeros(0, w)),
         }
     }
 }
@@ -409,11 +401,17 @@ struct Demanded<'p> {
     plan: &'p RowPlan<'p>,
     walk: &'p Walk,
     vals: &'p [Option<Tensor>],
-    cache: Option<&'p RowCache>,
+    cache: &'p RowCache,
 }
 
 impl Operands for Demanded<'_> {
+    /// A kept instruction answers with the cache's `N × w` tensor, whose
+    /// held rows its readers read by their original index (`0 × w` while
+    /// nothing was ever demanded of it).
     fn whole(&self, j: usize) -> &Tensor {
+        if self.plan.kept[j] {
+            return &self.cache.slots[j].value;
+        }
         leaf_value(&self.plan.ops[j], &self.plan.weights)
             .expect("weights are checked at plan time")
             .unwrap_or_else(|| self.vals[j].as_ref().expect("peval: whole operand evaluated"))
@@ -423,24 +421,13 @@ impl Operands for Demanded<'_> {
         &self.plan.sparse[m]
     }
 
-    fn in_place(&self, j: usize) -> (Cow<'_, Tensor>, Option<&[usize]>) {
-        match (self.cache, &self.walk.demand[j], &self.vals[j]) {
-            (Some(cache), ..) if self.plan.kept[j] => (cache.value(j, self.plan.shapes[j].1), None),
-            (_, Some(Demand::Rows(union)), Some(v)) => (Cow::Borrowed(v), Some(union)),
-            _ => (Cow::Borrowed(self.whole(j)), None),
-        }
-    }
-
     fn rows(&self, j: usize, rows: Option<&[usize]>) -> Cow<'_, Tensor> {
-        match (rows, self.cache, &self.walk.demand[j], &self.vals[j]) {
-            (Some(wanted), Some(cache), ..) if self.plan.kept[j] => {
-                Cow::Owned(cache.value(j, self.plan.shapes[j].1).gather_rows(wanted))
-            }
+        match (rows, &self.walk.demand[j], &self.vals[j]) {
             // A row-aligned consumer usually wants exactly the rows computed.
-            (Some(wanted), _, Some(Demand::Rows(union)), Some(v)) if wanted == union => {
+            (Some(wanted), Some(Demand::Rows(union)), Some(v)) if wanted == union => {
                 Cow::Borrowed(v)
             }
-            (Some(wanted), _, Some(Demand::Rows(union)), Some(v)) => {
+            (Some(wanted), Some(Demand::Rows(union)), Some(v)) => {
                 let at: Vec<usize> = wanted.iter().map(|&r| position(union, r)).collect();
                 Cow::Owned(v.gather_rows(&at))
             }
@@ -582,9 +569,15 @@ mod tests {
         let (large, large_w) = toy_program(40, 6);
         let (a, b) = (RowPlan::new(&small, &small_w).unwrap(), RowPlan::new(&large, &large_w).unwrap());
         let mut cache = RowCache::new();
-        for (plan, rows) in [(&a, vec![3, 1]), (&b, vec![39, 2, 20]), (&a, vec![0, 11, 3])] {
+        for (plan, program, weights, rows) in [
+            (&a, &small, &small_w, vec![3, 1]),
+            (&b, &large, &large_w, vec![39, 2, 20]),
+            (&a, &small, &small_w, vec![0, 11, 3]),
+        ] {
             let got = plan.eval_rows_cached(&rows, &mut cache).unwrap();
-            let want = plan.eval_rows(&rows).unwrap();
+            let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
+            let resident = crate::eval_all(&program.ops, &sparse, weights).unwrap();
+            let want = resident[program.output].gather_rows(&rows);
             let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "rows {rows:?}");
         }

@@ -20,6 +20,10 @@
 //!   same cache then compute each kept row (an SpMM operand's) at most once
 //!   over the whole sequence, and a second pass over all rows computes none,
 //!   as the `peval.rows_computed` counter shows;
+//! * **an operand nothing demands**: rows of isolated nodes under a
+//!   loop-free operator demand no row of the SpMM operands, so their kept
+//!   slots are read without a row being written — through a fresh cache
+//!   and through a warm one, both bitwise the all-rows schedule;
 //! * **dirty**: after random rows of the input features change, the dirty
 //!   schedule's patched cache equals a cold all-rows evaluation, bitwise —
 //!   every instruction, not just the output;
@@ -382,6 +386,62 @@ fn a_shared_row_cache_computes_each_kept_row_once_and_keeps_the_bits() {
             let reused = again_report.counter("peval.rows_reused").unwrap_or(0);
             assert_eq!(reused > 0, !kept.is_empty(), "seed {seed}: {reused} kept rows reused");
         }
+    }
+    lasagne_par::set_threads(1);
+}
+
+#[test]
+fn a_kept_operand_nothing_demands_keeps_the_bits() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = Rng::seed_from_u64(0x150);
+    // The raw adjacency of a ring over the first `linked` nodes: no
+    // self-loops, so every operator row of the isolated rest is empty.
+    let (n, linked) = (12usize, 8u32);
+    let ring: Vec<(u32, u32, f32)> =
+        (0..linked).flat_map(|i| [(i, (i + 1) % linked, 1.0), ((i + 1) % linked, i, 1.0)]).collect();
+    let adj = Rc::new(Csr::from_coo(n, n, &ring));
+    let mut store = ParamStore::new();
+    let w: Vec<ParamId> = [("w0", 3), ("w1", 3), ("w2", 4), ("w3", 4)]
+        .into_iter()
+        .map(|(name, rows)| store.add(name, tensor(&mut rng, rows, 4, 0.0)))
+        .collect();
+    // out = Â·(h·W2) + h·W3 with h = relu(Â·(X·W1) + X·W0): two kept
+    // operands, and a skip path so isolated rows are not all zero.
+    let mut tape = Tape::new();
+    let x = tape.constant(tensor(&mut rng, n, 3, 0.0));
+    let wn: Vec<NodeId> = w.iter().map(|&id| tape.param(id, &store)).collect();
+    let xw1 = tape.matmul(x, wn[1]);
+    let p1 = tape.spmm(Rc::clone(&adj), xw1);
+    let xw0 = tape.matmul(x, wn[0]);
+    let s = tape.add(p1, xw0);
+    let h = tape.relu(s);
+    let hw2 = tape.matmul(h, wn[2]);
+    let p2 = tape.spmm(Rc::clone(&adj), hw2);
+    let hw3 = tape.matmul(h, wn[3]);
+    let out = tape.add(p2, hw3);
+    let program = tape.export_program(&store, out).expect("eval-mode programs export");
+    let weights: Vec<(String, Tensor)> =
+        w.iter().map(|&id| (store.name(id).to_string(), store.value(id).clone())).collect();
+    let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
+    let values = eval_all(&program.ops, &sparse, &weights).expect("weights bound");
+    let all = &values[program.output];
+    let plan = RowPlan::new(&program, &weights).expect("row-local program plans");
+    let isolated: Vec<usize> = (linked as usize..n).rev().collect();
+    for threads in [1, 4] {
+        lasagne_par::set_threads(threads);
+        let mut cache = RowCache::new();
+        for (name, rows) in [("fresh", &isolated), ("warm-up", &vec![0, 5, 3]), ("warm", &isolated)] {
+            let sink = TraceSink::start(true);
+            let got = plan.eval_rows_cached(rows, &mut cache).expect("rows in range");
+            let report = sink.finish();
+            assert_eq!(bits(&got), bits(&all.gather_rows(rows)), "{name} cache, threads {threads}");
+            if rows == &isolated {
+                let kept_rows = ["peval.rows_computed", "peval.rows_reused"].map(|c| report.counter(c));
+                assert_eq!(kept_rows, [Some(0), Some(0)], "{name}: isolated rows demand no kept row");
+            }
+        }
+        let fresh = plan.eval_rows(&isolated).expect("rows in range");
+        assert_eq!(bits(&fresh), bits(&all.gather_rows(&isolated)), "eval_rows, threads {threads}");
     }
     lasagne_par::set_threads(1);
 }

@@ -304,15 +304,6 @@ impl Lasagne {
         }
         Some(out)
     }
-
-    /// The learned `C(l)` matrix of the Weighted aggregator for hidden
-    /// layer `l ≥ 1` (`N×(l+1)`), if applicable.
-    pub fn aggregation_weights(&self, l: usize) -> Option<Tensor> {
-        if self.cfg.aggregator != AggregatorKind::Weighted || l == 0 || l > self.c.len() {
-            return None;
-        }
-        Some(self.store.value(self.c[l - 1]).clone())
-    }
 }
 
 impl NodeClassifier for Lasagne {
@@ -559,10 +550,8 @@ mod tests {
         let p = m.stochastic_probabilities().unwrap();
         assert_eq!(p.shape(), (60, 4));
         assert!(p.as_slice().iter().all(|&v| (v - 1.0).abs() < 1e-6));
-        // Weighted model exposes C instead.
         let w = Lasagne::new(8, 3, Some(60), &cfg(AggregatorKind::Weighted, 4), 0);
         assert!(w.stochastic_probabilities().is_none());
-        assert_eq!(w.aggregation_weights(2).unwrap().shape(), (60, 3));
     }
 
     #[test]

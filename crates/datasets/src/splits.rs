@@ -28,11 +28,6 @@ impl Split {
             }
         }
     }
-
-    /// Label rate: train size over candidate-pool size.
-    pub fn label_rate(&self, pool: usize) -> f64 {
-        self.train.len() as f64 / pool as f64
-    }
 }
 
 /// Planetoid-style stratified split over `candidates` (usually all nodes;
@@ -148,16 +143,6 @@ mod tests {
         let b = stratified_split(&cand, &l, 3, 30, 50, 50, &mut TensorRng::seed_from_u64(9));
         assert_eq!(a.train, b.train);
         assert_eq!(a.test, b.test);
-    }
-
-    #[test]
-    fn label_rate_reported() {
-        let s = Split {
-            train: vec![0, 1],
-            val: vec![2],
-            test: vec![3],
-        };
-        assert!((s.label_rate(100) - 0.02).abs() < 1e-12);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property suite for the partitioner and the `Partitioning` layer
 //! (ISSUE 9 satellite): coverage, balance, determinism across thread
-//! counts, shadow-checked halos, k=1 degeneration, typed bad-k errors,
-//! and the core-rows SpMM bitwise lemma.
-
-use std::collections::BTreeSet;
+//! counts, k=1 degeneration, typed bad-k errors, and the core-rows SpMM
+//! bitwise lemma.
 
 use lasagne_graph::{generators, partition_bfs, Graph, GraphError, Partitioning};
 use lasagne_tensor::{Tensor, TensorRng};
@@ -49,8 +47,7 @@ fn every_node_in_exactly_one_part() {
                 }
             }
             for (v, o) in owner.iter().enumerate() {
-                let o = o.unwrap_or_else(|| panic!("node {v} unowned (k={k})"));
-                assert_eq!(p.part_of()[v] as usize, o, "part_of mismatch at {v}");
+                assert!(o.is_some(), "node {v} unowned (k={k})");
             }
         }
     }
@@ -94,42 +91,12 @@ fn partitioning_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn halo_matches_shadow_one_hop_boundary() {
-    // Shadow implementation: brute-force one-hop boundary per part.
-    for (g, seed) in [(sbm(250, 4), 40u64), (star(40), 41), (path(60), 42)] {
-        for k in [2usize, 4, 9] {
-            let mut rng = TensorRng::seed_from_u64(seed);
-            let p = Partitioning::new(&g, k, &mut rng).unwrap();
-            for part in p.parts() {
-                let core: BTreeSet<usize> = part.core.iter().copied().collect();
-                let mut shadow = BTreeSet::new();
-                for v in 0..g.num_nodes() {
-                    if core.contains(&v) {
-                        continue;
-                    }
-                    if g.neighbors(v).iter().any(|&u| core.contains(&(u as usize))) {
-                        shadow.insert(v);
-                    }
-                }
-                let shadow: Vec<usize> = shadow.into_iter().collect();
-                assert_eq!(part.halo, shadow, "halo != one-hop boundary (k={k})");
-                // locals() is the sorted disjoint union.
-                let locals = part.locals();
-                assert!(locals.windows(2).all(|w| w[0] < w[1]));
-                assert_eq!(locals.len(), part.core.len() + part.halo.len());
-            }
-        }
-    }
-}
-
-#[test]
 fn k1_degenerates_to_the_resident_path() {
     let g = sbm(120, 5);
     let mut rng = TensorRng::seed_from_u64(50);
     let p = Partitioning::new(&g, 1, &mut rng).unwrap();
     assert_eq!(p.num_parts(), 1);
-    assert_eq!(p.part(0).core, (0..120).collect::<Vec<_>>());
-    assert!(p.part(0).halo.is_empty());
+    assert_eq!(p.parts()[0].core, (0..120).collect::<Vec<_>>());
 }
 
 #[test]
@@ -149,25 +116,6 @@ fn bad_k_is_a_typed_error() {
 }
 
 #[test]
-fn graph_local_operator_columns_stay_within_core_plus_halo() {
-    // For graph-local operators (Â couples a node to itself + neighbors)
-    // the columns a part's core rows touch are a subset of core ∪ halo —
-    // the halo exchange contract: one hop of ghosts suffices for one SpMM.
-    let g = sbm(200, 6);
-    let a_hat = g.normalized_adjacency();
-    let mut rng = TensorRng::seed_from_u64(70);
-    let p = Partitioning::new(&g, 6, &mut rng).unwrap();
-    for pi in 0..p.num_parts() {
-        let locals: BTreeSet<usize> = p.part(pi).locals().into_iter().collect();
-        for &r in &p.part(pi).core {
-            for &c in a_hat.row_indices(r) {
-                assert!(locals.contains(&(c as usize)), "column {c} outside core ∪ halo");
-            }
-        }
-    }
-}
-
-#[test]
 fn core_rows_read_in_place_are_bitwise_rows_of_full_spmm() {
     // The lemma the out-of-core evaluator rests on: SpMM accumulates each
     // output element over the row's stored nonzeros in order from +0.0, and
@@ -184,9 +132,9 @@ fn core_rows_read_in_place_are_bitwise_rows_of_full_spmm() {
             let full = op.spmm(&x);
             let mut rng = TensorRng::seed_from_u64(81);
             let p = Partitioning::new(&g, 5, &mut rng).unwrap();
-            for pi in 0..p.num_parts() {
-                let ours = op.spmm_rows(&p.part(pi).core, &x, |j| j);
-                for (local, &row) in p.part(pi).core.iter().enumerate() {
+            for part in p.parts() {
+                let ours = op.spmm_rows(&part.core, &x);
+                for (local, &row) in part.core.iter().enumerate() {
                     for c in 0..9 {
                         assert_eq!(
                             ours.get(local, c).to_bits(),
@@ -215,7 +163,6 @@ fn empty_parts_are_allowed_and_sink_last() {
     for part in p.parts() {
         if part.core.is_empty() {
             seen_empty = true;
-            assert!(part.halo.is_empty());
         } else {
             assert!(!seen_empty, "non-empty part after an empty one");
         }

@@ -143,8 +143,8 @@ pub(crate) fn opaque_operator() -> ServeError {
 
 /// How one named weight is stored in the frozen file: exact f32 (the
 /// default — bitwise-faithful to training) or quantized (opt-in, produced
-/// by [`FrozenModel::quantize`]; approximate, with the documented per-mode
-/// error bounds of [`crate::quant`]).
+/// by [`FrozenModel::quantize`]; approximate, within the per-mode error
+/// bounds of DESIGN.md §13).
 #[derive(Debug, Clone)]
 pub enum FrozenWeight {
     /// Full-precision tensor, byte-identical to the training checkpoint.

@@ -53,9 +53,12 @@ pub struct LazyEngine {
     /// The demand plan, built once at load; it owns its program (no `Rc`),
     /// so the engine stays `Send + Sync`.
     plan: RowPlan<'static>,
-    /// Sorted node lists forming an exact cover of `0..num_nodes`, in
-    /// deterministic order.
+    /// Non-empty sorted node lists forming an exact cover of
+    /// `0..num_nodes`, in deterministic order.
     parts: Vec<Vec<usize>>,
+    /// The partition count the engine was planned with; a hot swap re-plans
+    /// with it (BFS growth may leave fewer non-empty parts than this).
+    k: usize,
     /// Partition index per node.
     part_of: Vec<u32>,
     /// Row position of each node inside its partition's cache.
@@ -79,6 +82,8 @@ impl LazyEngine {
     /// BFS-grown [`Partitioning`] the training side uses (seeded
     /// deterministically); models without a binding fall back to contiguous
     /// node ranges — the exactness contract is independent of the layout.
+    /// Parts the BFS growth left empty are dropped, so a full sweep fills
+    /// every one of [`LazyEngine::num_parts`].
     pub fn new(frozen: FrozenModel, k: usize) -> ServeResult<LazyEngine> {
         lasagne_obs::span!("serve.engine.lazy_load");
         frozen.check_quantized_bindings()?;
@@ -95,7 +100,8 @@ impl LazyEngine {
                 let mut rng = TensorRng::seed_from_u64(PARTITION_SEED);
                 let partitioning = Partitioning::new(&g, k, &mut rng)
                     .map_err(|e| ServeError::Mismatch(e.to_string()))?;
-                partitioning.parts().iter().map(|b| b.core.clone()).collect::<Vec<_>>()
+                let cores = partitioning.parts().iter().map(|b| b.core.clone());
+                cores.filter(|core| !core.is_empty()).collect::<Vec<_>>()
             }
             None => contiguous_parts(n, k),
         };
@@ -130,6 +136,7 @@ impl LazyEngine {
             meta: frozen.meta,
             plan,
             parts,
+            k,
             part_of,
             pos_in_part,
             caches,
@@ -164,9 +171,15 @@ impl LazyEngine {
         self.meta.num_classes
     }
 
-    /// Number of partitions the node set is split into.
+    /// Number of (non-empty) partitions the node set is split into.
     pub fn num_parts(&self) -> usize {
         self.parts.len()
+    }
+
+    /// The partition count the engine was planned with, which a hot swap
+    /// re-plans with; at least [`LazyEngine::num_parts`].
+    pub(crate) fn planned_parts(&self) -> usize {
+        self.k
     }
 
     /// How many partitions have been materialized so far — the observable

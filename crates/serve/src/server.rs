@@ -109,7 +109,7 @@ impl ServerEngine {
     fn lazy_partitions(&self) -> Option<usize> {
         match self {
             ServerEngine::Resident(_) => None,
-            ServerEngine::Lazy(e) => Some(e.num_parts()),
+            ServerEngine::Lazy(e) => Some(e.planned_parts()),
         }
     }
 

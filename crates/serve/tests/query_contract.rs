@@ -4,8 +4,10 @@
 //!   class `Tensor::argmax_rows` (training accuracy) picks and `top_k`
 //!   ranks first — even when every logit ties;
 //! * a lazy engine over an artifact with no graph binding splits the nodes
-//!   into exactly the requested number of partitions (the count `stats`
-//!   reports and hot swap reloads with).
+//!   into exactly the requested number of partitions;
+//! * a lazy engine over a graph-bound artifact counts only the non-empty
+//!   parts its BFS partitioning grew, so querying every node fills every
+//!   partition it reports, at every `k` from 1 to `n`.
 
 use lasagne_autograd::{ParamId, Tape};
 use lasagne_gnn::{models, GraphContext, Hyper, Mode, NodeClassifier};
@@ -98,5 +100,23 @@ fn binding_free_artifacts_split_into_exactly_k_parts() {
             assert_eq!(lazy.logits_row(v).expect("row"), resident.logits_row(v).expect("row"));
         }
         assert_eq!(lazy.cached_parts(), k, "k = {k}: every part is non-empty");
+    }
+}
+
+#[test]
+fn graph_bound_artifacts_fill_every_part_in_a_full_sweep() {
+    let ctx = tiny_ctx(5);
+    let gcn = models::Gcn::new(IN_DIM, CLASSES, &tiny_hyper(), 3);
+    let frozen = freeze(&gcn, &ctx, "tiny").expect("freeze");
+    assert!(frozen.graph.is_some(), "GCN artifacts carry a graph binding");
+    let resident = Engine::new(frozen.clone()).expect("resident engine");
+    let n = ctx.num_nodes();
+    for k in 1..=n {
+        let lazy = LazyEngine::new(frozen.clone(), k).expect("lazy engine");
+        assert!((1..=k).contains(&lazy.num_parts()), "k = {k}: {} parts", lazy.num_parts());
+        for v in 0..n {
+            assert_eq!(lazy.logits_row(v).expect("row"), resident.logits_row(v).expect("row"));
+        }
+        assert_eq!(lazy.cached_parts(), lazy.num_parts(), "k = {k}: a full sweep fills every part");
     }
 }

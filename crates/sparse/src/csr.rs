@@ -19,21 +19,20 @@ use lasagne_tensor::Tensor;
 /// The hot path has a compile-time trip count for the autovectorizer.
 const CB: usize = 64;
 
-/// One output row of SpMM: `out = Σ v · x[at(j)]` over the row's stored
-/// nonzeros `(idx, vals)` in stored order, where row `at(j)` of the
-/// row-major, `out.len()`-wide operand `x` holds operand row `j`. Each
-/// element accumulates from the zeroed `out` (`+0.0`) — the seed kernel's
-/// per-element sequence, so bits are unchanged. A narrow operand
-/// (`out.len() ≤ CB`) is one block: axpy straight into `out`. A wider one
-/// goes `CB` columns at a time through a stack accumulator, so the dense
-/// operand streams through cache in 256-byte segments instead of whole
-/// rows per nonzero.
+/// One output row of SpMM: `out = Σ v · x[j]` over the row's stored
+/// nonzeros `(idx, vals)` in stored order, where `x[j]` is row `j` of the
+/// row-major, `out.len()`-wide operand `x`. Each element accumulates from
+/// the zeroed `out` (`+0.0`) — the seed kernel's per-element sequence, so
+/// bits are unchanged. A narrow operand (`out.len() ≤ CB`) is one block:
+/// axpy straight into `out`. A wider one goes `CB` columns at a time
+/// through a stack accumulator, so the dense operand streams through cache
+/// in 256-byte segments instead of whole rows per nonzero.
 #[inline(always)]
-fn spmm_row(out: &mut [f32], idx: &[u32], vals: &[f32], x: &[f32], at: &impl Fn(usize) -> usize) {
+fn spmm_row(out: &mut [f32], idx: &[u32], vals: &[f32], x: &[f32]) {
     let d = out.len();
     if d <= CB {
         for (&j, &v) in idx.iter().zip(vals) {
-            let base = at(j as usize) * d;
+            let base = j as usize * d;
             for (o, &xv) in out.iter_mut().zip(&x[base..base + d]) {
                 *o += v * xv;
             }
@@ -48,7 +47,7 @@ fn spmm_row(out: &mut [f32], idx: &[u32], vals: &[f32], x: &[f32], at: &impl Fn(
             // Full-width block: a compile-time trip count for the
             // autovectorizer.
             for (&j, &v) in idx.iter().zip(vals) {
-                let base = at(j as usize) * d + c0;
+                let base = j as usize * d + c0;
                 let seg = &x[base..base + CB];
                 for cc in 0..CB {
                     acc[cc] += v * seg[cc];
@@ -56,7 +55,7 @@ fn spmm_row(out: &mut [f32], idx: &[u32], vals: &[f32], x: &[f32], at: &impl Fn(
             }
         } else {
             for (&j, &v) in idx.iter().zip(vals) {
-                let base = at(j as usize) * d + c0;
+                let base = j as usize * d + c0;
                 for (a, &xv) in acc[..cw].iter_mut().zip(&x[base..base + cw]) {
                     *a += v * xv;
                 }
@@ -399,28 +398,23 @@ impl Csr {
             |i0, chunk| {
                 for (r, o_row) in chunk.chunks_mut(d).enumerate() {
                     let (lo, hi) = (indptr[i0 + r], indptr[i0 + r + 1]);
-                    spmm_row(o_row, &indices[lo..hi], &values[lo..hi], x, &|j| j);
+                    spmm_row(o_row, &indices[lo..hi], &values[lo..hi], x);
                 }
             },
         );
         out
     }
 
-    /// Rows `rows` of `self · operand` (any order, repeats allowed),
-    /// bitwise equal to `self.spmm(operand).gather_rows(rows)`, reading the
-    /// operand in place: row `at(j)` of `x` holds operand row `j`, wherever
-    /// the caller keeps it (`x` may hold only the rows `rows` read). Each
-    /// output row runs [`Csr::spmm`]'s row body over the same stored
-    /// nonzeros in the same order, so no operator slice and no gathered
-    /// copy of the operand are built. Rows are fanned out in nnz-balanced
-    /// chunks, as `spmm`'s are, and while one row is summed the next row's
-    /// operand rows are prefetched.
-    pub fn spmm_rows(
-        &self,
-        rows: &[usize],
-        x: &Tensor,
-        at: impl Fn(usize) -> usize + Sync,
-    ) -> Tensor {
+    /// Rows `rows` of `self · x` (any order, repeats allowed), bitwise
+    /// equal to `self.spmm(x).gather_rows(rows)`, reading the operand rows
+    /// in place by their own index. Each output row runs [`Csr::spmm`]'s
+    /// row body over the same stored nonzeros in the same order, so no
+    /// operator slice and no gathered copy of the operand are built. Rows
+    /// of `x` that no demanded nonzero reads are never touched, so `x` may
+    /// be `0 × w` when every demanded row is empty. Rows are fanned out in
+    /// nnz-balanced chunks, as `spmm`'s are, and while one row is summed
+    /// the next row's operand rows are prefetched.
+    pub fn spmm_rows(&self, rows: &[usize], x: &Tensor) -> Tensor {
         let d = x.cols();
         let mut out = Tensor::zeros(rows.len(), d);
         if d == 0 || rows.is_empty() {
@@ -446,13 +440,13 @@ impl Csr {
                 for (k, o_row) in chunk.chunks_mut(d).enumerate() {
                     if let Some(&next) = rows.get(k0 + k + 1) {
                         for &j in &indices[indptr[next]..indptr[next + 1]] {
-                            let base = at(j as usize) * d;
+                            let base = j as usize * d;
                             prefetch(&x[base..base + d]);
                         }
                     }
                     let i = rows[k0 + k];
                     let (lo, hi) = (indptr[i], indptr[i + 1]);
-                    spmm_row(o_row, &indices[lo..hi], &values[lo..hi], x, &at);
+                    spmm_row(o_row, &indices[lo..hi], &values[lo..hi], x);
                 }
             },
         );

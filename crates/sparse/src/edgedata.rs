@@ -15,8 +15,6 @@ use lasagne_tensor::Tensor;
 /// involved so callers can log without re-deriving state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EdgeDataError {
-    /// The flat buffer length is not `nnz * dim`.
-    LengthMismatch { nnz: usize, dim: usize, len: usize },
     /// The edge table and the CSR disagree on entry count — the structure
     /// drifted without the features following (or vice versa).
     Misaligned { nnz: usize, edge_rows: usize },
@@ -30,9 +28,6 @@ pub enum EdgeDataError {
 impl std::fmt::Display for EdgeDataError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EdgeDataError::LengthMismatch { nnz, dim, len } => {
-                write!(f, "edge data length {len} != nnz {nnz} * dim {dim}")
-            }
             EdgeDataError::Misaligned { nnz, edge_rows } => {
                 write!(f, "edge data has {edge_rows} rows but companion csr has {nnz} entries")
             }
@@ -61,14 +56,6 @@ impl EdgeData {
     /// All-zero features for `nnz` edges of width `dim`.
     pub fn zeros(nnz: usize, dim: usize) -> EdgeData {
         EdgeData { nnz, dim, data: vec![0.0; nnz * dim] }
-    }
-
-    /// Wrap a flat row-major buffer; errors if the length is not `nnz * dim`.
-    pub fn from_flat(nnz: usize, dim: usize, data: Vec<f32>) -> Result<EdgeData, EdgeDataError> {
-        if data.len() != nnz * dim {
-            return Err(EdgeDataError::LengthMismatch { nnz, dim, len: data.len() });
-        }
-        Ok(EdgeData { nnz, dim, data })
     }
 
     /// Build features aligned to `csr` by construction: `f(r, c)` is called
@@ -215,10 +202,6 @@ mod tests {
         assert_eq!(
             e.check_aligned(&m),
             Err(EdgeDataError::Misaligned { nnz: 4, edge_rows: 5 })
-        );
-        assert_eq!(
-            EdgeData::from_flat(3, 2, vec![0.0; 5]),
-            Err(EdgeDataError::LengthMismatch { nnz: 3, dim: 2, len: 5 })
         );
         assert_eq!(
             EdgeData::zeros(2, 2).gather_edge_rows(&[0, 2]),

@@ -96,15 +96,6 @@ impl Tensor {
         s
     }
 
-    /// Per-row means as an `N x 1` column vector.
-    pub fn mean_cols(&self) -> Tensor {
-        let mut s = self.sum_cols();
-        if self.cols > 0 {
-            s.scale_assign(1.0 / self.cols as f32);
-        }
-        s
-    }
-
     /// Largest element (NaN-free input assumed); `-inf` for empty tensors.
     pub fn max(&self) -> f32 {
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
@@ -204,7 +195,6 @@ mod tests {
         assert_eq!(sample().sum_rows().row(0), &[5.0, 7.0, 9.0]);
         assert_eq!(sample().sum_cols().col(0), vec![6.0, 15.0]);
         assert_eq!(sample().mean_rows().row(0), &[2.5, 3.5, 4.5]);
-        assert_eq!(sample().mean_cols().col(0), vec![2.0, 5.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! survive (DESIGN.md §12): a slowloris trickling bytes forever, a client
 //! that hangs up mid-request, and generators for garbage / mutated
 //! protocol lines. They are plain `std::net` blocking calls driven by the
-//! workspace [`Rng`](crate::rng::Rng), so a chaos run is replayable from
+//! workspace [`Rng`], so a chaos run is replayable from
 //! its seed — a failing fuzz case is one `(seed, iteration)` pair away
 //! from a unit test.
 //!

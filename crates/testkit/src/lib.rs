@@ -19,7 +19,7 @@
 //! * [`json`] — a small JSON value type with a serializer and a
 //!   recursive-descent parser, replacing `serde`/`serde_json` for
 //!   checkpoints, dataset specs and result tables.
-//! * [`bench`] — a wall-clock micro-bench timer (median of N samples with
+//! * [`bench`](mod@bench) — a wall-clock micro-bench timer (median of N samples with
 //!   warmup) replacing `criterion`; the `lasagne-bench` bench targets are
 //!   plain `harness = false` binaries built on it.
 //! * [`fault`] — deterministic fault injection for robustness tests: a

@@ -10,7 +10,7 @@
 //!    toward their lower bound, vectors shrink by dropping elements) and
 //!    reports the minimal counterexample found.
 //!
-//! The [`prop_check!`] macro wraps all of this into a `#[test]` with
+//! The [`prop_check!`](crate::prop_check) macro wraps all of this into a `#[test]` with
 //! `name in generator` bindings, mirroring the `proptest!` surface the
 //! workspace's suites were originally written against:
 //!
@@ -235,7 +235,7 @@ macro_rules! prop_check {
     };
 }
 
-/// Fail the enclosing [`prop_check!`] body when `cond` is false. An
+/// Fail the enclosing [`prop_check!`](crate::prop_check) body when `cond` is false. An
 /// optional trailing `format!`-style message is appended to the report.
 #[macro_export]
 macro_rules! prop_assert {
@@ -255,7 +255,7 @@ macro_rules! prop_assert {
     };
 }
 
-/// Fail the enclosing [`prop_check!`] body when the operands differ.
+/// Fail the enclosing [`prop_check!`](crate::prop_check) body when the operands differ.
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr) => {{

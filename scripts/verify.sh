@@ -18,6 +18,11 @@ echo "== cargo clippy, whole workspace, every target, warnings denied =="
 # A deliberate flagged form carries #[allow(clippy::...)] with its reason.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== rustdoc, whole workspace, warnings denied =="
+# Intra-doc links must resolve: a deleted or renamed item that a doc
+# comment still links to fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== lasagne-train, whole crate, at 1 and 4 threads =="
 # Its unit tests (the checkpoint envelope: writer bytes, every one-bit flip
 # failing typed, non-canonical layouts, truncation, .prev fallback), fault
@@ -54,8 +59,10 @@ LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-autograd
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-autograd
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --lib
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --lib
-# Both engines rank classes the same way (first maximum on ties), and a
-# binding-free lazy engine splits into exactly the requested part count.
+# Both engines rank classes the same way (first maximum on ties), a
+# binding-free lazy engine splits into exactly the requested part count,
+# and a graph-bound one counts only non-empty parts, so a full sweep fills
+# every part it reports at every k.
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test query_contract
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test query_contract
 # The benchmark compiles against the evaluator's public API; an API change
