@@ -54,12 +54,6 @@ impl AggregatorKind {
             AggregatorKind::Mean => "Mean",
         }
     }
-
-    /// Whether the aggregator's parameters are independent of the node set
-    /// (required for inductive tasks; see §5.2.1 "Inductive").
-    pub fn inductive_capable(self) -> bool {
-        matches!(self, AggregatorKind::MaxPooling | AggregatorKind::Mean)
-    }
 }
 
 /// Per-layer node aggregation operation — Lasagne "is also applicable to
@@ -168,14 +162,6 @@ mod tests {
         assert_eq!(cfg.hidden_dims, vec![48; 4]);
         assert_eq!(cfg.depth(), 5);
         assert!(cfg.use_gcfm);
-    }
-
-    #[test]
-    fn per_node_aggregators_are_not_inductive() {
-        assert!(AggregatorKind::MaxPooling.inductive_capable());
-        assert!(AggregatorKind::Mean.inductive_capable());
-        assert!(!AggregatorKind::Weighted.inductive_capable());
-        assert!(!AggregatorKind::Stochastic.inductive_capable());
     }
 
     #[test]

@@ -126,39 +126,6 @@ pub fn dc_sbm(cfg: &DcSbmConfig, rng: &mut TensorRng) -> (Graph, Vec<usize>) {
     (Graph::from_edges(n, &edges), labels)
 }
 
-/// Barabási–Albert preferential attachment: each new node attaches `m`
-/// edges to existing nodes with probability proportional to degree.
-/// Produces scale-free degree distributions (pure hub structure, no
-/// communities) — used for ablations and generator cross-checks.
-pub fn barabasi_albert(n: usize, m: usize, rng: &mut TensorRng) -> Graph {
-    assert!(m >= 1 && n > m, "barabasi_albert: need n > m ≥ 1");
-    // `targets` holds one entry per half-edge: sampling uniformly from it is
-    // sampling nodes proportionally to degree.
-    let mut repeated: Vec<u32> = Vec::with_capacity(2 * n * m);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n * m);
-    // Seed clique over the first m+1 nodes.
-    for u in 0..=(m as u32) {
-        for v in (u + 1)..=(m as u32) {
-            edges.push((u, v));
-            repeated.push(u);
-            repeated.push(v);
-        }
-    }
-    for new in (m + 1)..n {
-        let mut chosen: HashSet<u32> = HashSet::with_capacity(m);
-        while chosen.len() < m {
-            let t = repeated[rng.index(repeated.len())];
-            chosen.insert(t);
-        }
-        for &t in &chosen {
-            edges.push((new as u32, t));
-            repeated.push(new as u32);
-            repeated.push(t);
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
 /// Configuration of the bipartite user–item generator (the Tencent
 /// production-dataset substitute; see DESIGN.md §3).
 #[derive(Clone, Debug)]
@@ -344,26 +311,6 @@ mod tests {
         for &c in &counts {
             assert_eq!(c, 100);
         }
-    }
-
-    #[test]
-    fn ba_degree_sum_and_connectivity() {
-        let mut rng = TensorRng::seed_from_u64(4);
-        let g = barabasi_albert(300, 3, &mut rng);
-        assert_eq!(g.num_nodes(), 300);
-        // Seed clique C(4,2)=6 + 296*3 new edges (dedup can only reduce the
-        // clique part, which is exact).
-        assert_eq!(g.num_edges(), 6 + 296 * 3);
-        let (_, comps) = crate::connected_components(&g);
-        assert_eq!(comps, 1, "BA graphs are connected by construction");
-    }
-
-    #[test]
-    fn ba_is_scale_free_ish() {
-        let mut rng = TensorRng::seed_from_u64(5);
-        let g = barabasi_albert(2000, 2, &mut rng);
-        let max_deg = *g.degrees().iter().max().unwrap();
-        assert!(max_deg > 40, "expected a hub, max degree {max_deg}");
     }
 
     #[test]

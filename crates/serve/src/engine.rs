@@ -102,9 +102,6 @@ pub struct Engine {
     /// Streaming-mutation state; `None` for pre-streaming frozen files,
     /// which answer mutations with a typed `mismatch` error.
     pub(crate) streaming: Option<StreamingState>,
-    /// Whether the loaded file carried quantized weights (approximate
-    /// logits, DESIGN.md §13). Surfaced in `stats`.
-    pub(crate) quantized: bool,
     /// Recommendation binding (bipartite layout + interaction mask);
     /// `None` for node-classification artifacts, which answer `recommend`
     /// with a typed `not_a_recommender` error.
@@ -119,36 +116,29 @@ impl Engine {
     /// contradicts the metadata.
     pub fn new(frozen: FrozenModel) -> ServeResult<Engine> {
         lasagne_obs::span!("serve.engine.load");
-        frozen.check_quantized_bindings()?;
-        let program = &frozen.program;
+        let FrozenModel { meta, weights, program, graph, rec } = frozen;
+        let weights: Vec<(String, Tensor)> = weights.into_iter().map(|(n, w)| (n, w.0)).collect();
         // No kernel runs on operands that do not fit it: a file's weights
         // and ops are checked against each other first.
         let sparse_shapes: Vec<_> = program.sparse.iter().map(|m| m.shape()).collect();
         let shapes = program_shapes(&program.ops, &sparse_shapes, |name| {
-            frozen.weights.iter().find(|(n, _)| n == name).map(|(_, w)| w.shape())
+            weights.iter().find(|(n, _)| n == name).map(|(_, w)| w.shape())
         })?;
-        if shapes[program.output] != (frozen.meta.num_nodes, frozen.meta.num_classes) {
+        if shapes[program.output] != (meta.num_nodes, meta.num_classes) {
             return Err(ServeError::Mismatch(format!(
                 "program output is {:?} but metadata says {} nodes × {} classes",
                 shapes[program.output],
-                frozen.meta.num_nodes,
-                frozen.meta.num_classes
+                meta.num_nodes,
+                meta.num_classes
             )));
         }
-        let weights = frozen.weights_f32();
-        let (values, logits) = resident(program, &weights)?;
+        let (values, logits) = resident(&program, &weights)?;
         let probs = logits.softmax_rows();
-        let quantized = frozen.is_quantized();
-        let streaming = match frozen.graph {
-            Some(g) => Some(StreamingState::new(frozen.program, g, weights, values)?),
+        let streaming = match graph {
+            Some(g) => Some(StreamingState::new(program, g, weights, values)?),
             None => None,
         };
-        Ok(Engine { meta: frozen.meta, logits, probs, streaming, quantized, rec: frozen.rec })
-    }
-
-    /// Whether this engine serves approximate (quantized-weight) logits.
-    pub fn is_quantized(&self) -> bool {
-        self.quantized
+        Ok(Engine { meta, logits, probs, streaming, rec })
     }
 
     /// Load + checksum the frozen file at `path` and build its engine —

@@ -34,7 +34,7 @@ pub fn freeze(
     let program = tape.export_program(store, out.logits)?;
     let weights = store
         .iter()
-        .map(|(id, t)| (store.name(id).to_string(), FrozenWeight::Exact(t.clone())))
+        .map(|(id, t)| (store.name(id).to_string(), FrozenWeight(t.clone())))
         .collect();
     // Graph binding for streaming (DESIGN.md §11): the exported sparse
     // table holds `Rc::clone`s of the context's operators, so pointer

@@ -27,7 +27,6 @@ use lasagne_train::{
 };
 
 use crate::error::{ServeError, ServeResult};
-use crate::quant::{QuantMatrix, QuantMode};
 
 /// Provenance and shape facts about a frozen model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,34 +140,15 @@ pub(crate) fn opaque_operator() -> ServeError {
     )
 }
 
-/// How one named weight is stored in the frozen file: exact f32 (the
-/// default — bitwise-faithful to training) or quantized (opt-in, produced
-/// by [`FrozenModel::quantize`]; approximate, within the per-mode error
-/// bounds of DESIGN.md §13).
+/// One named weight of a frozen file: the exact f32 tensor training saved,
+/// byte-identical to the training checkpoint's entry.
 #[derive(Debug, Clone)]
-pub enum FrozenWeight {
-    /// Full-precision tensor, byte-identical to the training checkpoint.
-    Exact(Tensor),
-    /// Compressed i8/f16 matrix, dequantized once when an engine loads it.
-    Quant(QuantMatrix),
-}
+pub struct FrozenWeight(pub Tensor);
 
 impl FrozenWeight {
-    /// Materialize as an f32 tensor (clone for exact, dequantize for
-    /// quantized).
+    /// A copy of the tensor.
     pub fn to_tensor(&self) -> Tensor {
-        match self {
-            FrozenWeight::Exact(t) => t.clone(),
-            FrozenWeight::Quant(q) => q.dequantize(),
-        }
-    }
-
-    /// `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        match self {
-            FrozenWeight::Exact(t) => t.shape(),
-            FrozenWeight::Quant(q) => q.shape(),
-        }
+        self.0.clone()
     }
 }
 
@@ -514,25 +494,7 @@ impl FrozenModel {
             ),
             (
                 "weights".into(),
-                Json::Arr(
-                    self.weights
-                        .iter()
-                        .map(|(n, w)| match w {
-                            // Exact weights keep the checkpoint entry layout
-                            // byte for byte, so pre-quantization files and
-                            // f32 exports are unchanged on disk.
-                            FrozenWeight::Exact(t) => named_param_to_json(n, t),
-                            FrozenWeight::Quant(q) => {
-                                let mut fields =
-                                    vec![("name".into(), Json::Str(n.clone()))];
-                                if let Json::Obj(qf) = q.to_json() {
-                                    fields.extend(qf);
-                                }
-                                Json::Obj(fields)
-                            }
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.weights.iter().map(|(n, w)| named_param_to_json(n, &w.0)).collect()),
             ),
             (
                 "sparse".into(),
@@ -573,14 +535,16 @@ impl FrozenModel {
             .as_arr()
             .ok_or_else(|| ServeError::Parse("weights not an array".into()))?
             .iter()
-            .map(|p| -> ServeResult<(String, FrozenWeight)> {
+            .map(|p| {
+                // A `quant` field marks an approximate weight written by the
+                // retired quantized export.
                 if p.get("quant").is_some() {
-                    let name = str_field(p, "name", "quant weight")?.to_string();
-                    Ok((name, FrozenWeight::Quant(QuantMatrix::from_json(p)?)))
-                } else {
-                    let (name, t) = named_param_from_json(p).map_err(ServeError::from)?;
-                    Ok((name, FrozenWeight::Exact(t)))
+                    return Err(ServeError::Mismatch(
+                        "quantized weights are not supported; re-export the model with --export".into(),
+                    ));
                 }
+                let (name, t) = named_param_from_json(p).map_err(ServeError::from)?;
+                Ok((name, FrozenWeight(t)))
             })
             .collect::<ServeResult<Vec<_>>>()?;
         let sparse = field(body, "sparse", "frozen model")?
@@ -627,87 +591,6 @@ impl FrozenModel {
     pub fn load(path: &Path) -> ServeResult<FrozenModel> {
         lasagne_obs::span!("serve.freeze.load");
         FrozenModel::from_json(&read_envelope(path).map_err(ServeError::from)?)
-    }
-
-    /// Does any weight carry a quantized encoding?
-    pub fn is_quantized(&self) -> bool {
-        self.weights.iter().any(|(_, w)| matches!(w, FrozenWeight::Quant(_)))
-    }
-
-    /// The weight table both engines bind `Param` leaves against: every
-    /// weight in f32, quantized ones dequantized once, at load.
-    pub(crate) fn weights_f32(&self) -> Vec<(String, Tensor)> {
-        self.weights.iter().map(|(name, w)| (name.clone(), w.to_tensor())).collect()
-    }
-
-    /// The load-time policy both engines enforce: a quantized model carries
-    /// neither a streaming graph binding nor a recommendation block, since
-    /// mutations (§11) and `recommend` (§15) promise bitwise parity with
-    /// the training path that approximate weights cannot give. [`quantize`]
-    /// strips both; a file that carries one anyway is refused `mismatch`.
-    ///
-    /// [`quantize`]: FrozenModel::quantize
-    pub(crate) fn check_quantized_bindings(&self) -> ServeResult<()> {
-        if !self.is_quantized() {
-            return Ok(());
-        }
-        if self.graph.is_some() {
-            return Err(ServeError::Mismatch(
-                "quantized frozen models do not support a streaming graph binding \
-                 (serve the exact f32 artifact for mutations)"
-                    .into(),
-            ));
-        }
-        if self.rec.is_some() {
-            return Err(ServeError::Mismatch(
-                "quantized frozen models do not carry a recommendation binding \
-                 (serve the exact f32 artifact for `recommend`)"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Produce the quantized variant of this model: every weight the
-    /// program consumes **only** as a matmul right operand (and that is big
-    /// enough to be worth compressing) is re-encoded per `mode`; biases,
-    /// attention scores, and anything else the program touches elsewhere
-    /// stay exact, so the only approximation sites are matmul right
-    /// operands, which the engines dequantize once at load.
-    ///
-    /// The graph binding is dropped: streaming mutations re-derive cache
-    /// rows against the weights, and re-deriving against dequantized
-    /// weights would silently change the §11 exactness story. Quantized
-    /// models answer mutations with the same typed error as pre-streaming
-    /// files; streaming deployments should serve the exact f32 artifact.
-    pub fn quantize(mut self, mode: QuantMode) -> ServeResult<FrozenModel> {
-        let eligible: Vec<String> =
-            self.program.matmul_only_params().iter().map(|s| s.to_string()).collect();
-        let mut hits = 0usize;
-        for (name, w) in &mut self.weights {
-            if !eligible.iter().any(|e| e == name) {
-                continue;
-            }
-            if let FrozenWeight::Exact(t) = w {
-                let (r, c) = t.shape();
-                if r * c < 64 {
-                    continue; // not worth the scales overhead
-                }
-                *w = FrozenWeight::Quant(QuantMatrix::quantize(t, mode));
-                hits += 1;
-            }
-        }
-        if hits == 0 {
-            return Err(ServeError::Export(
-                "quantize: no matmul-only weights to compress in this program".into(),
-            ));
-        }
-        self.graph = None;
-        // Quantized logits are approximate, so dot-product rankings would
-        // drift from the exact artifact's — the recommend surface claims
-        // bitwise parity with training eval, so it is exact-only.
-        self.rec = None;
-        Ok(self)
     }
 }
 

@@ -17,12 +17,11 @@
 //!
 //! The exactness contract is inherited from the evaluator, not relaxed:
 //! every row served is bitwise identical to the resident engine's row
-//! (pinned by `tests/partition_equiv.rs`), quantized artifacts included —
-//! both engines bind the same load-time dequantized weights — and
-//! `recommend` is the resident engine's ranking over those rows. Programs
-//! that cannot honor that contract row-locally (GAT's graph-global
-//! attention softmax) are refused typed at load time, as are streaming
-//! mutations (the caches would go silently stale).
+//! (pinned by `tests/partition_equiv.rs`), and `recommend` is the resident
+//! engine's ranking over those rows. Programs the demand schedule cannot
+//! plan row by row are refused typed at load time — GAT among them, since
+//! `row_deps` declares every operand of its attention op `Whole` — as are
+//! streaming mutations (the caches would go silently stale).
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -69,8 +68,6 @@ pub struct LazyEngine {
     /// row is flagged only once written, so the cache a panicking fault
     /// leaves behind is still valid: a poisoned lock is recovered.
     kept: Mutex<RowCache>,
-    /// Whether the loaded file carried quantized weights.
-    quantized: bool,
     /// Recommendation binding, as on the resident engine.
     rec: Option<FrozenRec>,
 }
@@ -86,8 +83,6 @@ impl LazyEngine {
     /// every one of [`LazyEngine::num_parts`].
     pub fn new(frozen: FrozenModel, k: usize) -> ServeResult<LazyEngine> {
         lasagne_obs::span!("serve.engine.lazy_load");
-        frozen.check_quantized_bindings()?;
-        let quantized = frozen.is_quantized();
         let n = frozen.meta.num_nodes;
         if k < 1 || k > n.max(1) {
             return Err(ServeError::Mismatch(format!(
@@ -113,7 +108,7 @@ impl LazyEngine {
                 pos_in_part[v] = pos as u32;
             }
         }
-        let weights = frozen.weights_f32();
+        let weights = frozen.weights.into_iter().map(|(n, w)| (n, w.0)).collect();
         let sparse: Vec<Csr> = frozen
             .program
             .sparse
@@ -141,7 +136,6 @@ impl LazyEngine {
             pos_in_part,
             caches,
             kept: Mutex::new(RowCache::new()),
-            quantized,
             rec: frozen.rec,
         })
     }
@@ -154,11 +148,6 @@ impl LazyEngine {
     /// Provenance/shape metadata of the loaded model.
     pub fn meta(&self) -> &FrozenMeta {
         &self.meta
-    }
-
-    /// Whether this engine serves approximate (quantized-weight) logits.
-    pub fn is_quantized(&self) -> bool {
-        self.quantized
     }
 
     /// Nodes in the frozen graph (valid query ids are `0..num_nodes`).

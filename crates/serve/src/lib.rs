@@ -51,7 +51,6 @@ mod export;
 mod frozen;
 mod lazy;
 mod protocol;
-mod quant;
 mod server;
 mod streaming;
 
@@ -66,6 +65,5 @@ pub use protocol::{
     mutation_response, predict_response, recommend_response, shutdown_response, stats_response,
     swap_response, top_k_response, Request, StatsSnapshot,
 };
-pub use quant::{QuantMatrix, QuantMode};
 pub use server::{Server, ServerConfig, ServerEngine};
 pub use streaming::{Mutation, MutationReport};

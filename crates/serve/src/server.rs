@@ -98,13 +98,6 @@ impl ServerEngine {
         }
     }
 
-    fn is_quantized(&self) -> bool {
-        match self {
-            ServerEngine::Resident(e) => e.is_quantized(),
-            ServerEngine::Lazy(e) => e.is_quantized(),
-        }
-    }
-
     /// `Some(k)` when lazy — the partition count swaps must preserve.
     fn lazy_partitions(&self) -> Option<usize> {
         match self {
@@ -275,9 +268,6 @@ struct Shared {
     /// Nanoseconds since `start` of the most recent shed; `u64::MAX` =
     /// never shed.
     last_shed_ns: AtomicU64,
-    /// Mirror of the installed engine's quantized flag (the engine itself
-    /// lives in the batcher thread); updated at swap install.
-    quantized: AtomicBool,
     /// `Some(k)` when the server runs partition-lazily: swap loads re-plan
     /// the new artifact with the same `k` instead of going resident.
     lazy_partitions: Option<usize>,
@@ -348,7 +338,6 @@ impl Shared {
             swaps: self.swaps.load(Ordering::Relaxed),
             model_version: self.model_version.load(Ordering::SeqCst),
             connections: self.connections.load(Ordering::Relaxed) as u64,
-            quantized: self.quantized.load(Ordering::Relaxed),
         }
     }
 }
@@ -398,7 +387,6 @@ impl Server {
             expired: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             last_shed_ns: AtomicU64::new(u64::MAX),
-            quantized: AtomicBool::new(engine.is_quantized()),
             lazy_partitions: engine.lazy_partitions(),
             start: Instant::now(),
             debug_ops,
@@ -754,7 +742,6 @@ fn batcher_loop(mut engine: ServerEngine, shared: Arc<Shared>, max_batch: usize)
                 version = pending.version;
                 shared.model_version.store(version, Ordering::SeqCst);
                 *shared.lock_meta() = engine.meta().clone();
-                shared.quantized.store(engine.is_quantized(), Ordering::Relaxed);
                 shared.swaps.fetch_add(1, Ordering::Relaxed);
                 lasagne_obs::counter_add("serve.swaps", 1);
             }

@@ -2,9 +2,7 @@
 //! per-partition engine must be indistinguishable — bitwise — from the
 //! resident propagation-cache engine and from the training path's eval
 //! forward, for GCN and all four Lasagne aggregators, at 1 and 4 threads
-//! and across partition counts — quantized (i8 and f16) artifacts
-//! included, whose lazy rows equal the resident engine's. Laziness itself
-//! is observable (partitions materialize only when queried), and
+//! and across partition counts. Laziness itself is observable (partitions materialize only when queried), and
 //! everything the lazy engine cannot serve exactly is refused typed:
 //! non-row-local programs (GAT), streaming mutations, bad partition counts.
 
@@ -12,7 +10,7 @@ use lasagne_autograd::Tape;
 use lasagne_core::{AggregatorKind, Lasagne, LasagneConfig};
 use lasagne_gnn::{models, GraphContext, Hyper, Mode, NodeClassifier};
 use lasagne_graph::generators::{dc_sbm, DcSbmConfig};
-use lasagne_serve::{freeze, Engine, FrozenModel, LazyEngine, Mutation, QuantMode, ServeError};
+use lasagne_serve::{freeze, Engine, FrozenModel, LazyEngine, Mutation, ServeError};
 use lasagne_tensor::TensorRng;
 
 const IN_DIM: usize = 6;
@@ -103,7 +101,6 @@ fn lazy_equals_resident(
         let lazy = LazyEngine::new(frozen.clone(), k).expect("lazy engine");
         assert_eq!(lazy.num_nodes(), resident.num_nodes(), "{name}: node count");
         assert_eq!(lazy.num_classes(), CLASSES, "{name}: class count");
-        assert_eq!(lazy.is_quantized(), resident.is_quantized(), "{name}: quantized flag");
         let mut lazy_bits = Vec::new();
         for node in 0..lazy.num_nodes() {
             let row = lazy.logits_row(node).expect("lazy row");
@@ -145,34 +142,6 @@ fn lazy_engine_is_bitwise_for_gcn_and_all_lasagne_aggregators() {
         let model = lasagne_model(agg, n);
         assert_lazy_matches(agg.label(), model.as_ref(), &ctx);
     }
-}
-
-#[test]
-fn quantized_artifacts_serve_lazily_bitwise() {
-    // Hidden 16, so the first-layer weights clear the quantizer's size
-    // floor.
-    let ctx = tiny_ctx(5);
-    let hyper = Hyper { hidden: 16, ..tiny_hyper() };
-    let cfg = LasagneConfig::from_hyper(&hyper, AggregatorKind::MaxPooling);
-    let n = ctx.num_nodes();
-    let models: [(&str, Box<dyn NodeClassifier>); 2] = [
-        ("gcn", Box::new(models::Gcn::new(IN_DIM, CLASSES, &hyper, 3))),
-        ("lasagne-maxpool", Box::new(Lasagne::new(IN_DIM, CLASSES, Some(n), &cfg, 5))),
-    ];
-    for (name, model) in &models {
-        for mode in [QuantMode::I8, QuantMode::F16] {
-            let quantized = freeze(model.as_ref(), &ctx, "tiny")
-                .expect("freeze")
-                .quantize(mode)
-                .expect("quantize");
-            assert!(quantized.is_quantized(), "{name}: nothing was quantized");
-            for &threads in &[1usize, 4] {
-                lasagne_par::set_threads(threads);
-                lazy_equals_resident(&format!("{name}/{}", mode.as_str()), &quantized, threads);
-            }
-        }
-    }
-    lasagne_par::set_threads(1);
 }
 
 #[test]

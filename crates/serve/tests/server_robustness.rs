@@ -11,7 +11,8 @@ use std::net::TcpStream;
 use lasagne_gnn::{models, GraphContext, Hyper};
 use lasagne_graph::generators::{dc_sbm, DcSbmConfig};
 use lasagne_serve::{
-    freeze, Client, Engine, FrozenModel, FrozenWeight, LazyEngine, Request, Server, ServerConfig,
+    freeze, Client, Engine, FrozenModel, FrozenWeight, LazyEngine, Request, ServeError, Server,
+    ServerConfig,
 };
 use lasagne_tensor::{Tensor, TensorRng};
 use lasagne_testkit::Json;
@@ -404,7 +405,7 @@ fn ill_fitting_artifacts(tag: &str) -> Vec<(&'static str, std::path::PathBuf)> {
     let slot = frozen
         .weights
         .iter()
-        .position(|(_, w)| matches!(w.shape(), (r, c) if r > 1 && c > 1 && r != c))
+        .position(|(_, w)| matches!(w.0.shape(), (r, c) if r > 1 && c > 1 && r != c))
         .expect("a non-square weight");
     let path = |what: &str| {
         std::env::temp_dir()
@@ -415,7 +416,7 @@ fn ill_fitting_artifacts(tag: &str) -> Vec<(&'static str, std::path::PathBuf)> {
     let t = transposed.weights[slot].1.to_tensor();
     let data = t.as_slice().to_vec();
     transposed.weights[slot].1 =
-        FrozenWeight::Exact(Tensor::from_vec(t.cols(), t.rows(), data).expect("transpose"));
+        FrozenWeight(Tensor::from_vec(t.cols(), t.rows(), data).expect("transpose"));
     transposed.save(&path("transposed")).expect("save transposed");
 
     let mut body = frozen.to_json();
@@ -578,5 +579,49 @@ fn v1_and_v2_artifacts_are_refused_naming_their_version() {
             assert!(msg.contains("re-export"), "{msg}");
         }
         let _ = std::fs::remove_file(path(version));
+    }
+}
+
+/// A weight in the layout quantized exports wrote: `i8` with one f32 scale
+/// per row and one byte per element, or `f16` with two bytes per element.
+fn quantized_weight(name: &str, rows: usize, cols: usize, mode: &str) -> Json {
+    let (scales, bytes_per_elem) = match mode {
+        "i8" => (Json::hex_words((0..rows).map(|_| 0.5f32.to_le_bytes())), 1),
+        _ => (Json::Str(String::new()), 2),
+    };
+    let data: String = (0..rows * cols * bytes_per_elem).map(|i| format!("{:02x}", i % 251)).collect();
+    Json::Obj(vec![
+        ("name".into(), Json::Str(name.into())),
+        ("quant".into(), Json::Str(mode.into())),
+        ("rows".into(), Json::Num(rows as f64)),
+        ("cols".into(), Json::Num(cols as f64)),
+        ("scales".into(), scales),
+        ("data".into(), Json::Str(data)),
+    ])
+}
+
+#[test]
+fn quantized_artifacts_are_refused_typed_by_both_engines() {
+    let frozen = tiny_frozen();
+    let (name, w) = &frozen.weights[0];
+    let (rows, cols) = w.0.shape();
+    for mode in ["i8", "f16"] {
+        let mut body = frozen.to_json();
+        let Json::Arr(weights) = member(&mut body, "weights") else { panic!("weights array") };
+        weights[0] = quantized_weight(name, rows, cols, mode);
+        let path = std::env::temp_dir().join(format!("lasagne-serve-quant-{mode}-{}.json", std::process::id()));
+        lasagne_train::atomic_write_envelope(&path, body).expect("save quantized artifact");
+        let errs = [
+            FrozenModel::load(&path).err(),
+            Engine::load_path(&path).err(),
+            LazyEngine::load_path(&path, 2).err(),
+        ];
+        for err in errs {
+            let err = err.unwrap_or_else(|| panic!("{mode} artifact loaded"));
+            assert!(matches!(err, ServeError::Mismatch(_)), "{mode}: {err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("quantized weights") && msg.contains("re-export"), "{msg}");
+        }
+        let _ = std::fs::remove_file(path);
     }
 }

@@ -7,23 +7,6 @@ use crate::Csr;
 use lasagne_tensor::TensorRng;
 
 impl Csr {
-    /// Randomly keep each stored entry with probability `keep`
-    /// (independently). This is the DropEdge operation on a directed edge
-    /// list; for an undirected graph apply it to the upper triangle and
-    /// mirror (see `drop_edges_sym`).
-    pub fn drop_entries(&self, keep: f32, rng: &mut TensorRng) -> Csr {
-        assert!((0.0..=1.0).contains(&keep), "drop_entries: keep={keep}");
-        let mut coo = Vec::with_capacity((self.nnz() as f32 * keep) as usize + 1);
-        for i in 0..self.rows() {
-            for (j, v) in self.row(i) {
-                if rng.bernoulli(keep) {
-                    coo.push((i as u32, j, v));
-                }
-            }
-        }
-        Csr::from_coo(self.rows(), self.cols(), &coo)
-    }
-
     /// DropEdge for symmetric adjacencies: drop undirected edges (upper
     /// triangle) with probability `1 - keep` and mirror the survivors, so the
     /// result stays symmetric. Diagonal entries are always kept.
@@ -170,22 +153,6 @@ mod tests {
             coo.push((j as u32, i as u32, 1.0));
         }
         Csr::from_coo(n, n, &coo)
-    }
-
-    #[test]
-    fn drop_entries_respects_extremes() {
-        let m = ring(10);
-        let mut rng = TensorRng::seed_from_u64(0);
-        assert_eq!(m.drop_entries(1.0, &mut rng).nnz(), m.nnz());
-        assert_eq!(m.drop_entries(0.0, &mut rng).nnz(), 0);
-    }
-
-    #[test]
-    fn drop_entries_keeps_roughly_fraction() {
-        let m = ring(500);
-        let mut rng = TensorRng::seed_from_u64(1);
-        let kept = m.drop_entries(0.7, &mut rng).nnz() as f32 / m.nnz() as f32;
-        assert!((kept - 0.7).abs() < 0.08, "kept fraction {kept}");
     }
 
     #[test]

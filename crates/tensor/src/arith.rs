@@ -140,18 +140,6 @@ impl Tensor {
         self.map_assign(|_| value);
     }
 
-    /// Rescale in place so the Frobenius norm does not exceed `max_norm`
-    /// (direction preserved); returns the norm *before* clipping. A no-op
-    /// when already within bounds.
-    pub fn clip_norm_(&mut self, max_norm: f32) -> f32 {
-        assert!(max_norm > 0.0, "clip_norm_: max_norm {max_norm} must be positive");
-        let norm = self.frobenius_norm();
-        if norm > max_norm {
-            self.scale_assign(max_norm / norm);
-        }
-        norm
-    }
-
     /// Concatenate tensors side by side (same row count).
     pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
         assert!(!parts.is_empty(), "concat_cols: empty input");
@@ -171,20 +159,6 @@ impl Tensor {
         }
         out
     }
-
-    /// Stack tensors vertically (same column count).
-    pub fn concat_rows(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat_rows: empty input");
-        let cols = parts[0].cols;
-        let mut data = Vec::with_capacity(parts.iter().map(|p| p.data.len()).sum());
-        let mut rows = 0;
-        for p in parts {
-            assert_eq!(p.cols, cols, "concat_rows: column count mismatch");
-            data.extend_from_slice(&p.data);
-            rows += p.rows;
-        }
-        Tensor { rows, cols, data }
-    }
 }
 
 #[cfg(test)]
@@ -199,27 +173,6 @@ mod tests {
         assert_eq!(a.sub(&b).row(0), &[-3.0, -1.0]);
         assert_eq!(a.mul(&b).row(1), &[6.0, 4.0]);
         assert_eq!(b.div(&a).row(0), &[4.0, 1.5]);
-    }
-
-    #[test]
-    fn clip_norm_rescales_only_when_needed() {
-        let mut t = Tensor::from_rows(&[&[3.0, 4.0]]); // norm 5
-        let before = t.clip_norm_(1.0);
-        assert_eq!(before, 5.0);
-        assert!((t.frobenius_norm() - 1.0).abs() < 1e-6);
-        // Direction preserved.
-        assert!((t.get(0, 1) / t.get(0, 0) - 4.0 / 3.0).abs() < 1e-5);
-        // Within bounds ⇒ untouched.
-        let mut small = Tensor::from_rows(&[&[0.3, 0.4]]);
-        let norm = small.clip_norm_(1.0);
-        assert!((norm - 0.5).abs() < 1e-6);
-        assert_eq!(small, Tensor::from_rows(&[&[0.3, 0.4]]));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn clip_norm_rejects_nonpositive_bound() {
-        Tensor::ones(1, 1).clip_norm_(0.0);
     }
 
     #[test]
@@ -247,16 +200,6 @@ mod tests {
         assert_eq!(c.shape(), (2, 3));
         assert_eq!(c.row(0), &[0.0, 1.0, 9.0]);
         assert_eq!(c.row(1), &[2.0, 3.0, 9.0]);
-    }
-
-    #[test]
-    fn concat_rows_stacks() {
-        let a = Tensor::ones(1, 3);
-        let b = Tensor::zeros(2, 3);
-        let c = Tensor::concat_rows(&[&a, &b]);
-        assert_eq!(c.shape(), (3, 3));
-        assert_eq!(c.row(0), &[1.0, 1.0, 1.0]);
-        assert_eq!(c.row(2), &[0.0, 0.0, 0.0]);
     }
 
     #[test]

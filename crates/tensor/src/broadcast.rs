@@ -26,19 +26,6 @@ impl Tensor {
         out
     }
 
-    /// Multiply every row of an `N x D` tensor by a `1 x D` row vector.
-    pub fn mul_row_broadcast(&self, row: &Tensor) -> Tensor {
-        assert_eq!(row.rows, 1, "mul_row_broadcast: rhs must be 1 x D");
-        assert_eq!(self.cols, row.cols, "mul_row_broadcast: col mismatch");
-        let mut out = self.clone();
-        for i in 0..out.rows {
-            for (o, &b) in out.row_mut(i).iter_mut().zip(&row.data) {
-                *o *= b;
-            }
-        }
-        out
-    }
-
     /// Scale row `i` of an `N x D` tensor by `col[i]` (`col` is `N x 1`).
     pub fn mul_col_broadcast(&self, col: &Tensor) -> Tensor {
         assert_eq!(col.cols, 1, "mul_col_broadcast: rhs must be N x 1");
@@ -70,24 +57,6 @@ impl Tensor {
         }
         out
     }
-
-    /// Divide row `i` by `col[i]` (`col` is `N x 1`); rows whose divisor is 0
-    /// are left untouched (useful for normalizing by possibly-zero degrees).
-    pub fn div_col_broadcast_or_keep(&self, col: &Tensor) -> Tensor {
-        assert_eq!(col.cols, 1, "div_col_broadcast_or_keep: rhs must be N x 1");
-        assert_eq!(self.rows, col.rows, "div_col_broadcast_or_keep: row mismatch");
-        let mut out = self.clone();
-        for i in 0..out.rows {
-            let c = col.data[i];
-            if c != 0.0 {
-                let inv = 1.0 / c;
-                for o in out.row_mut(i) {
-                    *o *= inv;
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -95,11 +64,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn row_broadcast_add_and_mul() {
+    fn row_broadcast_adds_to_every_row() {
         let x = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Tensor::row_vector(&[10.0, 20.0]);
         assert_eq!(x.add_row_broadcast(&b).row(1), &[13.0, 24.0]);
-        assert_eq!(x.mul_row_broadcast(&b).row(0), &[10.0, 40.0]);
     }
 
     #[test]
@@ -111,15 +79,6 @@ mod tests {
         assert_eq!(y.row(2), &[3.0, 3.0]);
         let z = x.add_col_broadcast(&c);
         assert_eq!(z.row(1), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn div_col_keeps_zero_divisor_rows() {
-        let x = Tensor::full(2, 2, 6.0);
-        let c = Tensor::col_vector(&[3.0, 0.0]);
-        let y = x.div_col_broadcast_or_keep(&c);
-        assert_eq!(y.row(0), &[2.0, 2.0]);
-        assert_eq!(y.row(1), &[6.0, 6.0]);
     }
 
     #[test]

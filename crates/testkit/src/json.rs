@@ -126,12 +126,12 @@ impl Json {
             .collect()
     }
 
-    /// A string of hex words: every element's little-endian bytes, two
-    /// lowercase hex digits per byte (`[u8; 4]` words take 8 digits each).
-    pub fn hex_words<const N: usize>(words: impl IntoIterator<Item = [u8; N]>) -> Json {
+    /// A string of hex words: every element's four little-endian bytes,
+    /// two lowercase hex digits per byte, so 8 digits per word.
+    pub fn hex_words(words: impl IntoIterator<Item = [u8; 4]>) -> Json {
         const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let words = words.into_iter();
-        let mut out = String::with_capacity(words.size_hint().0 * 2 * N);
+        let mut out = String::with_capacity(words.size_hint().0 * 8);
         for word in words {
             for b in word {
                 out.push(DIGITS[(b >> 4) as usize] as char);
@@ -142,21 +142,19 @@ impl Json {
     }
 
     /// Decode a [`Json::hex_words`] string, building each element from its
-    /// `N` little-endian bytes with `from_le`. `None` unless this is a
-    /// string of whole `N`-byte words in lowercase hex digits.
-    pub fn to_hex_words<const N: usize, T>(&self, from_le: impl Fn([u8; N]) -> T) -> Option<Vec<T>> {
-        let digits = self.as_str()?.as_bytes();
-        if !digits.len().is_multiple_of(2 * N) {
+    /// four little-endian bytes with `from_le`. `None` unless this is a
+    /// string of whole 8-digit words in lowercase hex digits.
+    pub fn to_hex_words<T>(&self, from_le: impl Fn([u8; 4]) -> T) -> Option<Vec<T>> {
+        let (groups, rest) = self.as_str()?.as_bytes().as_chunks::<8>();
+        if !rest.is_empty() {
             return None;
         }
         let mut valid = true;
-        let words = digits
-            .chunks_exact(2 * N)
-            .map(|chunk| {
-                let mut word = [0u8; N];
-                for (group, bytes) in chunk.chunks(8).zip(word.chunks_mut(4)) {
-                    valid &= decode_hex_group(group, bytes);
-                }
+        let words = groups
+            .iter()
+            .map(|&digits| {
+                let (word, ok) = decode_hex_word(digits);
+                valid &= ok;
                 from_le(word)
             })
             .collect();
@@ -224,16 +222,12 @@ const ONES: u64 = 0x0101_0101_0101_0101;
 /// `0x80` in every byte of a `u64`.
 const HIGHS: u64 = ONES * 0x80;
 
-/// Decode up to 8 hex digits into `out`, two digits per byte, all eight
-/// at once in one `u64` (missing digits read as `0`). False unless every
-/// digit is lowercase hex. Inlined into each caller's [`Json::to_hex_words`].
+/// Decode 8 hex digits into 4 bytes, two digits per byte, all eight at once
+/// in one `u64`. The flag is false unless every digit is lowercase hex.
+/// Inlined into [`Json::to_hex_words`].
 #[inline]
-fn decode_hex_group(digits: &[u8], out: &mut [u8]) -> bool {
-    let x = match <[u8; 8]>::try_from(digits) {
-        Ok(group) => u64::from_le_bytes(group),
-        // A short group (a quantized byte is one): its digits, then `0`s.
-        Err(_) => digits.iter().rev().fold(ONES * b'0' as u64, |x, &d| (x << 8) | d as u64),
-    };
+fn decode_hex_word(digits: [u8; 8]) -> ([u8; 4], bool) {
+    let x = u64::from_le_bytes(digits);
     // While every byte is below 0x80, adding `0x80 - c` sets a byte's high
     // bit exactly when the byte is at least `c`, with no carry between
     // bytes.
@@ -247,8 +241,7 @@ fn decode_hex_group(digits: &[u8], out: &mut [u8]) -> bool {
     let bytes = ((nibbles << 4) | (nibbles >> 8)) & 0x00ff_00ff_00ff_00ff;
     let bytes = (bytes | (bytes >> 8)) & 0x0000_ffff_0000_ffff;
     let bytes = (bytes | (bytes >> 16)) as u32;
-    out.copy_from_slice(&bytes.to_le_bytes()[..out.len()]);
-    x & HIGHS == 0 && digit | letter == HIGHS
+    (bytes.to_le_bytes(), x & HIGHS == 0 && digit | letter == HIGHS)
 }
 
 /// Offset of the first `"` or `\` in `bytes`, eight bytes at a time.
@@ -693,28 +686,23 @@ mod tests {
         }
         assert_eq!(decode(&Json::Arr(vec![Json::Num(1.0)])), None);
         assert_eq!(decode(&Json::Num(1.0)), None);
-        assert_eq!(Json::Str("abc".into()).to_hex_words(|[b]: [u8; 1]| b), None);
-        assert_eq!(Json::Str("ab0f".into()).to_hex_words(|[b]: [u8; 1]| b), Some(vec![0xab, 0x0f]));
     }
 
     #[test]
     fn every_byte_at_every_digit_position_decodes_or_is_refused() {
         let value = |c: u8| "0123456789abcdef".find(c as char).map(|v| v as u8);
-        for len in [2, 8] {
-            for at in 0..len {
-                for c in 0..=255u8 {
-                    let mut digits = b"3f7a0c9e"[..len].to_vec();
-                    digits[at] = c;
-                    let mut out = vec![0u8; len / 2];
-                    let valid = decode_hex_group(&digits, &mut out);
-                    assert_eq!(valid, value(c).is_some(), "{c:#04x} at {at} of {len}");
-                    if valid {
-                        let want: Vec<u8> = digits
-                            .chunks(2)
-                            .map(|p| (value(p[0]).unwrap() << 4) | value(p[1]).unwrap())
-                            .collect();
-                        assert_eq!(out, want, "{c:#04x} at {at} of {len}");
-                    }
+        for at in 0..8 {
+            for c in 0..=255u8 {
+                let mut digits = *b"3f7a0c9e";
+                digits[at] = c;
+                let (out, valid) = decode_hex_word(digits);
+                assert_eq!(valid, value(c).is_some(), "{c:#04x} at {at}");
+                if valid {
+                    let want: Vec<u8> = digits
+                        .chunks(2)
+                        .map(|p| (value(p[0]).unwrap() << 4) | value(p[1]).unwrap())
+                        .collect();
+                    assert_eq!(out.to_vec(), want, "{c:#04x} at {at}");
                 }
             }
         }

@@ -54,7 +54,7 @@ echo "== evaluator: one op kernel + one dependency rule under every schedule, at
 # DESIGN.md §10 "One evaluator": autograd's unit tests (peval, export),
 # gradcheck, random_programs and the schedules property suite (random
 # exported programs: demand subsets and dirty patches bitwise vs all rows),
-# plus serve's unit tests (quant.rs, incl. the exhaustive f16 check).
+# plus serve's unit tests.
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-autograd
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-autograd
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --lib
@@ -122,40 +122,13 @@ cargo run --release --offline --bin lasagne-cli -- \
 SERVE_PID=$!
 # The --check drive retries its connect, so no sleep-and-hope here; it
 # sends well-formed, malformed, and out-of-range requests and asserts
-# every typed response and that health and stats describe the served file
-# (--frozen: node count, quantized), then --shutdown stops the server.
+# every typed response and that health describes the served file
+# (--frozen: node count), then --shutdown stops the server.
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --check --addr 127.0.0.1:17878 --frozen target/verify_frozen_a.json
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17878
 wait "$SERVE_PID"
-
-echo "== serve: quantized export + serve smoke (opt-in path, DESIGN.md 13) =="
-# The i8 artifact must be byte-deterministic, strictly smaller than the
-# exact f32 artifact, refused by a plain `serve`, and served cleanly under
-# `serve --quantized` (protocol check included). The logit-tolerance and
-# bitwise fused-kernel contracts are covered by lasagne-serve's `quantized`
-# suite in the first stage.
-cargo run --release --offline --bin lasagne-cli -- \
-    cora gcn --epochs 3 --export-quantized target/verify_quant_a.json > /dev/null
-cargo run --release --offline --bin lasagne-cli -- \
-    cora gcn --epochs 3 --export-quantized target/verify_quant_b.json > /dev/null
-cmp target/verify_quant_a.json target/verify_quant_b.json
-F32_BYTES=$(wc -c < target/verify_frozen_a.json)
-QUANT_BYTES=$(wc -c < target/verify_quant_a.json)
-test "$QUANT_BYTES" -lt "$F32_BYTES"
-if cargo run --release --offline --bin lasagne-cli -- \
-    serve --frozen target/verify_quant_a.json --port 17880 > /dev/null 2>&1; then
-  echo "serving a quantized artifact without --quantized must be refused"; exit 1
-fi
-cargo run --release --offline --bin lasagne-cli -- \
-    serve --frozen target/verify_quant_a.json --quantized --port 17880 > /dev/null &
-QUANT_PID=$!
-cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --check --addr 127.0.0.1:17880 --frozen target/verify_quant_a.json
-cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --shutdown --addr 127.0.0.1:17880
-wait "$QUANT_PID"
 
 echo "== serve bench smoke (in-process server, 1/8/64 clients, saturation knee, JSON artifact) =="
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
@@ -209,8 +182,6 @@ LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test partition_equi
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test partition_equiv
 
 echo "== partitioned serving: lazy servers conform to the wire protocol =="
-# The exact and the i8 artifact: both engines bind the same load-time
-# dequantized weights, so a quantized artifact serves lazily too.
 cargo run --release --offline --bin lasagne-cli -- \
     serve --frozen target/verify_frozen_a.json --partitions 4 --port 17881 > /dev/null &
 LAZY_PID=$!
@@ -219,14 +190,6 @@ cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17881
 wait "$LAZY_PID"
-cargo run --release --offline --bin lasagne-cli -- \
-    serve --frozen target/verify_quant_a.json --quantized --partitions 4 --port 17884 > /dev/null &
-LAZY_QUANT_PID=$!
-cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --check --addr 127.0.0.1:17884 --frozen target/verify_quant_a.json
-cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --shutdown --addr 127.0.0.1:17884
-wait "$LAZY_QUANT_PID"
 
 echo "== scale bench smoke (per-mode child processes, peak-RSS regression guard) =="
 # Exits non-zero unless partitioned peak RSS is strictly below resident

@@ -74,3 +74,28 @@ fn serve_refuses_a_v2_artifact_with_a_typed_message() {
     assert!(err.contains("unsupported format version 2"), "got:\n{err}");
     assert!(err.contains("re-export") && !err.contains("panicked"), "got:\n{err}");
 }
+
+#[test]
+fn serve_refuses_a_quantized_artifact_with_a_typed_message() {
+    // A v3 body whose weight is in the layout quantized exports used.
+    let body = r#"{"kind":"frozen_model","meta":{"model":"GCN","dataset":"cora","num_nodes":1,"num_classes":1},"weights":[{"name":"w","quant":"i8","rows":1,"cols":1,"scales":"0000803f","data":"7f"}]}"#;
+    let path = std::env::temp_dir().join(format!("lasagne-cli-quant-{}.json", std::process::id()));
+    let body = lasagne_testkit::Json::parse(body).expect("body parses");
+    lasagne_train::atomic_write_envelope(&path, body).expect("write quantized artifact");
+    let out = run(&["serve", "--frozen", path.to_str().expect("utf-8 path"), "--port", "0"]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("quantized weights") && err.contains("--export"), "got:\n{err}");
+    assert!(!err.contains("panicked"), "got:\n{err}");
+}
+
+#[test]
+fn rec_refuses_zero_threads_and_zero_k() {
+    for (flag, value) in [("--threads", "0"), ("--k", "0")] {
+        let out = run(&["rec", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("{flag}: invalid value '{value}'")), "got:\n{err}");
+    }
+}
